@@ -2,7 +2,7 @@
 that track logical consistency on a shared flag qubit.
 
 Subpackage map: circuit (gate/circuit types and builders), statevec (the
-simulator), dist (outcome distributions and CSV I/O), logic_ops (dense
+simulator), dist (outcome distributions and CSV I/O), logic_ops (diagonal
 projector algebra and the classical flag rule), metrics (distribution
 comparison metrics), hardware_model (noise channel and cost estimates),
 cli (command-line entry point).

@@ -65,13 +65,15 @@ class CouplingGraph:
                 raise ValueError(f"edge {edge} outside 0..{self.num_nodes - 1}")
             normalized.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
-
-    def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return adj
+        # built once per graph; not a field, so equality and repr ignore it
+        object.__setattr__(self, "_adj", tuple(tuple(nbrs) for nbrs in adj))
+
+    def adjacency(self) -> list[list[int]]:
+        return [list(nbrs) for nbrs in self._adj]
 
     def distance(self, start: int, goal: int) -> int:
         """BFS shortest-path length in edges; -1 if unreachable."""
@@ -79,7 +81,7 @@ class CouplingGraph:
             raise ValueError(f"node out of range: {start}, {goal}")
         if start == goal:
             return 0
-        adj = self.adjacency()
+        adj = self._adj
         seen = {start}
         queue = deque([(start, 0)])
         while queue:
@@ -93,7 +95,7 @@ class CouplingGraph:
         return -1
 
     def is_connected(self) -> bool:
-        adj = self.adjacency()
+        adj = self._adj
         seen = {0}
         queue = deque([0])
         while queue:
@@ -105,7 +107,7 @@ class CouplingGraph:
         return len(seen) == self.num_nodes
 
     def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self.adjacency()), default=0)
+        return max((len(nbrs) for nbrs in self._adj), default=0)
 
 
 def parse_graph_text(text: str, where: str = "<graph>") -> CouplingGraph:

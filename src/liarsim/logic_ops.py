@@ -1,12 +1,17 @@
-"""Dense operator algebra for the pair register, plus the classical flag rule.
+"""Operator algebra for the pair register, plus the classical flag rule.
 
 The pair register holds m contradiction qubits at indices 0..m-1 and m
 resolution qubits at m..2m-1 (no flag), dimension 4**m.  A pair is violated
-when its contradiction bit is 1 and its resolution bit is 0.  Everything here
-is built from explicit basis-state bit tests, so projector entries are exact
-0/1 floats and operator identities can be checked to machine precision.
+when its contradiction bit is 1 and its resolution bit is 0.  Every operator
+of the logic is diagonal in the computational basis, so each is held as a
+length-4**m diagonal read off one vector of violated-pair bitmasks; entries
+are exact 0/1 (or integer) floats and the operator identities are checked
+elementwise to machine precision.  The public builders return the same
+diagonals as dense matrices, capped at dimension 1024 (5 pairs).
 
-Dense matrices only; the register is capped at dimension 1024 (5 pairs).
+The flag circuits contain no H, so each maps a basis state to one basis
+state times a phase; basis_map pushes all basis inputs through such a
+circuit at once instead of simulating them one at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec
-from .circuit import OR_ACCUMULATE, PARITY, Circuit, PairLayout, build_general
+from .circuit import (NEGATED, OR_ACCUMULATE, PARITY, Circuit, PairLayout,
+                      build_general)
 
 MAX_PAIRS = 5
 _MAX_DENSE_QUBITS = 10  # dim 1024
@@ -43,19 +49,29 @@ def violation_count(index: int, num_pairs: int) -> int:
     return count
 
 
+def _violations(num_pairs: int) -> np.ndarray:
+    """Violated-pair bitmask of every pair-register basis state: bit i is set
+    when contradiction bit i is 1 and resolution bit m+i is 0."""
+    x = np.arange(4 ** num_pairs, dtype=np.int64)
+    return x & ~(x >> num_pairs) & ((1 << num_pairs) - 1)
+
+
+def _diagonals(num_pairs: int):
+    """Diagonals of the pair projectors (one row per pair), the global
+    projector, the Hamiltonian and the reflection 2*Pi - I."""
+    viol = _violations(num_pairs)
+    pairs = np.array([(viol >> i) & 1 for i in range(num_pairs)], dtype=float)
+    consistent = viol == 0
+    return (pairs, consistent.astype(float), pairs.sum(axis=0),
+            np.where(consistent, 1.0, -1.0))
+
+
 def contradiction_projector(num_pairs: int, pair: int) -> np.ndarray:
     """Projector onto basis states where the given pair is violated."""
     _check_pairs(num_pairs)
     if not 0 <= pair < num_pairs:
         raise ValueError(f"pair index {pair} out of range for {num_pairs} pairs")
-    dim = 4 ** num_pairs
-    diag = np.zeros(dim)
-    for x in range(dim):
-        c = (x >> pair) & 1
-        r = (x >> (num_pairs + pair)) & 1
-        if c == 1 and r == 0:
-            diag[x] = 1.0
-    return np.diag(diag).astype(np.complex128)
+    return np.diag(((_violations(num_pairs) >> pair) & 1).astype(np.complex128))
 
 
 def global_consistency_projector(num_pairs: int) -> np.ndarray:
@@ -63,21 +79,14 @@ def global_consistency_projector(num_pairs: int) -> np.ndarray:
     violated pair.  Rank is 3**num_pairs (three allowed configurations per
     pair out of four)."""
     _check_pairs(num_pairs)
-    dim = 4 ** num_pairs
-    diag = np.zeros(dim)
-    for x in range(dim):
-        if violation_count(x, num_pairs) == 0:
-            diag[x] = 1.0
-    return np.diag(diag).astype(np.complex128)
+    return np.diag((_violations(num_pairs) == 0).astype(np.complex128))
 
 
 def logic_hamiltonian(num_pairs: int) -> np.ndarray:
     """Sum of the pair projectors.  Eigenvalues are the violated-pair counts,
     so the kernel is exactly the image of the global consistency projector."""
     _check_pairs(num_pairs)
-    dim = 4 ** num_pairs
-    diag = np.array([float(violation_count(x, num_pairs)) for x in range(dim)])
-    return np.diag(diag).astype(np.complex128)
+    return np.diag(_diagonals(num_pairs)[2].astype(np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +156,43 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return unitary
 
 
+def basis_map(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """Image of every basis input under a circuit without H gates.
+
+    X, CNOT, CCX, P and CP each send a basis state to one basis state times a
+    phase, so the circuit takes input i to out_index[i] with amplitude
+    phase[i].  All 2**n inputs go through each gate at once as int64 bit
+    operations; controls fire on 1 (positive) or 0 (negated).
+    """
+    n = circuit.num_qubits
+    if n > statevec.MAX_QUBITS:
+        raise ValueError(f"basis_map capped at {statevec.MAX_QUBITS} qubits, got {n}")
+    out_index = np.arange(1 << n, dtype=np.int64)
+    phase = np.ones(1 << n, dtype=np.complex128)
+    for gate in circuit.gates:
+        if gate.kind == "H":
+            raise ValueError("basis_map needs a circuit without H gates")
+        fires = 1
+        for q, pol in zip(gate.controls, gate.polarities):
+            fires = fires & (((out_index >> q) & 1) ^ int(pol == NEGATED))
+        target = gate.targets[0]
+        if gate.kind in ("P", "CP"):
+            hit = (fires & (out_index >> target) & 1).astype(bool)
+            phase[hit] *= np.exp(1j * gate.angle)
+        else:
+            out_index ^= fires << target
+    return out_index, phase
+
+
+def _flag_out(mode: str, num_pairs: int) -> np.ndarray:
+    """Flag bit the mode's circuit leaves on every pair-register-plus-flag
+    basis input, ancillas at 0.  The default layout holds the pair register
+    in bits 0..2m-1 and the flag in bit 2m, so input a | f << 2m is
+    assignment a with flag f."""
+    out_index, _ = basis_map(build_general(PairLayout.default(num_pairs), mode))
+    return (out_index[:1 << (2 * num_pairs + 1)] >> (2 * num_pairs)) & 1
+
+
 # ---------------------------------------------------------------------------
 # classical rule
 
@@ -214,14 +260,13 @@ def truth_table(num_pairs: int, flag_in: int = 1) -> list[TruthTableRow]:
     if flag_in not in (0, 1):
         raise ValueError(f"flag_in must be 0 or 1, got {flag_in}")
     m = num_pairs
-    layout = PairLayout.default(m)
-    circuit = build_general(layout, PARITY)
+    circuit_flags = _flag_out(PARITY, m)
     rows = []
     for assignment in range(4 ** m):
         c_bits = tuple((assignment >> i) & 1 for i in range(m))
         r_bits = tuple((assignment >> (m + i)) & 1 for i in range(m))
         rule = classical_rule(c_bits, r_bits, flag_in)
-        circuit_flag = _circuit_flag_on_basis(circuit, c_bits, r_bits, flag_in, layout)
+        circuit_flag = int(circuit_flags[flag_in << (2 * m) | assignment])
         rows.append(TruthTableRow(
             contradictions=c_bits,
             resolutions=r_bits,
@@ -264,71 +309,57 @@ class FixedPointReport:
     note: str
 
 
-def _cascade_fixed_indices(num_pairs: int) -> tuple[set[int], int]:
-    """Run the parity circuit on every basis state of pairs+flag; return the
-    set of inputs mapped exactly to themselves (amplitude 1, no phase)."""
-    circuit = build_general(PairLayout.default(num_pairs), PARITY)
-    n = circuit.num_qubits
-    fixed = set()
-    for index in range(1 << n):
-        state = statevec.basis_state(index, n)
-        for gate in circuit.gates:
-            statevec.apply_gate(state, gate)
-        if abs(state.amplitudes[index] - 1.0) < 1e-12:
-            fixed.add(index)
-    return fixed, n
+def _cascade_fixed(num_pairs: int) -> np.ndarray:
+    """Mask over the 2**(2m+1) pair+flag basis inputs: True where the parity
+    circuit maps the input exactly to itself (amplitude 1, no phase)."""
+    out_index, phase = basis_map(build_general(PairLayout.default(num_pairs), PARITY))
+    return (out_index == np.arange(out_index.size)) & (np.abs(phase - 1.0) < 1e-12)
 
 
-def fixed_point_report(num_pairs: int) -> FixedPointReport:
-    _check_pairs(num_pairs)
-    m = num_pairs
+def _fixed_point_report(m: int, hamiltonian: np.ndarray, unitary: np.ndarray,
+                        fixed: np.ndarray) -> FixedPointReport:
+    kernel = hamiltonian == 0.0
+    plus_one = unitary == 1.0
 
-    hamiltonian = logic_hamiltonian(m)
-    unitary = reflection(global_consistency_projector(m))
-    h_diag = np.real(np.diagonal(hamiltonian))
-    u_diag = np.real(np.diagonal(unitary))
-    kernel = {x for x in range(4 ** m) if h_diag[x] == 0.0}
-    plus_one = {x for x in range(4 ** m) if u_diag[x] == 1.0}
-    algebra_match = kernel == plus_one
-
-    fixed, n = _cascade_fixed_indices(m)
-    flag_bit = 1 << (2 * m)
-    assumed = {
-        x for x in range(1 << n)
-        if violation_count(x & (flag_bit - 1), m) == 0 and (x & flag_bit)
-    }
-    extra = fixed - assumed
-    missing = assumed - fixed
-    extra_f0 = sum(
-        1 for x in extra
-        if violation_count(x & (flag_bit - 1), m) == 0 and not (x & flag_bit)
-    )
-    extra_even = sum(
-        1 for x in extra
-        if violation_count(x & (flag_bit - 1), m) >= 2
-    )
+    # the flag is the top bit, so pair+flag input x has the violation count
+    # of pair state x mod 4**m
+    counts = np.tile(hamiltonian, 2)
+    flag = np.arange(fixed.size) >= 4 ** m
+    assumed = (counts == 0) & flag
+    extra = fixed & ~assumed
+    missing = assumed & ~fixed
+    n_fixed, n_assumed = int(fixed.sum()), int(assumed.sum())
+    extra_f0 = int((extra & (counts == 0) & ~flag).sum())
+    extra_even = int((extra & (counts >= 2)).sum())
 
     note = (
-        f"cascade on {m} pair(s): {len(fixed)}/{1 << n} basis states fixed "
+        f"cascade on {m} pair(s): {n_fixed}/{fixed.size} basis states fixed "
         f"(all inputs with an even violation count). The assumed fixed set "
-        f"(consistent states with flag 1, {len(assumed)} states) is a strict "
+        f"(consistent states with flag 1, {n_assumed} states) is a strict "
         f"subset: {extra_f0} consistent flag-0 state(s) and {extra_even} "
         f"even-violation inconsistent state(s) are also fixed."
     )
     return FixedPointReport(
         num_pairs=m,
-        plus_one_dim=len(plus_one),
-        kernel_dim=len(kernel),
-        algebra_match=algebra_match,
-        cascade_total=1 << n,
-        cascade_fixed=len(fixed),
-        assumed_fixed=len(assumed),
-        assumed_set_is_exact=(not extra and not missing),
+        plus_one_dim=int(plus_one.sum()),
+        kernel_dim=int(kernel.sum()),
+        algebra_match=bool(np.array_equal(kernel, plus_one)),
+        cascade_total=fixed.size,
+        cascade_fixed=n_fixed,
+        assumed_fixed=n_assumed,
+        assumed_set_is_exact=not (extra.any() or missing.any()),
         extra_consistent_flag_zero=extra_f0,
         extra_even_violation=extra_even,
-        missing_from_assumed=len(missing),
+        missing_from_assumed=int(missing.sum()),
         note=note,
     )
+
+
+def fixed_point_report(num_pairs: int) -> FixedPointReport:
+    _check_pairs(num_pairs)
+    _, _, hamiltonian, unitary = _diagonals(num_pairs)
+    return _fixed_point_report(num_pairs, hamiltonian, unitary,
+                               _cascade_fixed(num_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -342,155 +373,105 @@ class CheckResult:
     detail: str
 
 
-def _dev(value: float) -> float:
-    return float(value)
-
-
-def _circuit_flag_on_basis(circuit: Circuit, c_bits, r_bits, flag_in: int,
-                           layout: PairLayout) -> int:
-    """Flag bit after running the circuit on a basis input (ancillas at 0)."""
-    n = circuit.num_qubits
-    index = flag_in << layout.flag
-    for q, b in zip(layout.contradictions, c_bits):
-        index |= b << q
-    for q, b in zip(layout.resolutions, r_bits):
-        index |= b << q
-    state = statevec.basis_state(index, n)
-    for gate in circuit.gates:
-        statevec.apply_gate(state, gate)
-    out = int(np.argmax(np.abs(state.amplitudes)))
-    if abs(abs(state.amplitudes[out]) - 1.0) > 1e-12:
-        raise AssertionError("basis input did not map to a basis output")
-    return (out >> layout.flag) & 1
-
-
 def verification_suite(num_pairs: int, taylor_terms: int = 48) -> list[CheckResult]:
     """Operator-identity and circuit-equivalence checks for one register size.
 
-    Exact-set checks report deviation 0.0 on success and 1.0 on mismatch;
-    matrix checks report the max absolute entry deviation.
+    Every operator is diagonal, so the checks run elementwise on diagonals:
+    a product of operators is the product of their diagonals, and a real
+    diagonal is hermitian.  Exact-set checks report deviation 0.0 on success
+    and 1.0 on mismatch; operator checks report the max absolute entry
+    deviation.
     """
     _check_pairs(num_pairs)
+    if taylor_terms < 1:
+        raise ValueError("terms must be >= 1")
     m = num_pairs
     dim = 4 ** m
-    eye = np.eye(dim)
     checks: list[CheckResult] = []
 
-    projectors = [contradiction_projector(m, i) for i in range(m)]
-    pi_global = global_consistency_projector(m)
+    pairs, pi_global, hamiltonian, unitary = _diagonals(m)
 
-    dev = 0.0
-    for proj in projectors:
-        dev = max(dev, float(np.abs(proj @ proj - proj).max()))
-        dev = max(dev, float(np.abs(proj - proj.conj().T).max()))
-    trace_dev = max(
-        abs(float(np.real(np.trace(proj))) - 4 ** (m - 1)) for proj in projectors
-    )
-    dev = max(dev, trace_dev)
+    dev = max(float(np.abs(pairs * pairs - pairs).max()),
+              float(np.abs(pairs.sum(axis=1) - 4 ** (m - 1)).max()))
     checks.append(CheckResult(
-        "pair_projector_laws", dev <= 1e-12, _dev(dev),
+        "pair_projector_laws", dev <= 1e-12, dev,
         f"{m} pair projector(s): idempotent, hermitian, trace {4 ** (m - 1)}"))
 
-    dev = float(np.abs(pi_global @ pi_global - pi_global).max())
-    dev = max(dev, float(np.abs(pi_global - pi_global.conj().T).max()))
-    dev = max(dev, abs(float(np.real(np.trace(pi_global))) - 3 ** m))
-    for proj in projectors:
-        dev = max(dev, float(np.abs(pi_global @ proj).max()))
+    dev = max(float(np.abs(pi_global * pi_global - pi_global).max()),
+              abs(float(pi_global.sum()) - 3 ** m),
+              float(np.abs(pi_global * pairs).max()))
     checks.append(CheckResult(
-        "global_projector_laws", dev <= 1e-12, _dev(dev),
+        "global_projector_laws", dev <= 1e-12, dev,
         f"global projector: idempotent, hermitian, rank {3 ** m}, "
         f"annihilates every pair projector"))
 
-    unitary = reflection(pi_global)
-    dev = float(np.abs(unitary - (2.0 * pi_global - eye)).max())
-    dev = max(dev, float(np.abs(unitary - unitary.conj().T).max()))
-    dev = max(dev, float(np.abs(unitary @ unitary - eye).max()))
+    dev = max(float(np.abs(unitary - (2.0 * pi_global - 1.0)).max()),
+              float(np.abs(unitary * unitary - 1.0).max()))
     checks.append(CheckResult(
-        "reflection_laws", dev <= 1e-12, _dev(dev),
+        "reflection_laws", dev <= 1e-12, dev,
         "reflection is hermitian, involutive, equals 2*Pi - I"))
 
-    complement = eye - pi_global  # itself a projector
-    dev = float(np.abs(projector_exponential(complement, np.pi) - unitary).max())
+    complement = 1.0 - pi_global  # itself a projector
+    closed = 1.0 + (np.exp(-1j * np.pi) - 1.0) * complement
+    dev = float(np.abs(closed - unitary).max())
     checks.append(CheckResult(
-        "exponential_closed_form", dev <= 1e-12, _dev(dev),
+        "exponential_closed_form", dev <= 1e-12, dev,
         "e^{-i*pi*(I - Pi)} via the closed form equals the reflection"))
 
-    dev = float(np.abs(taylor_exponential(np.pi * complement, taylor_terms) - unitary).max())
+    # the same truncated power series as taylor_exponential, entry by entry
+    op = np.pi * complement
+    acc = np.ones(dim, dtype=np.complex128)
+    term = np.ones(dim, dtype=np.complex128)
+    for k in range(1, taylor_terms):
+        term = term * op * (-1j / k)
+        acc = acc + term
+    dev = float(np.abs(acc - unitary).max())
     checks.append(CheckResult(
-        "exponential_taylor", dev <= 1e-9, _dev(dev),
+        "exponential_taylor", dev <= 1e-9, dev,
         f"truncated power series ({taylor_terms} terms) matches the reflection"))
 
-    hamiltonian = logic_hamiltonian(m)
     expected_diag = np.array([violation_count(x, m) for x in range(dim)], dtype=float)
-    dev = float(np.abs(hamiltonian - np.diag(expected_diag)).max())
+    dev = float(np.abs(hamiltonian - expected_diag).max())
     checks.append(CheckResult(
-        "hamiltonian_spectrum", dev == 0.0, _dev(dev),
+        "hamiltonian_spectrum", dev == 0.0, dev,
         "Hamiltonian is diagonal with violated-pair counts as eigenvalues"))
 
-    h_diag = np.real(np.diagonal(hamiltonian))
-    u_diag = np.real(np.diagonal(unitary))
-    kernel = {x for x in range(dim) if h_diag[x] == 0.0}
-    plus_one = {x for x in range(dim) if u_diag[x] == 1.0}
-    match = kernel == plus_one
+    kernel = hamiltonian == 0.0
+    match = bool(np.array_equal(kernel, unitary == 1.0))
     checks.append(CheckResult(
         "kernel_equals_plus_one_space", match, 0.0 if match else 1.0,
         f"kernel of the Hamiltonian and +1 eigenspace of the reflection "
-        f"coincide on all {dim} basis states (dimension {len(kernel)})"))
+        f"coincide on all {dim} basis states (dimension {int(kernel.sum())})"))
 
-    report = fixed_point_report(m)
-    predicted = None
-    fixed, n = _cascade_fixed_indices(m)
-    flag_bit = 1 << (2 * m)
-    predicted = {
-        x for x in range(1 << n)
-        if violation_count(x & (flag_bit - 1), m) % 2 == 0
-    }
-    cascade_ok = fixed == predicted and report.algebra_match
+    fixed = _cascade_fixed(m)
+    report = _fixed_point_report(m, hamiltonian, unitary, fixed)
+    counts = np.tile(hamiltonian, 2)  # violation count of each pair+flag input
+    cascade_ok = bool(np.array_equal(fixed, counts % 2 == 0)) and report.algebra_match
     checks.append(CheckResult(
         "cascade_fixed_points", cascade_ok, 0.0 if cascade_ok else 1.0,
         report.note))
 
     if m <= 3:
-        layout = PairLayout.default(m)
-        or_circuit = build_general(layout, OR_ACCUMULATE)
-        parity_circuit = build_general(layout, PARITY)
-        or_ok = True
-        divergent = []
-        total = 0
-        for assignment in range(1 << (2 * m + 1)):
-            c_bits = [(assignment >> i) & 1 for i in range(m)]
-            r_bits = [(assignment >> (m + i)) & 1 for i in range(m)]
-            f_in = (assignment >> (2 * m)) & 1
-            rule = classical_rule(c_bits, r_bits, f_in)
-            or_flag = _circuit_flag_on_basis(or_circuit, c_bits, r_bits, f_in, layout)
-            parity_flag = _circuit_flag_on_basis(parity_circuit, c_bits, r_bits,
-                                                 f_in, layout)
-            total += 1
-            if or_flag != rule.flag_out:
-                or_ok = False
-            if parity_flag != or_flag:
-                divergent.append((tuple(c_bits), tuple(r_bits), f_in))
+        or_flag = _flag_out(OR_ACCUMULATE, m)
+        parity_flag = _flag_out(PARITY, m)
+        total = or_flag.size
+        rule_flag = np.array([
+            classical_rule([(a >> i) & 1 for i in range(m)],
+                           [(a >> (m + i)) & 1 for i in range(m)],
+                           a >> (2 * m)).flag_out
+            for a in range(total)
+        ])
+        or_ok = bool(np.array_equal(or_flag, rule_flag))
         checks.append(CheckResult(
             "rule_matches_or_circuit", or_ok, 0.0 if or_ok else 1.0,
             f"OR-mode circuit reproduces the classical rule on all {total} "
             f"basis inputs"))
 
-        expected_divergent = {
-            (tuple(cb), tuple(rb), fi)
-            for (cb, rb, fi) in (
-                (
-                    [(a >> i) & 1 for i in range(m)],
-                    [(a >> (m + i)) & 1 for i in range(m)],
-                    (a >> (2 * m)) & 1,
-                )
-                for a in range(1 << (2 * m + 1))
-            )
-            if (v := sum(1 for c, r in zip(cb, rb) if c and not r)) >= 2 and v % 2 == 0
-        }
-        div_ok = set(divergent) == expected_divergent
+        expected = (counts >= 2) & (counts % 2 == 0)
+        div_ok = bool(np.array_equal(parity_flag != or_flag, expected))
         checks.append(CheckResult(
             "parity_or_divergence", div_ok, 0.0 if div_ok else 1.0,
-            f"parity and OR modes diverge on exactly the {len(expected_divergent)} "
+            f"parity and OR modes diverge on exactly the {int(expected.sum())} "
             f"inputs with an even nonzero violation count"))
 
     return checks

@@ -147,15 +147,21 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
 
 
 def probabilities(state: StateVector, drop_below: float = 1e-12) -> Distribution:
-    """Born-rule outcome distribution; entries below drop_below are omitted."""
+    """Born-rule outcome distribution; entries below drop_below are omitted.
+
+    The norm is checked on the full array first, so a state spread thinly
+    over many outcomes is not rejected for the mass its dropped entries held.
+    """
     probs = np.abs(state.amplitudes) ** 2
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {total:.6f}, outside 1 +- 1e-09")
     entries = {
         bitstring(i, state.num_qubits): float(v)
         for i, v in enumerate(probs)
         if v >= drop_below
     }
-    dist = Distribution(width=state.num_qubits, entries=entries, kind=PROBABILITY)
-    return dist.validate(sum_tol=1e-9)
+    return Distribution(width=state.num_qubits, entries=entries, kind=PROBABILITY)
 
 
 def z_expectation(state: StateVector, qubit: int) -> float:

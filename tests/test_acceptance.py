@@ -18,11 +18,12 @@ from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE, Circuit,
 from liarsim.cli import main
 from liarsim.dist import COUNTS, PROBABILITY, Distribution, load_reference_table
 from liarsim.hardware_model import NoiseProfile, fidelity_estimate, noisy_sample
-from liarsim.logic_ops import (_circuit_flag_on_basis, circuit_unitary,
-                               classical_rule, verification_suite)
+from liarsim.logic_ops import circuit_unitary, classical_rule, verification_suite
 from liarsim.metrics import (chi_squared_gof, consistency_fidelity,
                              interference_suppression, tv_distance)
 from liarsim.statevec import probabilities, run_circuit
+
+from basis_oracle import circuit_flag_on_basis
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,9 +94,9 @@ def test_criterion_04_rule_circuit_equivalence_and_divergence():
             violations = sum(ci and not ri for ci, ri in zip(c, r))
             for flag_in in (0, 1):
                 want = classical_rule(c, r, flag_in).flag_out
-                got_or = _circuit_flag_on_basis(or_circuit, c, r, flag_in, layout)
-                got_parity = _circuit_flag_on_basis(parity_circuit, c, r,
-                                                    flag_in, layout)
+                got_or = circuit_flag_on_basis(or_circuit, c, r, flag_in, layout)
+                got_parity = circuit_flag_on_basis(parity_circuit, c, r,
+                                                   flag_in, layout)
                 assert got_or == want, ("or", m, c, r, flag_in)
                 if violations <= 1:
                     assert got_parity == want, ("parity", m, c, r, flag_in)

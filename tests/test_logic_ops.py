@@ -4,17 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liarsim.circuit import OR_ACCUMULATE, PARITY, PairLayout, build_general
+from liarsim import statevec
+from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE, Circuit,
+                             PairLayout, build_general, ccx, cnot, cp, h, p, x)
 from liarsim.logic_ops import (FULLY_CONSISTENT, FULLY_INCONSISTENT,
                                INCONSISTENCY_DETECTED, LOCALLY_RESOLVED,
-                               MAX_PAIRS, classical_rule,
+                               MAX_PAIRS, basis_map, classical_rule,
                                contradiction_projector, fixed_point_report,
                                global_consistency_projector, is_hermitian,
                                is_projector, is_unitary, logic_hamiltonian,
                                projector_exponential, reflection,
                                taylor_exponential, truth_table,
                                verification_suite, violation_count)
+
+from basis_oracle import circuit_flag_on_basis
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +118,86 @@ def test_taylor_oracle_agrees_with_closed_form():
 def test_projector_exponential_rejects_non_projector():
     with pytest.raises(ValueError):
         projector_exponential(np.array([[2.0]]), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# basis map
+
+@st.composite
+def h_free_circuits(draw):
+    n = draw(st.integers(1, 8))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["X", "P", "CNOT", "CP", "CCX"]))
+        arity = {"X": 1, "P": 1, "CNOT": 2, "CP": 2, "CCX": 3}[kind]
+        if arity > n:
+            continue
+        qs = draw(st.permutations(range(n)))[:arity]
+        pols = [draw(st.sampled_from([POSITIVE, NEGATED])) for _ in qs[:-1]]
+        theta = draw(st.floats(-2 * math.pi, 2 * math.pi))
+        gates.append({
+            "X": lambda: x(qs[0]),
+            "P": lambda: p(theta, qs[0]),
+            "CNOT": lambda: cnot(qs[0], qs[1], pols[0]),
+            "CP": lambda: cp(theta, qs[0], qs[1], pols[0]),
+            "CCX": lambda: ccx(qs[0], qs[1], qs[2], pols[0], pols[1]),
+        }[kind]())
+    return Circuit(n, gates)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h_free_circuits())
+def test_basis_map_matches_statevector(circuit):
+    out_index, phase = basis_map(circuit)
+    n = circuit.num_qubits
+    assert out_index.shape == phase.shape == (1 << n,)
+    for index in range(1 << n):
+        state = statevec.basis_state(index, n)
+        for gate in circuit.gates:
+            statevec.apply_gate(state, gate)
+        out = int(np.argmax(np.abs(state.amplitudes)))
+        assert out_index[index] == out
+        assert abs(state.amplitudes[out] - phase[index]) <= 1e-12
+        assert abs(abs(phase[index]) - 1.0) <= 1e-12
+
+
+def test_basis_map_rejects_h():
+    with pytest.raises(ValueError, match="H"):
+        basis_map(Circuit(2, [x(0), h(1)]))
+
+
+def _dense_identity_checks(m):
+    """The first five suite checks, computed on the dense public builders."""
+    eye = np.eye(4 ** m)
+    projectors = [contradiction_projector(m, i) for i in range(m)]
+    pi_global = global_consistency_projector(m)
+    pair = max(max(np.abs(q @ q - q).max(), np.abs(q - q.conj().T).max(),
+                   abs(np.real(np.trace(q)) - 4 ** (m - 1))) for q in projectors)
+    glob = max(np.abs(pi_global @ pi_global - pi_global).max(),
+               np.abs(pi_global - pi_global.conj().T).max(),
+               abs(np.real(np.trace(pi_global)) - 3 ** m),
+               max(np.abs(pi_global @ q).max() for q in projectors))
+    unitary = reflection(pi_global)
+    refl = max(np.abs(unitary - (2.0 * pi_global - eye)).max(),
+               np.abs(unitary - unitary.conj().T).max(),
+               np.abs(unitary @ unitary - eye).max())
+    complement = eye - pi_global
+    closed = np.abs(projector_exponential(complement, math.pi) - unitary).max()
+    taylor = np.abs(taylor_exponential(math.pi * complement) - unitary).max()
+    return {"pair_projector_laws": (pair, 1e-12),
+            "global_projector_laws": (glob, 1e-12),
+            "reflection_laws": (refl, 1e-12),
+            "exponential_closed_form": (closed, 1e-12),
+            "exponential_taylor": (taylor, 1e-9)}
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+def test_diagonal_suite_matches_dense_builders(pairs):
+    suite = {c.name: c for c in verification_suite(pairs)}
+    for name, (dense_dev, tol) in _dense_identity_checks(pairs).items():
+        check = suite[name]
+        assert check.passed == (dense_dev <= tol), name
+        assert dense_dev <= tol and check.max_deviation <= tol, name
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +323,6 @@ def test_verification_suite_all_pass(pairs):
 
 def test_or_circuit_flag_equals_rule_exhaustively():
     # direct cross-check, independent of the suite's own bookkeeping
-    from liarsim.logic_ops import _circuit_flag_on_basis
-
     for m in (1, 2, 3):
         layout = PairLayout.default(m)
         circuit = build_general(layout, OR_ACCUMULATE)
@@ -247,5 +331,5 @@ def test_or_circuit_flag_equals_rule_exhaustively():
             r = tuple((assignment >> (m + i)) & 1 for i in range(m))
             for flag_in in (0, 1):
                 want = classical_rule(c, r, flag_in).flag_out
-                got = _circuit_flag_on_basis(circuit, c, r, flag_in, layout)
+                got = circuit_flag_on_basis(circuit, c, r, flag_in, layout)
                 assert got == want, (m, c, r, flag_in)

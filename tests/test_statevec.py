@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from liarsim.circuit import (NEGATED, Circuit, Gate, ccx, cnot, cp, h, p, x)
+from liarsim.circuit import (NEGATED, Circuit, Gate, ccx, cnot, cp, h, p,
+                             save_circuit, x)
+from liarsim.cli import main
 from liarsim.statevec import (DEFAULT_SEED, MAX_QUBITS, apply_gate,
                               apply_pauli, basis_state, bit_of, bitstring,
                               init_zero, probabilities, run_circuit,
@@ -245,6 +247,30 @@ def test_probabilities_drop_small_entries():
     assert set(dist.entries) == {"00", "01"}
     assert dist.entries["00"] == pytest.approx(0.5)
     assert dist.kind == "probability"
+
+
+def _thinly_spread_circuit():
+    # 16 qubits, each H.P(theta).H with P(1) = 1e-3: about 2e-9 of the mass
+    # sits in outcomes below the 1e-12 drop threshold
+    theta = 2 * math.asin(math.sqrt(1e-3))
+    return Circuit(16, [g for q in range(16) for g in (h(q), p(theta, q), h(q))])
+
+
+def test_probabilities_checks_norm_before_dropping_entries():
+    state = run_circuit(_thinly_spread_circuit())
+    assert abs(state_norm(state) - 1.0) < 1e-13
+    dist = probabilities(state)
+    assert 1.0 - sum(dist.entries.values()) > 1e-9
+    assert dist.entries["0" * 16] == pytest.approx(0.999 ** 16)
+    with pytest.raises(ValueError, match="sum to"):
+        probabilities(type(state)(16, state.amplitudes * 1.001))
+
+
+def test_simulate_thinly_spread_circuit_exits_zero(tmp_path, capsys):
+    path = tmp_path / "spread.json"
+    save_circuit(_thinly_spread_circuit(), path)
+    assert main(["simulate", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_z_expectation():
