@@ -600,6 +600,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise CliError(USAGE_EXIT, f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except CliError as exc:
         print(f"liarsim {args.subcommand}: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 The noise model is a Monte Carlo trajectory sampler: after every gate, with a
 per-gate-class probability, one uniformly random Pauli lands on one involved
-qubit; at measurement each readout bit flips independently.  Every shot draws
-from its own stream keyed by (seed, shot index), so results never depend on
-execution order and sharded runs merge exactly into serial ones.
+qubit; at measurement each readout bit flips independently.  All draws come
+from one counter-based Philox stream keyed by the seed, and every shot owns a
+fixed block of it at an offset set by its shot index, so results never depend
+on execution order or chunking and sharded runs merge exactly into serial ones.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ class NoiseProfile:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def zero_noise(self) -> "NoiseProfile":
         return NoiseProfile(0.0, 0.0, 0.0, self.seed)
@@ -257,19 +260,33 @@ def routing_estimate(circuit: Circuit, graph: CouplingGraph,
 # ---------------------------------------------------------------------------
 # Monte Carlo noise channel
 
-def _draw_outcome(rng, cumulative) -> int:
-    idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return min(idx, len(cumulative) - 1)
+# Uniform draws held in memory at once; shots are processed in chunks of
+# max(1, _CHUNK_DRAWS // block).  Results do not depend on it.
+_CHUNK_DRAWS = 1 << 16
+
+
+def _draw_outcomes(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(cumulative, u, side="right")
+    return np.minimum(idx, len(cumulative) - 1)
+
+
+def _cumulative(state) -> np.ndarray:
+    probs = np.abs(state.amplitudes) ** 2
+    return np.cumsum(probs / probs.sum())
 
 
 def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
                  first_shot: int = 0) -> Distribution:
     """Sample the circuit under the noise profile.
 
-    Shot k draws from the stream keyed by (profile.seed, first_shot + k), so
+    Every shot reads a fixed block of uniforms from one Philox stream keyed
+    by SeedSequence(profile.seed): G fault draws (G = gate count), a qubit
+    and a Pauli draw per gate, one outcome draw and n readout draws, padded
+    to a multiple of 4.  Shot s starts at counter s * block // 4, so
     noisy_sample(c, p, 1000) equals the merge of noisy_sample(c, p, 600) and
-    noisy_sample(c, p, 400, first_shot=600).  Shots with no gate fault reuse
-    the precomputed ideal state and only pay for their outcome draw.
+    noisy_sample(c, p, 400, first_shot=600).  Faultless shots draw from the
+    ideal distribution in bulk; faulty shots are grouped by fault signature
+    (gate index, qubit, Pauli) and each signature is simulated once.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -277,40 +294,53 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
         raise ValueError("first_shot must be >= 0")
     n = circuit.num_qubits
     gates = list(circuit.gates)
+    g = len(gates)
+    block = -(-(3 * g + 1 + n) // 4) * 4
+    outcome_col = 3 * g
 
-    ideal = run_circuit(circuit)
-    p_ideal = np.abs(ideal.amplitudes) ** 2
-    cum_ideal = np.cumsum(p_ideal / p_ideal.sum())
+    cum_ideal = _cumulative(run_circuit(circuit))
     gate_rates = np.array(
-        [profile.p_1q if len(g.qubits) == 1 else profile.p_2q for g in gates]
+        [profile.p_1q if len(gt.qubits) == 1 else profile.p_2q for gt in gates]
     )
-    bit_weights = 1 << np.arange(n)
+    arity = np.array([len(gt.qubits) for gt in gates])
+    bit_weights = np.int64(1) << np.arange(n, dtype=np.int64)
+    seed_seq = np.random.SeedSequence(profile.seed)
 
-    counts: dict[str, int] = {}
-    for k in range(shots):
-        rng = np.random.default_rng([profile.seed, first_shot + k])
-        faults: set[int] = set()
-        if gates and gate_rates.any():
-            hits = np.nonzero(rng.random(len(gates)) < gate_rates)[0]
-            faults = {int(i) for i in hits}
-        if not faults:
-            outcome = _draw_outcome(rng, cum_ideal)
-        else:
-            state = init_zero(n)
-            for gi, gate in enumerate(gates):
-                apply_gate(state, gate)
-                if gi in faults:
-                    qubit = gate.qubits[int(rng.integers(len(gate.qubits)))]
-                    pauli = "XYZ"[int(rng.integers(3))]
-                    apply_pauli(state, pauli, qubit)
-            probs = np.abs(state.amplitudes) ** 2
-            outcome = _draw_outcome(rng, np.cumsum(probs / probs.sum()))
+    counts: dict[int, int] = {}
+    chunk = max(1, _CHUNK_DRAWS // block)
+    for start in range(first_shot, first_shot + shots, chunk):
+        size = min(chunk, first_shot + shots - start)
+        bitgen = np.random.Philox(seed_seq, counter=start * block // 4)
+        u = np.random.Generator(bitgen).random((size, block))
+
+        fault = u[:, :g] < gate_rates
+        faulty = np.nonzero(fault.any(axis=1))[0]
+        outcomes = _draw_outcomes(cum_ideal, u[:, outcome_col])
+        if len(faulty):
+            # code 0: no fault; else 1 + 3 * (index into gate.qubits) + Pauli
+            qubit_slot = (u[faulty, g:2 * g] * arity).astype(np.int64)
+            pauli = (u[faulty, 2 * g:3 * g] * 3).astype(np.int64)
+            codes = np.where(fault[faulty], 1 + 3 * qubit_slot + pauli, 0)
+            signatures, group = np.unique(codes, axis=0, return_inverse=True)
+            group = group.reshape(-1)  # NumPy 2.0.0 returns it as a column
+            for sid, signature in enumerate(signatures):
+                state = init_zero(n)
+                for gate, code in zip(gates, signature.tolist()):
+                    apply_gate(state, gate)
+                    if code:
+                        slot, which = divmod(code - 1, 3)
+                        apply_pauli(state, "XYZ"[which], gate.qubits[slot])
+                rows = faulty[group == sid]
+                outcomes[rows] = _draw_outcomes(_cumulative(state),
+                                                u[rows, outcome_col])
         if profile.p_readout > 0.0:
-            flips = rng.random(n) < profile.p_readout
-            outcome ^= int(bit_weights[flips].sum())
-        key = bitstring(outcome, n)
-        counts[key] = counts.get(key, 0) + 1
+            flips = u[:, outcome_col + 1:outcome_col + 1 + n] < profile.p_readout
+            outcomes ^= flips @ bit_weights
+        values, tally = np.unique(outcomes, return_counts=True)
+        for value, count in zip(values.tolist(), tally.tolist()):
+            counts[value] = counts.get(value, 0) + count
 
     return Distribution(width=n,
-                        entries={k: float(v) for k, v in counts.items()},
+                        entries={bitstring(k, n): float(counts[k])
+                                 for k in sorted(counts)},
                         kind=COUNTS, total_shots=shots)

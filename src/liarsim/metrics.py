@@ -25,7 +25,7 @@ def _check_states(states, width: int, what: str) -> tuple[str, ...]:
     if not states:
         raise ValueError(f"{what} must not be empty")
     for s in states:
-        if len(s) != width or any(ch not in "01" for ch in s):
+        if len(s) != width or s.strip("01"):
             raise ValueError(f"bad state {s!r} in {what} for width {width}")
     if len(set(states)) != len(states):
         raise ValueError(f"duplicate states in {what}")
@@ -59,6 +59,12 @@ def interference_suppression(experimental: Distribution, ideal: Distribution,
     if experimental.width != ideal.width:
         raise ValueError("width mismatch between experimental and ideal")
     states = _check_states(paradox_set, ideal.width, "paradox_set")
+    return _suppression(experimental, ideal, states)
+
+
+def _suppression(experimental: Distribution, ideal: Distribution,
+                 states: tuple[str, ...]) -> float:
+    """interference_suppression on an already validated paradox set."""
     exp_p = experimental.as_probabilities()
     ideal_p = ideal.as_probabilities()
     denom = sum(ideal_p.get(s, 0.0) for s in states)
@@ -176,9 +182,13 @@ class MetricsConfig:
         if paradox is None:
             if width > 16:
                 raise ValueError("complement paradox set too large; pass it explicitly")
-            universe = [format(i, f"0{width}b") for i in range(1 << width)]
-            paradox = tuple(s for s in universe if s not in set(consistent))
-        paradox = _check_states(paradox, width, "paradox_set")
+            skip = {int(s, 2) for s in consistent}
+            paradox = tuple(format(i, f"0{width}b")
+                            for i in range(1 << width) if i not in skip)
+            if not paradox:
+                raise ValueError("paradox_set must not be empty")
+        else:
+            paradox = _check_states(paradox, width, "paradox_set")
         flag = self.flag_index if self.flag_index is not None else width - 1
         if not 0 <= flag < width:
             raise ValueError(f"flag index {flag} out of range for width {width}")
@@ -238,7 +248,7 @@ def full_report(experimental: Distribution, ideal: Distribution,
     r_i = None
     r_i_note = None
     try:
-        r_i = interference_suppression(experimental, ideal, paradox)
+        r_i = _suppression(experimental, ideal, paradox)
     except ValueError as exc:
         r_i_note = str(exc)
 

@@ -104,6 +104,22 @@ def test_simulate_missing_circuit_file_is_io_error(capsys):
     assert "no such circuit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--noise", "1e-4,1e-3,0.015"]])
+def test_simulate_negative_seed_is_usage_error(capsys, extra):
+    code = main(["simulate", "liar-reference", "--shots", "5", "--seed", "-1", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_seed_rejected_by_every_subcommand(capsys):
+    for argv in (["verify", "--pairs", "1"], ["estimate", "--n", "2"],
+                 ["metrics", "--exp", "bundled:hardware"], ["truthtable"]):
+        assert main(argv + ["--seed", "-3"]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

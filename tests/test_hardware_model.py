@@ -1,18 +1,40 @@
 """Noise channel, coupling graphs, routing cost, and the fidelity model."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liarsim.circuit import (Circuit, PairLayout, build_general,
-                             build_liar_reference, cnot, x)
+from liarsim import hardware_model
+from liarsim.circuit import (OR_ACCUMULATE, PARITY, Circuit, PairLayout,
+                             build_general, build_liar_reference, ccx, cnot,
+                             cp, h, p, x)
 from liarsim.dist import COUNTS
 from liarsim.hardware_model import (CostEstimate, CouplingGraph, NoiseProfile,
                                     fidelity_estimate, load_bundled_graph,
                                     make_graph, noisy_sample, parse_graph_text,
                                     routing_estimate)
-from liarsim.metrics import consistency_fidelity, tv_distance
+from liarsim.metrics import chi_squared_gof, consistency_fidelity, tv_distance
 from liarsim.statevec import probabilities, run_circuit
+
+from noise_oracle import noisy_distribution, noisy_probabilities, readout_matrix
+
+ORACLE_CIRCUITS = {
+    "liar-reference": build_liar_reference(),
+    "parity2-phase": build_general(PairLayout.default(2), PARITY, with_phase=True),
+    "or2": build_general(PairLayout.default(2), OR_ACCUMULATE),
+    # faults between the two H layers interfere, so X, Y and Z faults on
+    # qubits 0 and 1 leave different fingerprints on the outcome
+    "interferometer": Circuit(3, [h(0), h(1), p(0.6, 0), cnot(0, 2),
+                                  ccx(0, 1, 2), cp(0.9, 1, 2), h(0), h(1)]),
+}
+DEFAULT_RATES = (1e-4, 1e-3, 0.015)
+HIGH_RATES = (1e-3, 1e-2, 0.15)  # every rate 10x the default
+# gate faults only, frequent enough that the choice of Pauli shows in 50k shots
+STRONG_GATE_RATES = (0.05, 0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +50,8 @@ def test_noise_profile_defaults_and_validation():
     with pytest.raises(ValueError, match="p_readout"):
         NoiseProfile(p_readout=-0.1)
     assert profile.zero_noise().p_readout == 0.0
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        NoiseProfile(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +266,57 @@ def test_noisy_sample_validates_arguments():
         noisy_sample(circuit, NoiseProfile(), 0)
     with pytest.raises(ValueError):
         noisy_sample(circuit, NoiseProfile(), 10, first_shot=-1)
+
+
+def _merge(*dists):
+    merged: dict = {}
+    for dist in dists:
+        for state, value in dist.entries.items():
+            merged[state] = merged.get(state, 0.0) + value
+    return merged
+
+
+@given(name=st.sampled_from(sorted(ORACLE_CIRCUITS)),
+       rates=st.sampled_from([DEFAULT_RATES, HIGH_RATES]),
+       seed=st.integers(0, 2**40),
+       chunk_draws=st.sampled_from([1, 100, 250, hardware_model._CHUNK_DRAWS]),
+       head=st.integers(1, 300), tail=st.integers(1, 300))
+@settings(max_examples=60)
+def test_noisy_sample_split_anywhere_merges_exactly(name, rates, seed, chunk_draws,
+                                                    head, tail):
+    # small chunk budgets put chunk boundaries inside and across both parts
+    circuit = ORACLE_CIRCUITS[name]
+    profile = NoiseProfile(*rates, seed=seed)
+    with mock.patch.object(hardware_model, "_CHUNK_DRAWS", chunk_draws):
+        first = noisy_sample(circuit, profile, head)
+        second = noisy_sample(circuit, profile, tail, first_shot=head)
+    whole = noisy_sample(circuit, profile, head + tail)
+    assert _merge(first, second) == whole.entries
+    assert first.total_shots + second.total_shots == whole.total_shots
+
+
+# ---------------------------------------------------------------------------
+# exact noise oracle
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CIRCUITS))
+@pytest.mark.parametrize("p_readout", [0.0, 0.015, 0.15])
+def test_oracle_without_gate_noise_is_ideal_through_readout(name, p_readout):
+    circuit = ORACLE_CIRCUITS[name]
+    ideal = np.abs(run_circuit(circuit).amplitudes) ** 2
+    expected = readout_matrix(circuit.num_qubits, p_readout) @ ideal
+    got = noisy_probabilities(circuit, NoiseProfile(0.0, 0.0, p_readout))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CIRCUITS))
+@pytest.mark.parametrize("rates", [DEFAULT_RATES, HIGH_RATES, STRONG_GATE_RATES],
+                         ids=["default", "10x", "strong-gates"])
+def test_sampler_matches_exact_noise_oracle(name, rates):
+    circuit = ORACLE_CIRCUITS[name]
+    profile = NoiseProfile(*rates, seed=31)
+    exact = noisy_distribution(circuit, profile)
+    assert sum(exact.entries.values()) == pytest.approx(1.0, abs=1e-12)
+    counts = noisy_sample(circuit, profile, 50_000)
+    result = chi_squared_gof(counts, exact)
+    assert result.dof >= 3
+    assert result.p_value > 1e-3, result
