@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -88,9 +89,66 @@ def _strict_numbers(value):
     return value
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(value, pad: str) -> str:
+    """The reference rendering of value, for a line that starts with pad."""
+    text = json.dumps(_strict_numbers(value), indent=2, sort_keys=True,
+                      allow_nan=False, default=_json_default)
+    return text.replace("\n", "\n" + pad)  # JSON strings hold no raw newline
+
+
+def _has_containers(values) -> bool:
+    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _scalar_items(scalars, sep: str) -> str:
+    """The items of a dict or list of scalars, joined by sep, from one call
+    of the C encoder."""
+    try:
+        text = json.dumps(scalars, sort_keys=True, allow_nan=False,
+                          default=_json_default, separators=(sep, ": "))
+    except ValueError:  # inf or nan: _strict_numbers spells them out
+        text = json.dumps(_strict_numbers(scalars), sort_keys=True,
+                          allow_nan=False, default=_json_default,
+                          separators=(sep, ": "))
+    return text[1:-1]
+
+
+def _render(value, pad: str) -> str:
+    """Same text as _indented(value, pad).  json.dumps with an indent runs
+    CPython's pure-Python encoder; here the scalars of each dict or list are
+    encoded together by the C encoder, the indentation carried in the item
+    separator, and only nested containers recurse.  sep never occurs inside
+    an encoded item, because JSON strings escape every newline."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)) and value:
+        if _has_containers(value):
+            body = sep.join(_render(v, inner) for v in value)
+        else:
+            body = _scalar_items(value, sep)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict) and value and set(map(type, value)) == {str}:
+        if _has_containers(value.values()):
+            scalars = {k: v for k, v in value.items()
+                       if not isinstance(v, _CONTAINERS)}
+            items = dict(zip(sorted(scalars),
+                             _scalar_items(scalars, sep).split(sep)))
+            items.update((k, json.dumps(k) + ": " + _render(v, inner))
+                         for k, v in value.items() if k not in scalars)
+            body = sep.join(items[k] for k in sorted(items))
+        else:
+            body = _scalar_items(value, sep)
+        return "{\n" + inner + body + "\n" + pad + "}"
+    return _indented(value, pad)
+
+
 def canonical_json(payload: dict) -> str:
-    return json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
-                      allow_nan=False, default=_json_default) + "\n"
+    """json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
+    allow_nan=False, default=_json_default) plus a newline, byte for byte."""
+    return _render(payload, "") + "\n"
 
 
 def _sha256_file(path) -> str:
@@ -227,20 +285,22 @@ def cmd_simulate(args) -> int:
         "num_qubits": circuit.num_qubits,
         "gate_count": len(circuit.gates),
         "census": dataclasses.asdict(census),
-        "probabilities": dict(probs.entries),
+        "probabilities": probs.entries,
         "counts": {k: int(v) for k, v in counts.entries.items()} if counts else None,
     }
 
-    pretty = [f"circuit: {source} ({circuit.num_qubits} qubits, "
-              f"{len(circuit.gates)} gates, depth {census.depth})",
-              "probabilities:"]
-    for state_str in sorted(probs.entries):
-        pretty.append(f"  {state_str}  {probs.entries[state_str]:.12f}")
-    if counts is not None:
-        noise_tag = " (noisy)" if profile else ""
-        pretty.append(f"counts over {args.shots} shots{noise_tag}, seed {args.seed}:")
-        for state_str in sorted(counts.entries):
-            pretty.append(f"  {state_str}  {int(counts.entries[state_str])}")
+    pretty = []
+    if args.pretty:  # one line per outcome: not worth building for JSON only
+        pretty = [f"circuit: {source} ({circuit.num_qubits} qubits, "
+                  f"{len(circuit.gates)} gates, depth {census.depth})",
+                  "probabilities:"]
+        for state_str in sorted(probs.entries):
+            pretty.append(f"  {state_str}  {probs.entries[state_str]:.12f}")
+        if counts is not None:
+            noise_tag = " (noisy)" if profile else ""
+            pretty.append(f"counts over {args.shots} shots{noise_tag}, seed {args.seed}:")
+            for state_str in sorted(counts.entries):
+                pretty.append(f"  {state_str}  {int(counts.entries[state_str])}")
     _emit(payload, args, pretty)
     return 0
 
@@ -596,9 +656,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# One parser per process: building it costs more than a small command's work.
+# parse_args returns a fresh Namespace and the parser keeps no per-call state.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if args.seed < 0:
             raise CliError(USAGE_EXIT, f"--seed must be >= 0, got {args.seed}")

@@ -22,7 +22,7 @@ _BUNDLED_TABLES = {
 
 
 def _check_bitstring(state: str, width: int) -> None:
-    if len(state) != width or any(ch not in "01" for ch in state):
+    if len(state) != width or state.strip("01"):
         raise ValueError(f"bad state {state!r} for width {width}")
 
 

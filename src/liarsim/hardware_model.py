@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuit import Circuit, expand_toffolis, gate_census
 from .dist import COUNTS, Distribution
-from .statevec import (DEFAULT_SEED, apply_gate, apply_pauli, bitstring,
+from .statevec import (DEFAULT_SEED, apply_gate, apply_pauli, bitstrings,
                        init_zero, run_circuit)
 
 BUNDLED_GRAPH_NAME = "heavy_hex_example.txt"
@@ -340,7 +340,8 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
         for value, count in zip(values.tolist(), tally.tolist()):
             counts[value] = counts.get(value, 0) + count
 
+    observed = sorted(counts)
     return Distribution(width=n,
-                        entries={bitstring(k, n): float(counts[k])
-                                 for k in sorted(counts)},
+                        entries=dict(zip(bitstrings(np.array(observed), n),
+                                         (float(counts[k]) for k in observed))),
                         kind=COUNTS, total_shots=shots)

@@ -2,8 +2,11 @@
 
 Amplitudes live in a flat complex128 array of length 2**n.  Qubit k is bit k
 of the array index; canonical bitstrings therefore read q_{n-1} ... q_0 from
-left to right.  Gates act in place through strided views of the amplitude
-array; no 2**n x 2**n matrix is ever materialized here.
+left to right.  A gate reshapes the flat array, without copying it, into one
+length-2 axis per touched qubit with the untouched qubits merged into runs
+between them, then acts in place on basic-slice views of that shape; no
+2**n x 2**n matrix is ever materialized here.  Outcome keys are rendered as
+bitstrings in one vectorized step, and only for outcomes that are kept.
 """
 
 from __future__ import annotations
@@ -63,13 +66,39 @@ def bit_of(bits: str, qubit: int) -> int:
     return 1 if bits[len(bits) - 1 - qubit] == "1" else 0
 
 
-def _moved_view(state: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
-    """View of the amplitudes shaped (2,)*n with the given qubits' axes in
-    front, in the order listed.  Writes go through to the flat array."""
-    n = state.num_qubits
-    tensor = state.amplitudes.reshape((2,) * n)
-    axes = [n - 1 - q for q in qubits]
-    return np.moveaxis(tensor, axes, range(len(axes)))
+def bitstrings(indices: np.ndarray, width: int) -> list[str]:
+    """bitstring() of every index in the array, rendered in one NumPy pass."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
+    chars = np.asarray(indices, dtype=np.uint32)[:, None] >> shifts
+    chars &= 1
+    chars += ord("0")
+    return chars.view(f"U{width}").ravel().tolist()
+
+
+def _branches(amps: np.ndarray, num_qubits: int, qubits: tuple[int, ...]):
+    """Return pick(*bits): the view of amps where qubits[i] == bits[i].
+
+    The flat array is reshaped to at most 2k+1 axes for k qubits: a length-2
+    axis per listed qubit and, between them, one axis per run of other
+    qubits.  Picks are basic slices, so writes go through to amps.
+    """
+    shape = []
+    axis = {}
+    above = num_qubits
+    for q in sorted(qubits, reverse=True):  # highest qubit is the outermost axis
+        shape += [1 << (above - 1 - q), 2]
+        axis[q] = len(shape) - 1
+        above = q
+    shape.append(1 << above)
+    tensor = amps.reshape(shape)
+
+    def pick(*bits):
+        index = [slice(None)] * len(shape)
+        for q, b in zip(qubits, bits):
+            index[axis[q]] = b
+        return tensor[tuple(index)]
+
+    return pick
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -79,27 +108,25 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
             f"{gate.kind} touches qubit {max(gate.qubits)} but the state has "
             f"{state.num_qubits} qubits"
         )
-    view = _moved_view(state, gate.qubits)
+    pick = _branches(state.amplitudes, state.num_qubits, gate.qubits)
     # controls come first in gate.qubits, so select their active branch
     sel = tuple(0 if pol == NEGATED else 1 for pol in gate.polarities)
     kind = gate.kind
 
     if kind == "H":
-        a = np.array(view[0])
-        b = np.array(view[1])
-        view[0] = (a + b) * _INV_SQRT2
-        view[1] = (a - b) * _INV_SQRT2
+        lo, hi = pick(0), pick(1)
+        plus = lo + hi
+        np.subtract(lo, hi, out=hi)
+        hi *= _INV_SQRT2
+        np.multiply(plus, _INV_SQRT2, out=lo)
     elif kind in ("X", "CNOT", "CCX"):
-        lo = sel + (0,)
-        hi = sel + (1,)
-        tmp = np.array(view[lo])
-        view[lo] = view[hi]
-        view[hi] = tmp
-    elif kind == "P":
-        view[1] = view[1] * np.exp(1j * gate.angle)
-    elif kind == "CP":
-        idx = sel + (1,)
-        view[idx] = view[idx] * np.exp(1j * gate.angle)
+        lo, hi = pick(*sel, 0), pick(*sel, 1)
+        tmp = lo.copy()
+        lo[...] = hi
+        hi[...] = tmp
+    elif kind in ("P", "CP"):
+        phased = pick(*sel, 1)
+        phased *= np.exp(1j * gate.angle)
     else:  # unreachable: Gate validates its kind
         raise ValueError(f"unknown gate kind {kind!r}")
     return state
@@ -110,18 +137,18 @@ def apply_pauli(state: StateVector, pauli: str, qubit: int) -> StateVector:
     and Z are not part of the circuit gate set."""
     if qubit >= state.num_qubits or qubit < 0:
         raise ValueError(f"qubit {qubit} out of range")
-    view = _moved_view(state, (qubit,))
+    pick = _branches(state.amplitudes, state.num_qubits, (qubit,))
+    lo, hi = pick(0), pick(1)
     if pauli == "X":
-        tmp = np.array(view[0])
-        view[0] = view[1]
-        view[1] = tmp
+        tmp = lo.copy()
+        lo[...] = hi
+        hi[...] = tmp
     elif pauli == "Y":
-        a = np.array(view[0])
-        b = np.array(view[1])
-        view[0] = -1j * b
-        view[1] = 1j * a
+        tmp = lo.copy()
+        np.multiply(-1j, hi, out=lo)
+        np.multiply(1j, tmp, out=hi)
     elif pauli == "Z":
-        view[1] = -view[1]
+        np.negative(hi, out=hi)
     else:
         raise ValueError(f"unknown Pauli {pauli!r}")
     return state
@@ -156,11 +183,8 @@ def probabilities(state: StateVector, drop_below: float = 1e-12) -> Distribution
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total:.6f}, outside 1 +- 1e-09")
-    entries = {
-        bitstring(i, state.num_qubits): float(v)
-        for i, v in enumerate(probs)
-        if v >= drop_below
-    }
+    kept = np.flatnonzero(probs >= drop_below)
+    entries = dict(zip(bitstrings(kept, state.num_qubits), probs[kept].tolist()))
     return Distribution(width=state.num_qubits, entries=entries, kind=PROBABILITY)
 
 
@@ -169,9 +193,7 @@ def z_expectation(state: StateVector, qubit: int) -> float:
     if qubit >= state.num_qubits or qubit < 0:
         raise ValueError(f"qubit {qubit} out of range")
     probs = np.abs(state.amplitudes) ** 2
-    tensor = probs.reshape((2,) * state.num_qubits)
-    axis = state.num_qubits - 1 - qubit
-    p1 = float(np.moveaxis(tensor, axis, 0)[1].sum())
+    p1 = float(_branches(probs, state.num_qubits, (qubit,))(1).sum())
     return 1.0 - 2.0 * p1
 
 
@@ -184,10 +206,8 @@ def sample_counts(state: StateVector, shots: int, seed: int) -> Distribution:
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
     counts = rng.multinomial(shots, probs)
-    entries = {
-        bitstring(i, state.num_qubits): float(c)
-        for i, c in enumerate(counts)
-        if c > 0
-    }
+    seen = np.flatnonzero(counts)
+    entries = dict(zip(bitstrings(seen, state.num_qubits),
+                       counts[seen].astype(np.float64).tolist()))
     return Distribution(width=state.num_qubits, entries=entries,
                         kind=COUNTS, total_shots=shots)

@@ -40,6 +40,11 @@ def single_qubit_matrix(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return np.where(same_elsewhere, op[_bit(row, qubit), _bit(col, qubit)], 0)
 
 
+def pauli_matrix(pauli: str, qubit: int, n: int) -> np.ndarray:
+    """The 2**n x 2**n matrix of Pauli X, Y or Z on one qubit."""
+    return single_qubit_matrix(_PAULIS[pauli], qubit, n)
+
+
 def gate_matrix(gate, n: int) -> np.ndarray:
     """Dense unitary of one circuit gate on n qubits."""
     if gate.kind == "H":
@@ -84,8 +89,8 @@ def noisy_probabilities(circuit, profile) -> np.ndarray:
             continue
         kicked = np.zeros_like(rho)
         for qubit in gate.qubits:
-            for pauli in _PAULIS.values():
-                op = single_qubit_matrix(pauli, qubit, n)
+            for pauli in _PAULIS:
+                op = pauli_matrix(pauli, qubit, n)
                 kicked += op @ rho @ op.conj().T
         rho = (1 - rate) * rho + rate / (3 * len(gate.qubits)) * kicked
     return readout_matrix(n, profile.p_readout) @ np.real(np.diag(rho))

@@ -1,11 +1,17 @@
 """End-to-end command-line behavior: payload shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from liarsim.cli import main
+from liarsim import cli
+from liarsim.cli import _json_default, _strict_numbers, canonical_json, main
 from liarsim.logic_ops import CheckResult
 from liarsim.statevec import DEFAULT_SEED
 
@@ -323,3 +329,76 @@ def test_out_files_are_byte_identical_across_reruns(capsys, tmp_path):
         assert len(first.read_bytes()) > 0
     # --out alone keeps stdout quiet
     assert capsys.readouterr().out == ""
+
+
+def test_repeated_main_calls_match_single_calls(tmp_path):
+    # main() parses with one parser per process; a run of calls with changing
+    # subcommands and flags must print and write what fresh parsers would
+    out = str(tmp_path / "report.json")
+    calls = [
+        ["simulate", "liar-reference", "--shots", "64", "--pretty"],
+        ["simulate", "liar-reference", "--shots", "64"],
+        ["verify", "--pairs", "2", "--out", out],
+        ["verify", "--pairs", "2"],
+        ["estimate", "--bogus"],
+        ["truthtable", "--pairs", "2", "--flag-in", "0", "--pretty"],
+        ["truthtable", "--pairs", "2"],
+        ["metrics", "--exp", "bundled:hardware", "--out", out, "--pretty"],
+        ["simulate", "general", "--pairs", "2", "--mode", "or", "--with-phase",
+         "--shots", "32", "--noise", "1e-2,1e-2,0.05", "--out", out],
+        ["estimate", "--n", "4", "--graph", "ring", "--pretty"],
+        ["estimate", "--n", "4"],
+    ]
+
+    def run(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        written = None
+        if "--out" in argv:
+            with open(out, "rb") as fh:
+                written = fh.read()
+        return code, stdout.getvalue(), stderr.getvalue(), written
+
+    cli._shared_parser.cache_clear()
+    in_sequence = [run(argv) for argv in calls]
+    assert cli._shared_parser.cache_info().misses == 1
+    for argv, got in zip(calls, in_sequence):
+        cli._shared_parser.cache_clear()
+        assert got == run(argv), argv
+    assert [code for code, *_ in in_sequence] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+
+
+_numpy_scalars = st.one_of(
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.text(max_size=6), _numpy_scalars)
+_keys = st.text(max_size=4)
+_payloads = st.recursive(
+    _scalars | st.dictionaries(_keys, _scalars, max_size=8),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_payloads)
+@example({"flat": {"a": 1.5, "b": np.float64("inf"), "c": float("nan")},
+          "nested": {"x": [{}, [], {"k": np.int64(3), "z": np.bool_(True)}]},
+          "empty": {}})
+@example({"probabilities": {"00": 0.5, "11": np.float32(0.25)}, "n": None})
+def test_canonical_json_matches_indented_reference(payload):
+    reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
+                           allow_nan=False, default=_json_default) + "\n"
+    assert canonical_json(payload) == reference

@@ -1,21 +1,27 @@
 """Simulator checks against an independent dense-matrix oracle.
 
 The oracle builds each gate's full 2**n x 2**n matrix from basis-index bit
-arithmetic alone, sharing no code with the strided-view implementation.
+arithmetic alone, sharing no code with the reshape-view implementation.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liarsim.circuit import (NEGATED, Circuit, Gate, ccx, cnot, cp, h, p,
-                             save_circuit, x)
+from liarsim.circuit import (NEGATED, POSITIVE, Circuit, Gate, ccx, cnot, cp,
+                             h, p, save_circuit, x)
 from liarsim.cli import main
+from liarsim.dist import COUNTS, PROBABILITY, Distribution
 from liarsim.statevec import (DEFAULT_SEED, MAX_QUBITS, apply_gate,
                               apply_pauli, basis_state, bit_of, bitstring,
-                              init_zero, probabilities, run_circuit,
-                              sample_counts, state_norm, z_expectation)
+                              bitstrings, init_zero, probabilities,
+                              run_circuit, sample_counts, state_norm,
+                              z_expectation)
+
+from noise_oracle import gate_matrix, pauli_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -96,6 +102,15 @@ def test_bitstring_highest_qubit_leftmost():
     assert bitstring(9, 4) == "1001"
     assert bitstring(1, 4) == "0001"  # q0 = 1 is the rightmost character
     assert bitstring(8, 4) == "1000"
+
+
+def test_bitstrings_match_bitstring():
+    for width in (1, 2, 7, MAX_QUBITS):
+        top = (1 << width) - 1
+        indices = np.unique(np.array([0, 1, top // 3, top - 1, top]) & top)
+        assert bitstrings(indices, width) == [bitstring(int(i), width)
+                                              for i in indices]
+    assert bitstrings(np.array([], dtype=np.int64), 4) == []
 
 
 def test_bit_of_matches_index_bits():
@@ -224,6 +239,60 @@ def test_apply_pauli_matches_dense():
         apply_pauli(init_zero(1), "W", 0)
 
 
+ARITY = {"H": 1, "X": 1, "P": 1, "CNOT": 2, "CP": 2, "CCX": 3}
+
+
+def _gate(kind, target, controls, polarities, angle) -> Gate:
+    if kind == "H":
+        return h(target)
+    if kind == "X":
+        return x(target)
+    if kind == "P":
+        return p(angle, target)
+    if kind == "CNOT":
+        return cnot(controls[0], target, polarities[0])
+    if kind == "CP":
+        return cp(angle, controls[0], target, polarities[0])
+    return ccx(controls[0], controls[1], target, *polarities)
+
+
+def _target(where: str, n: int) -> int:
+    return {"bottom": 0, "middle": n // 2, "top": n - 1}[where]
+
+
+@pytest.mark.parametrize("where", ["bottom", "middle", "top"])
+@settings(max_examples=80)
+@given(data=st.data(), kind=st.sampled_from(sorted(ARITY)),
+       seed=st.integers(0, 2**32 - 1),
+       angle=st.floats(-2 * math.pi, 2 * math.pi))
+def test_apply_gate_matches_index_oracle(where, data, kind, seed, angle):
+    # gate_matrix builds the unitary from basis-index bit arithmetic only
+    n = data.draw(st.integers(ARITY[kind], 8), label="n")
+    target = _target(where, n)
+    others = [q for q in range(n) if q != target]
+    controls = data.draw(st.permutations(others), label="order")[:ARITY[kind] - 1]
+    polarities = data.draw(st.lists(st.sampled_from([POSITIVE, NEGATED]),
+                                    min_size=len(controls),
+                                    max_size=len(controls)), label="polarities")
+    gate = _gate(kind, target, controls, polarities, angle)
+    state = random_state(np.random.default_rng(seed), n)
+    expected = gate_matrix(gate, n) @ state.amplitudes
+    apply_gate(state, gate)
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("where", ["bottom", "middle", "top"])
+@settings(max_examples=40)
+@given(n=st.integers(1, 8), pauli=st.sampled_from("XYZ"),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_pauli_matches_index_oracle(where, n, pauli, seed):
+    qubit = _target(where, n)
+    state = random_state(np.random.default_rng(seed), n)
+    expected = pauli_matrix(pauli, qubit, n) @ state.amplitudes
+    apply_pauli(state, pauli, qubit)
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # running, measuring, sampling
 
@@ -294,3 +363,46 @@ def test_sample_counts_reproducible_and_complete():
     assert shifted.entries != first.entries
     with pytest.raises(ValueError):
         sample_counts(state, 0, seed=1)
+
+
+# The per-index loops that probabilities() and sample_counts() used before
+# they became array-native, kept as the oracle for their output.
+
+def _probabilities_by_index(state, drop_below=1e-12) -> Distribution:
+    probs = np.abs(state.amplitudes) ** 2
+    entries = {bitstring(i, state.num_qubits): float(v)
+               for i, v in enumerate(probs) if v >= drop_below}
+    return Distribution(width=state.num_qubits, entries=entries, kind=PROBABILITY)
+
+
+def _sample_counts_by_index(state, shots, seed) -> Distribution:
+    rng = np.random.default_rng(seed)
+    probs = np.abs(state.amplitudes) ** 2
+    counts = rng.multinomial(shots, probs / probs.sum())
+    entries = {bitstring(i, state.num_qubits): float(c)
+               for i, c in enumerate(counts) if c > 0}
+    return Distribution(width=state.num_qubits, entries=entries, kind=COUNTS,
+                        total_shots=shots)
+
+
+def _same(got: Distribution, want: Distribution) -> None:
+    assert got == want
+    assert list(got.entries) == list(want.entries)  # same key order too
+
+
+def test_outcome_extraction_matches_per_index_loop():
+    rng = np.random.default_rng(5)
+    states = [random_state(rng, n) for n in (1, 3, 9)]
+    states += [apply_gate(init_zero(4), h(2)), basis_state(0b1011, 4),
+               run_circuit(_thinly_spread_circuit())]
+    for state in states:
+        probs = np.abs(state.amplitudes) ** 2
+        edges = [0.0, 1e-12, float(probs.min()), float(probs.max()),
+                 float(np.nextafter(probs.max(), 2.0)), 1.0,
+                 float(np.median(probs))]
+        for drop_below in edges:
+            _same(probabilities(state, drop_below),
+                  _probabilities_by_index(state, drop_below))
+        for shots, seed in ((1, 0), (1000, 17), (50_000, DEFAULT_SEED)):
+            _same(sample_counts(state, shots, seed),
+                  _sample_counts_by_index(state, shots, seed))
