@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 GATE_KINDS = ("H", "X", "P", "CNOT", "CP", "CCX")
@@ -39,6 +40,12 @@ _ARITY = {
 _ANGLED = ("P", "CP")
 
 
+def _is_int(value) -> bool:
+    """An integer index: Python or NumPy int, but not a bool."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class Gate:
     """A single gate. Controls carry a per-control polarity: a ``negated``
@@ -52,7 +59,7 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _ARITY:
+        if not isinstance(self.kind, str) or self.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         n_ctrl, n_tgt = _ARITY[self.kind]
         if len(self.controls) != n_ctrl or len(self.targets) != n_tgt:
@@ -66,8 +73,8 @@ class Gate:
             if pol not in (POSITIVE, NEGATED):
                 raise ValueError(f"bad control polarity {pol!r}")
         qubits = self.controls + self.targets
-        if any(q < 0 for q in qubits):
-            raise ValueError(f"negative qubit index in {qubits}")
+        if not all(_is_int(q) and q >= 0 for q in qubits):
+            raise ValueError(f"qubit indices must be nonnegative integers, got {qubits}")
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"duplicate qubit index in {self.kind} gate: {qubits}")
         has_angle = self.angle is not None
@@ -382,8 +389,15 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_dict(payload: dict) -> Circuit:
+    """Inverse of circuit_to_dict; any malformed payload raises
+    ValueError("malformed circuit payload: ...")."""
     try:
-        num_qubits = int(payload["num_qubits"])
+        num_qubits = payload["num_qubits"]
+        if not _is_int(num_qubits):
+            raise TypeError(f"num_qubits must be an integer, got {num_qubits!r}")
+        roles = payload.get("roles", {})
+        if not isinstance(roles, dict):
+            raise TypeError(f"roles must be an object, got {roles!r}")
         gates = [
             Gate(
                 kind=entry["kind"],
@@ -394,10 +408,10 @@ def circuit_from_dict(payload: dict) -> Circuit:
             )
             for entry in payload["gates"]
         ]
-        roles = {int(idx): role for idx, role in payload.get("roles", {}).items()}
-    except (KeyError, TypeError) as exc:
+        return Circuit(num_qubits, gates,
+                       {int(idx): role for idx, role in roles.items()})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed circuit payload: {exc}") from exc
-    return Circuit(num_qubits, gates, roles)
 
 
 def circuit_to_json(circuit: Circuit) -> str:
@@ -405,7 +419,11 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    return circuit_from_dict(json.loads(text))
+    try:
+        payload = json.loads(text)
+    except RecursionError as exc:  # how the decoder meets deep nesting
+        raise ValueError("malformed circuit payload: nested too deeply") from exc
+    return circuit_from_dict(payload)
 
 
 def save_circuit(circuit: Circuit, path) -> None:

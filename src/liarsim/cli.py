@@ -7,6 +7,7 @@ rerun with the same arguments writes byte-identical output.  --pretty swaps
 stdout to a human rendering; --out always receives the canonical JSON.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
+Every failure prints one "liarsim <subcommand>: <message>" line on stderr.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from .circuit import (OR_ACCUMULATE, PARITY, Circuit, PairLayout,
 from .dist import (COUNTS, PROBABILITY, Distribution, bundled_table_names,
                    load_reference_table, read_distribution_csv,
                    write_counts_csv)
-from .hardware_model import (CouplingGraph, NoiseProfile, load_bundled_graph,
-                             make_graph, noisy_sample, routing_estimate)
+from .hardware_model import (MAX_GRAPH_NODES, CouplingGraph, NoiseProfile,
+                             load_bundled_graph, make_graph, noisy_sample,
+                             routing_estimate)
 from .logic_ops import (MAX_PAIRS, fixed_point_report, truth_table,
                         verification_suite)
 from .metrics import MetricsConfig, full_report
-from .statevec import DEFAULT_SEED, probabilities, run_circuit, sample_counts
+from .statevec import (DEFAULT_SEED, MAX_QUBITS, probabilities, run_circuit,
+                       sample_counts)
 
 USAGE_EXIT = 1
 VERIFY_EXIT = 2
@@ -164,10 +167,7 @@ def _emit(payload: dict, args, pretty_lines: list[str]) -> None:
     under --pretty, otherwise the JSON (suppressed when --out already has it)."""
     text = canonical_json(payload)
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise CliError(IO_EXIT, f"cannot write {args.out}: {exc}") from exc
+        Path(args.out).write_text(text, encoding="utf-8")
     if args.pretty:
         sys.stdout.write("\n".join(pretty_lines) + "\n")
     elif not args.out:
@@ -182,10 +182,7 @@ def _parse_noise(text: str, seed: int) -> NoiseProfile:
         p_1q, p_2q, p_readout = (float(x) for x in parts)
     except ValueError as exc:
         raise CliError(USAGE_EXIT, f"--noise values must be numbers: {text!r}") from exc
-    try:
-        return NoiseProfile(p_1q=p_1q, p_2q=p_2q, p_readout=p_readout, seed=seed)
-    except ValueError as exc:
-        raise CliError(USAGE_EXIT, str(exc)) from exc
+    return NoiseProfile(p_1q=p_1q, p_2q=p_2q, p_readout=p_readout, seed=seed)
 
 
 def _parse_state_set(text: str | None) -> tuple[str, ...] | None:
@@ -212,14 +209,12 @@ def _resolve_circuit(args, inputs: dict) -> tuple[Circuit, str]:
     if name == "liar-literal":
         return build_liar_literal(), name
     if name == "general":
-        if args.pairs < 1:
-            raise CliError(USAGE_EXIT, f"--pairs must be >= 1, got {args.pairs}")
+        if not 1 <= args.pairs <= MAX_QUBITS:
+            raise CliError(USAGE_EXIT,
+                           f"--pairs must be in 1..{MAX_QUBITS}, got {args.pairs}")
         mode = PARITY if args.mode == "parity" else OR_ACCUMULATE
-        try:
-            circuit = build_general(PairLayout.default(args.pairs), mode,
-                                    with_phase=args.with_phase)
-        except ValueError as exc:
-            raise CliError(USAGE_EXIT, str(exc)) from exc
+        circuit = build_general(PairLayout.default(args.pairs), mode,
+                                with_phase=args.with_phase)
         return circuit, f"general(pairs={args.pairs}, mode={args.mode})"
     path = Path(name)
     if not path.is_file():
@@ -227,7 +222,7 @@ def _resolve_circuit(args, inputs: dict) -> tuple[Circuit, str]:
                                 f"circuit or a circuit JSON file)")
     try:
         circuit = load_circuit(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise CliError(IO_EXIT, f"cannot parse circuit file {name}: {exc}") from exc
     inputs[str(path)] = _sha256_file(path)
     return circuit, str(path)
@@ -245,10 +240,7 @@ def cmd_simulate(args) -> int:
     circuit, source = _resolve_circuit(args, inputs)
     profile = _parse_noise(args.noise, args.seed) if args.noise else None
 
-    try:
-        state = run_circuit(circuit)
-    except ValueError as exc:
-        raise CliError(USAGE_EXIT, str(exc)) from exc
+    state = run_circuit(circuit)
     probs = probabilities(state)
 
     counts = None
@@ -259,15 +251,9 @@ def cmd_simulate(args) -> int:
             counts = sample_counts(state, args.shots, args.seed)
 
     if args.circuit_out:
-        try:
-            save_circuit(circuit, args.circuit_out)
-        except OSError as exc:
-            raise CliError(IO_EXIT, f"cannot write {args.circuit_out}: {exc}") from exc
+        save_circuit(circuit, args.circuit_out)
     if args.csv and counts is not None:
-        try:
-            write_counts_csv(counts, args.csv)
-        except OSError as exc:
-            raise CliError(IO_EXIT, f"cannot write {args.csv}: {exc}") from exc
+        write_counts_csv(counts, args.csv)
 
     census = gate_census(circuit)
     payload = {
@@ -335,8 +321,7 @@ def cmd_verify(args) -> int:
     pretty.append("all checks passed" if all_passed else "SOME CHECKS FAILED")
     _emit(payload, args, pretty)
     if not all_passed:
-        print("verification failed", file=sys.stderr)
-        return VERIFY_EXIT
+        raise CliError(VERIFY_EXIT, "verification failed")
     return 0
 
 
@@ -376,10 +361,7 @@ def cmd_metrics(args) -> int:
         paradox_set=_parse_state_set(args.paradox_set),
         flag_index=args.flag_index,
     )
-    try:
-        report = full_report(experimental, ideal, config)
-    except ValueError as exc:
-        raise CliError(USAGE_EXIT, str(exc)) from exc
+    report = full_report(experimental, ideal, config)
 
     payload = {
         "command": "metrics",
@@ -433,12 +415,8 @@ def _resolve_graph(source: str, size: int | None, needed: int,
     if source == BUNDLED_GRAPH_ARG:
         return load_bundled_graph(), source
     if source in ("linear", "ring"):
-        floor = 3 if source == "ring" else 2
-        node_count = size if size is not None else max(needed, floor)
-        try:
-            return make_graph(source, size=node_count), f"{source}({node_count})"
-        except ValueError as exc:
-            raise CliError(USAGE_EXIT, str(exc)) from exc
+        node_count = size if size is not None else needed  # n + 1 >= 3 nodes
+        return make_graph(source, size=node_count), f"{source}({node_count})"
     path = Path(source)
     if not path.is_file():
         raise CliError(IO_EXIT, f"no such graph file: {source}")
@@ -451,14 +429,12 @@ def _resolve_graph(source: str, size: int | None, needed: int,
 
 
 def cmd_estimate(args) -> int:
-    if args.n < 2 or args.n % 2 != 0:
-        raise CliError(USAGE_EXIT,
-                       f"--n must be an even integer >= 2, got {args.n}")
+    # the circuit has n + 1 qubits, each needing its own graph node
+    if not 2 <= args.n < MAX_GRAPH_NODES or args.n % 2 != 0:
+        raise CliError(USAGE_EXIT, f"--n must be an even integer in "
+                                   f"2..{MAX_GRAPH_NODES - 2}, got {args.n}")
     pairs = args.n // 2
-    try:
-        circuit = build_general(PairLayout.default(pairs), PARITY)
-    except ValueError as exc:
-        raise CliError(USAGE_EXIT, str(exc)) from exc
+    circuit = build_general(PairLayout.default(pairs), PARITY)
 
     inputs: dict = {}
     graph, graph_source = _resolve_graph(args.graph, args.graph_size,
@@ -472,10 +448,7 @@ def cmd_estimate(args) -> int:
                            "--layout must be comma-separated integers") from exc
     profile = _parse_noise(args.noise, args.seed) if args.noise else NoiseProfile(seed=args.seed)
 
-    try:
-        estimate = routing_estimate(circuit, graph, layout=layout, profile=profile)
-    except ValueError as exc:
-        raise CliError(USAGE_EXIT, str(exc)) from exc
+    estimate = routing_estimate(circuit, graph, layout=layout, profile=profile)
 
     payload = {
         "command": "estimate",
@@ -505,7 +478,7 @@ def cmd_estimate(args) -> int:
         f"{len(graph.edges)} edges, max degree {graph.max_degree()})",
         f"g_2q = {estimate.g_2q}   g_1q = {estimate.g_1q}   depth = {estimate.depth}",
         f"mean interaction distance = {estimate.mean_distance:.4f}",
-        f"swap overhead (CNOT-equivalents, forward+back) = {estimate.swap_overhead_depth}",
+        f"swap overhead (CNOT-equivalents, forward+back) = {estimate.swap_overhead_cnots}",
         f"fidelity estimate = {estimate.fidelity:.6f}",
     ]
     _emit(payload, args, pretty)
@@ -537,13 +510,10 @@ def cmd_truthtable(args) -> int:
     } for r in rows]
 
     if args.csv:
-        try:
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(row_dicts[0].keys()))
-                writer.writeheader()
-                writer.writerows(row_dicts)
-        except OSError as exc:
-            raise CliError(IO_EXIT, f"cannot write {args.csv}: {exc}") from exc
+        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(row_dicts[0].keys()))
+            writer.writeheader()
+            writer.writerows(row_dicts)
 
     payload = {
         "command": "truthtable",
@@ -553,16 +523,18 @@ def cmd_truthtable(args) -> int:
         "rows": row_dicts,
         "divergent_rows": sum(1 for r in rows if r.diverges),
     }
-    header = (f"{'c':>{max(m, 1)}} {'r':>{max(m, 1)}} flag_in rule circuit "
-              f"diverges classification")
-    pretty = [f"truth table, {m} pair(s), flag_in={args.flag_in}:", header]
-    for r in row_dicts:
-        pretty.append(
-            f"{r['contradictions']:>{max(m, 1)}} {r['resolutions']:>{max(m, 1)}} "
-            f"{r['flag_in']:>7} {r['rule_flag']:>4} {r['circuit_flag']:>7} "
-            f"{'yes' if r['diverges'] else '.':>8} {r['classification']}"
-        )
-    pretty.append(f"{payload['divergent_rows']} divergent row(s)")
+    pretty = []
+    if args.pretty:  # one line per row: not worth building for JSON only
+        pretty = [f"truth table, {m} pair(s), flag_in={args.flag_in}:",
+                  f"{'c':>{m}} {'r':>{m}} flag_in rule circuit "
+                  f"diverges classification"]
+        for r in row_dicts:
+            pretty.append(
+                f"{r['contradictions']:>{m}} {r['resolutions']:>{m}} "
+                f"{r['flag_in']:>7} {r['rule_flag']:>4} {r['circuit_flag']:>7} "
+                f"{'yes' if r['diverges'] else '.':>8} {r['classification']}"
+            )
+        pretty.append(f"{payload['divergent_rows']} divergent row(s)")
     _emit(payload, args, pretty)
     return 0
 
@@ -668,11 +640,13 @@ def main(argv=None) -> int:
             raise CliError(USAGE_EXIT, f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except CliError as exc:
-        print(f"liarsim {args.subcommand}: {exc}", file=sys.stderr)
-        return exc.code
-    except OSError as exc:
-        print(f"liarsim {args.subcommand}: {exc}", file=sys.stderr)
-        return IO_EXIT
+        error, code = exc, exc.code
+    except ValueError as exc:  # bad input, as every library entry point reports it
+        error, code = exc, USAGE_EXIT
+    except OSError as exc:  # its text names the path
+        error, code = exc, IO_EXIT
+    print(f"liarsim {args.subcommand}: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

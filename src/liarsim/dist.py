@@ -143,7 +143,10 @@ def _parse_rows(rows: list[list[str]], column: str, where: str) -> Distribution:
 def read_distribution_csv(path, column: str = "auto",
                           sum_tol: float = 1e-6) -> Distribution:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"{path}: {exc}") from exc
     dist = _parse_rows(rows, column, str(path))
     return dist.validate(sum_tol)
 

@@ -19,10 +19,13 @@ import numpy as np
 
 from .circuit import Circuit, expand_toffolis, gate_census
 from .dist import COUNTS, Distribution
-from .statevec import (DEFAULT_SEED, apply_gate, apply_pauli, bitstrings,
-                       init_zero, run_circuit)
+from .statevec import (DEFAULT_SEED, MAX_SHOTS, apply_gate, apply_pauli,
+                       bitstrings, init_zero, run_circuit)
 
 BUNDLED_GRAPH_NAME = "heavy_hex_example.txt"
+# Graphs hold per-node lists, so node counts and indices are checked against
+# this before anything is built (the bundled graph has 27 nodes).
+MAX_GRAPH_NODES = 65536
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,9 @@ class CouplingGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.num_nodes < 1:
-            raise ValueError("graph needs at least one node")
+        if not 1 <= self.num_nodes <= MAX_GRAPH_NODES:
+            raise ValueError(f"graph needs 1..{MAX_GRAPH_NODES} nodes, "
+                             f"got {self.num_nodes}")
         normalized = set()
         for edge in self.edges:
             u, v = edge
@@ -74,9 +78,6 @@ class CouplingGraph:
             adj[v].append(u)
         # built once per graph; not a field, so equality and repr ignore it
         object.__setattr__(self, "_adj", tuple(tuple(nbrs) for nbrs in adj))
-
-    def adjacency(self) -> list[list[int]]:
-        return [list(nbrs) for nbrs in self._adj]
 
     def distance(self, start: int, goal: int) -> int:
         """BFS shortest-path length in edges; -1 if unreachable."""
@@ -130,6 +131,9 @@ def parse_graph_text(text: str, where: str = "<graph>") -> CouplingGraph:
             raise ValueError(f"{where}:{lineno}: non-integer node in {raw!r}") from exc
         if u < 0 or v < 0:
             raise ValueError(f"{where}:{lineno}: negative node index")
+        if max(u, v) >= MAX_GRAPH_NODES:
+            raise ValueError(f"{where}:{lineno}: node index above "
+                             f"{MAX_GRAPH_NODES - 1}")
         if u == v:
             raise ValueError(f"{where}:{lineno}: self-loop on node {u}")
         edges.append((u, v))
@@ -140,15 +144,13 @@ def parse_graph_text(text: str, where: str = "<graph>") -> CouplingGraph:
 
 
 def make_graph(kind: str, size: int | None = None, path=None) -> CouplingGraph:
-    if kind == "linear":
-        if size is None or size < 2:
-            raise ValueError("linear graph needs size >= 2")
-        return CouplingGraph(size, tuple((i, i + 1) for i in range(size - 1)))
-    if kind == "ring":
-        if size is None or size < 3:
-            raise ValueError("ring graph needs size >= 3")
-        edges = [(i, (i + 1) % size) for i in range(size)]
-        return CouplingGraph(size, tuple(edges))
+    if kind in ("linear", "ring"):
+        floor = 2 if kind == "linear" else 3
+        if size is None or not floor <= size <= MAX_GRAPH_NODES:
+            raise ValueError(f"{kind} graph needs size in {floor}..{MAX_GRAPH_NODES}, "
+                             f"got {size}")
+        links = size - 1 if kind == "linear" else size  # a ring closes the chain
+        return CouplingGraph(size, tuple((i, (i + 1) % size) for i in range(links)))
     if kind == "from_file":
         if path is None:
             raise ValueError("from_file graph needs a path")
@@ -185,15 +187,16 @@ class CostEstimate:
     g_1q/g_2q/depth come from the expanded circuit alone; routing cost is
     reported separately: every two-qubit interaction at shortest-path
     distance d needs d-1 SWAPs of 3 CNOTs each, traversed forward and back,
-    so swap_overhead_depth = 2 * sum((d - 1) * 3).  The fidelity field uses
-    the expanded g_2q/g_1q only.
+    so swap_overhead_cnots = 2 * sum((d - 1) * 3), a CNOT count (its JSON
+    key is still "swap_overhead_depth").  The fidelity field uses the
+    expanded g_2q/g_1q only.
     """
 
     g_1q: int
     g_2q: int
     depth: int
     mean_distance: float
-    swap_overhead_depth: int
+    swap_overhead_cnots: int
     fidelity: float
 
     def to_dict(self) -> dict:
@@ -202,7 +205,7 @@ class CostEstimate:
             "g_2q": self.g_2q,
             "depth": self.depth,
             "mean_distance": self.mean_distance,
-            "swap_overhead_depth": self.swap_overhead_depth,
+            "swap_overhead_depth": self.swap_overhead_cnots,
             "fidelity": self.fidelity,
         }
 
@@ -252,7 +255,7 @@ def routing_estimate(circuit: Circuit, graph: CouplingGraph,
         g_2q=census.count_2q,
         depth=census.depth,
         mean_distance=mean_distance,
-        swap_overhead_depth=swap_overhead,
+        swap_overhead_cnots=swap_overhead,
         fidelity=fidelity,
     )
 
@@ -288,8 +291,8 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
     ideal distribution in bulk; faulty shots are grouped by fault signature
     (gate index, qubit, Pauli) and each signature is simulated once.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
     if first_shot < 0:
         raise ValueError("first_shot must be >= 0")
     n = circuit.num_qubits

@@ -19,6 +19,7 @@ from .circuit import Circuit, Gate, NEGATED
 from .dist import COUNTS, PROBABILITY, Distribution
 
 MAX_QUBITS = 24
+MAX_SHOTS = 2**31 - 1  # the largest count a 32-bit C long holds
 DEFAULT_SEED = 1234
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -200,8 +201,8 @@ def z_expectation(state: StateVector, qubit: int) -> float:
 def sample_counts(state: StateVector, shots: int, seed: int) -> Distribution:
     """Multinomial sample of measurement outcomes.  The same seed always
     yields the same counts."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
     rng = np.random.default_rng(seed)
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()

@@ -9,7 +9,8 @@ import pytest
 from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE,
                              Circuit, Gate, PairLayout, build_general,
                              build_liar_literal, build_liar_reference, ccx,
-                             circuit_from_json, circuit_to_json, cnot, cp,
+                             circuit_from_dict, circuit_from_json,
+                             circuit_to_dict, circuit_to_json, cnot, cp,
                              expand_toffolis, gate_census, gate_inverse, h,
                              load_circuit, p, save_circuit, toffoli_decompose,
                              x)
@@ -45,6 +46,15 @@ def test_gate_angle_rules():
         Gate("X", (0,), angle=1.0)
     with pytest.raises(ValueError, match="finite"):
         p(math.inf, 0)
+
+
+def test_gate_rejects_mistyped_fields():
+    for targets in ((1.5,), (True,), (math.inf,), ("0",)):
+        with pytest.raises(ValueError, match="qubit indices must be nonnegative integers"):
+            Gate("X", targets)
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        Gate(["X"], (0,))
+    assert Gate("CNOT", (np.int64(1),), (np.int32(0),), (POSITIVE,)).qubits == (0, 1)
 
 
 def test_gate_qubits_lists_controls_first():
@@ -254,6 +264,30 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "circ.json"
     save_circuit(circ, path)
     assert load_circuit(path).gates == circ.gates
+
+
+def _edited(**changes):
+    payload = circuit_to_dict(build_liar_reference())
+    for key, value in changes.items():
+        if key in payload:
+            payload[key] = value
+        else:
+            payload["gates"][0][key] = value
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    [], "circuit", None,
+    _edited(num_qubits=4.0), _edited(num_qubits=True), _edited(num_qubits=math.inf),
+    _edited(num_qubits="4"), _edited(num_qubits=0),
+    _edited(targets=[1.5]), _edited(targets=[True]), _edited(targets=["3"]),
+    _edited(targets=3), _edited(kind=["X"]), _edited(angle="pi"),
+    _edited(roles=[1]), _edited(roles="flag"), _edited(roles={"x": "flag"}),
+    _edited(roles={"9": "flag"}), _edited(gates=5), _edited(gates=[5]),
+])
+def test_from_dict_turns_every_malformed_payload_into_value_error(payload):
+    with pytest.raises(ValueError, match="^malformed circuit payload: "):
+        circuit_from_dict(payload)
 
 
 def test_json_rejects_malformed_payload():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from liarsim import cli
+from liarsim.circuit import GATE_KINDS, NEGATED, POSITIVE
 from liarsim.cli import _json_default, _strict_numbers, canonical_json, main
+from liarsim.hardware_model import MAX_GRAPH_NODES
 from liarsim.logic_ops import CheckResult
-from liarsim.statevec import DEFAULT_SEED
+from liarsim.statevec import DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS
 
 ENVELOPE_KEYS = {"command", "config", "seed", "inputs"}
 
@@ -402,3 +405,297 @@ def test_canonical_json_matches_indented_reference(payload):
     reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
                            allow_nan=False, default=_json_default) + "\n"
     assert canonical_json(payload) == reference
+
+
+# ---------------------------------------------------------------------------
+# bad input: a documented exit code and one stderr line, never a traceback
+
+HUGE = "99999999999999999999"
+GOOD_CIRCUIT = {"num_qubits": 2, "roles": {"1": "flag"},
+                "gates": [{"kind": "X", "targets": [0], "controls": [],
+                           "polarities": [], "angle": None}]}
+
+
+def call(argv):
+    """main(argv) -> (code, stdout, stderr); argparse exits as ("exit", code)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def check_outcome(argv, code, err):
+    """The CLI contract: exit 0-3 (argparse: 0 or 1), and a non-zero return
+    prints exactly one "liarsim <subcommand>: " line on stderr."""
+    if isinstance(code, tuple):
+        assert code[1] in (0, 1), (argv, code)
+        return
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code == 0:
+        assert err == "", (argv, err)
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"liarsim {argv[0]}: "), (argv, err)
+
+
+def write_circuit(path, payload):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def _with(payload, **changes):
+    out = json.loads(json.dumps(payload))
+    for key, value in changes.items():
+        if key == "targets":
+            out["gates"][0]["targets"] = value
+        else:
+            out[key] = value
+    return out
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(_with(GOOD_CIRCUIT, targets=[1.5])),
+    json.dumps(_with(GOOD_CIRCUIT, roles=[1])),
+    json.dumps(GOOD_CIRCUIT).replace('"num_qubits": 2', '"num_qubits": 1e400'),
+], ids=["float-target", "roles-list", "num-qubits-1e400"])
+def test_mistyped_circuit_file_is_parse_error(tmp_path, text):
+    path = tmp_path / "circuit.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = call(["simulate", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"liarsim simulate: cannot parse circuit file {path}: "
+                          "malformed circuit payload: ")
+    check_outcome(["simulate"], code, err)
+
+
+def test_deeply_nested_circuit_file_is_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, _, err = call(["simulate", str(path)])
+    assert code == 3
+    assert "nested too deeply" in err
+
+
+def test_oversized_csv_field_is_parse_error(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("state,counts\n" + "1" * 200_000 + ",5\n", encoding="utf-8")
+    code, _, err = call(["metrics", "--exp", str(path)])
+    assert code == 3
+    assert err.startswith(f"liarsim metrics: cannot parse {path}: ")
+
+
+def test_write_failures_exit_three_naming_the_path(tmp_path):
+    missing = tmp_path / "no-such-dir" / "file"
+    for argv in (["verify", "--pairs", "1", "--out", str(missing)],
+                 ["simulate", "liar-reference", "--circuit-out", str(missing)],
+                 ["simulate", "liar-reference", "--shots", "4", "--csv", str(missing)],
+                 ["truthtable", "--csv", str(missing)]):
+        code, _, err = call(argv)
+        assert code == 3, argv
+        assert str(missing) in err
+        check_outcome(argv, code, err)
+
+
+def test_verification_failure_is_one_line(monkeypatch):
+    fake = [CheckResult("forced_failure", False, 1.0, "injected by test")]
+    monkeypatch.setattr("liarsim.cli.verification_suite", lambda pairs: fake)
+    code, out, err = call(["verify", "--pairs", "1"])
+    assert code == 2
+    assert err == "liarsim verify: verification failed\n"
+    assert json.loads(out)["all_passed"] is False
+
+
+def peak_bytes(fn):
+    """fn() and the peak memory it held, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "general", "--pairs", str(MAX_QUBITS + 1)], 1),
+    (["simulate", "general", "--pairs", "100000000"], 1),
+    (["simulate", "liar-reference", "--shots", str(MAX_SHOTS + 1)], 1),
+    (["simulate", "liar-reference", "--shots", HUGE], 1),
+    (["simulate", "liar-reference", "--shots", str(MAX_SHOTS + 1), "--noise", "0,0,0"], 1),
+    (["simulate", "liar-reference", "--shots", HUGE, "--noise", "0,0,0"], 1),
+    (["estimate", "--n", str(MAX_GRAPH_NODES)], 1),
+    (["estimate", "--n", HUGE], 1),
+    (["estimate", "--n", "2", "--graph", "ring",
+      "--graph-size", str(MAX_GRAPH_NODES + 1)], 1),
+    (["estimate", "--n", "2", "--graph", "linear", "--graph-size", HUGE], 1),
+    (["estimate", "--n", "2", "--graph", f"0 {MAX_GRAPH_NODES}"], 3),
+    (["estimate", "--n", "2", "--graph", "0 99999999999"], 3),
+])
+def test_size_caps_reject_before_allocating(tmp_path, argv, code):
+    if argv[-1].startswith("0 "):  # an edge-list file holding that one line
+        graph = tmp_path / "graph.txt"
+        graph.write_text(argv[-1] + "\n", encoding="utf-8")
+        argv = argv[:-1] + [str(graph)]
+    call(["verify", "--pairs", "1"])  # build the shared parser outside the count
+    (got, out, err), peak = peak_bytes(lambda: call(argv))
+    assert got == code, err
+    assert out == ""
+    check_outcome(argv, got, err)
+    assert peak < 1 << 20, peak
+
+
+def test_largest_accepted_sizes_pass_the_caps(tmp_path):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(f"0 1\n1 2\n0 {MAX_GRAPH_NODES - 1}\n", encoding="utf-8")
+    code, out, err = call(["estimate", "--n", "2", "--graph", str(graph)])
+    assert code == 0, err
+    assert json.loads(out)["graph"]["num_nodes"] == MAX_GRAPH_NODES
+    code, _, err = call(["estimate", "--n", "2", "--graph", "ring",
+                         "--graph-size", str(MAX_GRAPH_NODES)])
+    assert code == 0, err
+    code, _, err = call(["simulate", "general", "--pairs", str(MAX_QUBITS)])
+    assert code == 1  # passes the --pairs cap, then hits the register cap
+    assert f"num_qubits must be in 1..{MAX_QUBITS}" in err
+
+
+@pytest.fixture(scope="module")
+def probes(tmp_path_factory):
+    """Input files of every kind, good and bad, plus paths to write to."""
+    root = tmp_path_factory.mktemp("probes")
+    files = {
+        "circuit": write_circuit(root / "good.json", GOOD_CIRCUIT),
+        "float-target": write_circuit(root / "float-target.json",
+                                      _with(GOOD_CIRCUIT, targets=[1.5])),
+        "roles-list": write_circuit(root / "roles-list.json",
+                                    _with(GOOD_CIRCUIT, roles=[1])),
+        "missing": str(root / "missing.json"),
+        "out": str(root / "out.json"),
+        "unwritable": str(root / "no-such-dir" / "out.json"),
+    }
+    csvs = {"counts.csv": "state,counts\n1001,60\n1010,40\n",
+            "header.csv": "state,weight\n1001,1\n",
+            "wide.csv": "state,counts\n" + "1" * 200_000 + ",5\n",
+            "ring.txt": "0 1\n1 2\n2 0\n",
+            "far.txt": "0 99999999999\n",
+            "split.txt": "0 1\n2 3\n"}
+    for name, text in csvs.items():
+        (root / name).write_text(text, encoding="utf-8")
+        files[name] = str(root / name)
+    return files
+
+
+def _mostly(good, bad):
+    """good in about seven draws of eight, bad in the eighth."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 7 else good)
+
+
+def _flag(name, values, junk=("", "x", "1.5"), required=False):
+    """The flag with one of the values or, less often, with a value argparse
+    rejects (None: a bare flag); unless required, often no flag at all."""
+    value = st.sampled_from(values)
+    if junk:
+        value = _mostly(value, st.sampled_from(junk))
+    flag = value.map(lambda v: [name] if v is None else [name, v])
+    return flag if required else st.one_of(st.just([]), flag)
+
+
+def _argv(draw_files):
+    """argv strategies for the five subcommands.  Values are valid, negative,
+    huge, empty or ill-typed; the accepted ones stay small (at most 12
+    qubits, 4096 shots and 3 verified pairs)."""
+    f = draw_files
+    ints = ["-1", "0", "1", "2", HUGE]
+    noise = ["0,0,0", "1e-3,1e-2,0.02", "1,2", "x,y,z", "2,0,0", "-1,0,0",
+             "nan,0,0", "inf,0,0", ""]
+    states = ["1001,1010", "", ",", "1001,1001", "abc", "10", "0000"]
+    sources = ["bundled:hardware", "bundled:simulation", "bundled:nope",
+               "liar-reference", "liar-literal", f["missing"], f["counts.csv"],
+               f["header.csv"], f["wide.csv"]]
+    common = [_flag("--seed", ["-1", "0", "7", HUGE]),
+              _flag("--out", [f["out"], f["unwritable"]], junk=()),
+              _flag("--pretty", [None], junk=())]
+
+    def command(name, *parts):
+        return st.tuples(st.just([name]), *parts, *common).map(
+            lambda chunks: [arg for chunk in chunks for arg in chunk])
+
+    return st.one_of(
+        command("simulate",
+                st.sampled_from(["liar-reference", "liar-literal", "general", "",
+                                 f["circuit"], f["float-target"],
+                                 f["roles-list"], f["missing"]]).map(lambda c: [c]),
+                _flag("--pairs", ints + ["3", "24", "25"]),
+                _flag("--mode", ["parity", "or", "xor"]),
+                _flag("--with-phase", [None], junk=()),
+                _flag("--shots", ints + ["4096", str(MAX_SHOTS + 1)]),
+                _flag("--noise", noise),
+                _flag("--csv", [f["out"] + ".csv", f["unwritable"]], junk=()),
+                _flag("--circuit-out", [f["out"] + ".circ", f["unwritable"]],
+                      junk=())),
+        command("verify", _flag("--pairs", ints + ["3", "6"])),
+        command("metrics", _flag("--exp", sources, required=True),
+                _flag("--ideal", sources),
+                _flag("--column", ["auto", "counts", "probability", "bogus"]),
+                _flag("--consistent-set", states), _flag("--paradox-set", states),
+                _flag("--flag-index", ["-1", "0", "3", "4", HUGE, "x"])),
+        command("estimate",
+                _flag("--n", ints + ["3", "8", str(MAX_GRAPH_NODES)], required=True),
+                _flag("--graph", ["linear", "ring", "bundled:heavy-hex",
+                                  "bundled:other", f["missing"], f["ring.txt"],
+                                  f["far.txt"], f["split.txt"], f["header.csv"]]),
+                _flag("--graph-size", ints + ["5", str(MAX_GRAPH_NODES + 1)]),
+                _flag("--layout", ["0,1,2", "0,1,x", "-1,0,1", "0,0,1",
+                                   f"{HUGE},0,1"]),
+                _flag("--noise", noise)),
+        command("truthtable", _flag("--pairs", ints + ["3", "7"]),
+                _flag("--flag-in", ["0", "1", "2"]),
+                _flag("--csv", [f["out"] + ".csv", f["unwritable"]], junk=())),
+    )
+
+
+@given(data=st.data())
+@example(data=None)
+def test_fuzzed_argv_never_tracebacks(probes, data):
+    if data is None:  # the inputs that used to end in a traceback
+        for argv in (["simulate", probes["float-target"]],
+                     ["simulate", probes["roles-list"]],
+                     ["simulate", "liar-reference", "--shots", HUGE],
+                     ["metrics", "--exp", probes["wide.csv"]]):
+            check_outcome(argv, *call(argv)[::2])
+        return
+    argv = data.draw(_argv(probes))
+    code, _, err = call(argv)
+    check_outcome(argv, code, err)
+
+
+_junk = st.sampled_from([None, True, 1.5, math.inf, math.nan, "0", [], {}, -1,
+                         10**20])
+_qubit = _mostly(st.integers(0, 5), _junk)
+_gates = st.fixed_dictionaries(
+    {"kind": _mostly(st.sampled_from(GATE_KINDS + ("Q",)), _junk),
+     "targets": _mostly(st.lists(_qubit, max_size=2), _junk)},
+    optional={"controls": _mostly(st.lists(_qubit, max_size=2), _junk),
+              "polarities": _mostly(st.lists(_mostly(
+                  st.sampled_from([POSITIVE, NEGATED, "x"]), _junk), max_size=2),
+                  _junk),
+              "angle": _mostly(st.floats(-4, 4), _junk)})
+_circuit_payloads = _mostly(st.fixed_dictionaries(
+    {"num_qubits": _mostly(st.integers(-1, 6), _junk),
+     "gates": _mostly(st.lists(_mostly(_gates, _junk), max_size=4), _junk)},
+    optional={"roles": _mostly(st.dictionaries(
+        st.sampled_from(["0", "1", "9", "-1", "x"]),
+        _mostly(st.sampled_from(["flag", "statement", "bogus"]), _junk),
+        max_size=2), _junk)}), _junk)
+
+
+@given(payload=_circuit_payloads, shots=st.sampled_from([[], ["--shots", "64"]]))
+def test_fuzzed_circuit_files_never_traceback(tmp_path_factory, payload, shots):
+    path = write_circuit(tmp_path_factory.getbasetemp() / "fuzzed.json", payload)
+    argv = ["simulate", path, *shots]
+    code, _, err = call(argv)
+    assert code in (0, 1, 3), (payload, err)
+    check_outcome(argv, code, err)

@@ -13,12 +13,13 @@ from liarsim.circuit import (OR_ACCUMULATE, PARITY, Circuit, PairLayout,
                              build_general, build_liar_reference, ccx, cnot,
                              cp, h, p, x)
 from liarsim.dist import COUNTS
-from liarsim.hardware_model import (CostEstimate, CouplingGraph, NoiseProfile,
+from liarsim.hardware_model import (MAX_GRAPH_NODES, CostEstimate,
+                                    CouplingGraph, NoiseProfile,
                                     fidelity_estimate, load_bundled_graph,
                                     make_graph, noisy_sample, parse_graph_text,
                                     routing_estimate)
 from liarsim.metrics import chi_squared_gof, consistency_fidelity, tv_distance
-from liarsim.statevec import probabilities, run_circuit
+from liarsim.statevec import MAX_SHOTS, probabilities, run_circuit
 
 from noise_oracle import noisy_distribution, noisy_probabilities, readout_matrix
 
@@ -107,6 +108,18 @@ def test_parse_graph_text():
         parse_graph_text("3 3\n")
 
 
+@pytest.mark.parametrize("nodes", [MAX_GRAPH_NODES + 1, 10**20])
+def test_graph_node_cap(nodes):
+    for kind in ("linear", "ring"):
+        with pytest.raises(ValueError, match=f"size in .*{MAX_GRAPH_NODES}"):
+            make_graph(kind, size=nodes)
+    with pytest.raises(ValueError, match=f"1..{MAX_GRAPH_NODES} nodes"):
+        CouplingGraph(nodes, ())
+    with pytest.raises(ValueError, match=f":2: node index above {MAX_GRAPH_NODES - 1}"):
+        parse_graph_text(f"0 1\n0 {nodes - 1}\n")
+    assert make_graph("ring", size=MAX_GRAPH_NODES).num_nodes == MAX_GRAPH_NODES
+
+
 def test_graph_from_file(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 2\n")
@@ -153,7 +166,7 @@ def test_fidelity_estimate_strictly_decreasing():
 def test_routing_adjacent_interactions_cost_nothing():
     circuit = Circuit(3, [cnot(0, 1), cnot(1, 2)])
     est = routing_estimate(circuit, make_graph("linear", size=3))
-    assert est.swap_overhead_depth == 0
+    assert est.swap_overhead_cnots == 0
     assert est.mean_distance == 1.0
     assert est.g_2q == 2
 
@@ -162,7 +175,7 @@ def test_routing_distance_three_costs_twelve():
     circuit = Circuit(4, [cnot(0, 3)])
     est = routing_estimate(circuit, make_graph("linear", size=4))
     # two SWAPs of three CNOTs each, forward and back
-    assert est.swap_overhead_depth == 12
+    assert est.swap_overhead_cnots == 12
     assert est.mean_distance == 3.0
 
 
@@ -185,14 +198,14 @@ def test_routing_overhead_zero_on_matching_topology():
     star_edges = tuple((u, v) for u, v in expanded_pairs)
     graph = CouplingGraph(5, star_edges)
     est = routing_estimate(circuit, graph)
-    assert est.swap_overhead_depth == 0
+    assert est.swap_overhead_cnots == 0
 
 
 def test_routing_layout_validation():
     circuit = Circuit(2, [cnot(0, 1)])
     graph = make_graph("linear", size=4)
     est = routing_estimate(circuit, graph, layout=(0, 3))
-    assert est.swap_overhead_depth == 2 * 2 * 3
+    assert est.swap_overhead_cnots == 2 * 2 * 3
     with pytest.raises(ValueError, match="layout"):
         routing_estimate(circuit, graph, layout=(0,))
     with pytest.raises(ValueError, match="one node"):
@@ -266,6 +279,9 @@ def test_noisy_sample_validates_arguments():
         noisy_sample(circuit, NoiseProfile(), 0)
     with pytest.raises(ValueError):
         noisy_sample(circuit, NoiseProfile(), 10, first_shot=-1)
+    for shots in (MAX_SHOTS + 1, 10**20):
+        with pytest.raises(ValueError, match=f"shots must be in 1..{MAX_SHOTS}"):
+            noisy_sample(circuit, NoiseProfile(), shots)
 
 
 def _merge(*dists):

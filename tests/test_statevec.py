@@ -15,7 +15,7 @@ from liarsim.circuit import (NEGATED, POSITIVE, Circuit, Gate, ccx, cnot, cp,
                              h, p, save_circuit, x)
 from liarsim.cli import main
 from liarsim.dist import COUNTS, PROBABILITY, Distribution
-from liarsim.statevec import (DEFAULT_SEED, MAX_QUBITS, apply_gate,
+from liarsim.statevec import (DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS, apply_gate,
                               apply_pauli, basis_state, bit_of, bitstring,
                               bitstrings, init_zero, probabilities,
                               run_circuit, sample_counts, state_norm,
@@ -363,6 +363,12 @@ def test_sample_counts_reproducible_and_complete():
     assert shifted.entries != first.entries
     with pytest.raises(ValueError):
         sample_counts(state, 0, seed=1)
+
+
+@pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10**20])
+def test_sample_counts_shot_cap(shots):
+    with pytest.raises(ValueError, match=f"shots must be in 1..{MAX_SHOTS}"):
+        sample_counts(init_zero(2), shots, seed=1)
 
 
 # The per-index loops that probabilities() and sample_counts() used before
