@@ -334,18 +334,17 @@ class GateCensus:
     depth: int
 
 
-def gate_census(circuit: Circuit, decompose: bool = False) -> GateCensus:
+def gate_census(circuit: Circuit) -> GateCensus:
     """Count gates by width and compute circuit depth.
 
     Depth uses greedy as-soon-as-possible layering: gates sharing a qubit
-    cannot share a layer.  With ``decompose=True`` every CCX is counted as its
-    6-CNOT expansion (count_ccx is then 0 because no CCX gates remain).
+    cannot share a layer.  To count every CCX as its 6-CNOT expansion, pass
+    ``expand_toffolis(circuit)``.
     """
-    target = expand_toffolis(circuit) if decompose else circuit
     count_1q = count_2q = count_ccx = 0
-    levels = [0] * target.num_qubits
+    levels = [0] * circuit.num_qubits
     depth = 0
-    for gate in target.gates:
+    for gate in circuit.gates:
         width = len(gate.qubits)
         if gate.kind == "CCX":
             count_ccx += 1

@@ -11,7 +11,10 @@ diagonals as dense matrices, capped at dimension 1024 (5 pairs).
 
 The flag circuits contain no H, so each maps a basis state to one basis
 state times a phase; basis_map pushes all basis inputs through such a
-circuit at once instead of simulating them one at a time.
+circuit at once instead of simulating them one at a time.  The classical
+rule has one core, _rule, which reads the flag output and label of any
+number of pair+flag basis inputs off their violated-pair and contradiction
+bitmasks; classical_rule, truth_table and the suite all run it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .circuit import (NEGATED, OR_ACCUMULATE, PARITY, Circuit, PairLayout,
 
 MAX_PAIRS = 5
 _MAX_DENSE_QUBITS = 10  # dim 1024
+_TAYLOR_TERMS = 48
 
 FULLY_CONSISTENT = "fully consistent"
 LOCALLY_RESOLVED = "locally resolved"
@@ -38,28 +42,24 @@ def _check_pairs(num_pairs: int) -> None:
         raise ValueError(f"num_pairs must be in 1..{MAX_PAIRS}, got {num_pairs}")
 
 
-def violation_count(index: int, num_pairs: int) -> int:
-    """Number of violated pairs in a pair-register basis state."""
-    count = 0
-    for i in range(num_pairs):
-        c = (index >> i) & 1
-        r = (index >> (num_pairs + i)) & 1
-        if c == 1 and r == 0:
-            count += 1
-    return count
+def violation_count(index, num_pairs: int):
+    """Number of violated pairs in a pair-register basis state, or in each
+    of an integer array of them."""
+    return sum(((index >> i) & 1) & (~(index >> (num_pairs + i)) & 1)
+               for i in range(num_pairs))
 
 
-def _violations(num_pairs: int) -> np.ndarray:
-    """Violated-pair bitmask of every pair-register basis state: bit i is set
-    when contradiction bit i is 1 and resolution bit m+i is 0."""
-    x = np.arange(4 ** num_pairs, dtype=np.int64)
+def _violations(num_pairs: int, x):
+    """Violated-pair bitmask of basis index x (an int or an int64 array;
+    bits above 2m, such as the flag, are ignored): bit i is set when
+    contradiction bit i is 1 and resolution bit m+i is 0."""
     return x & ~(x >> num_pairs) & ((1 << num_pairs) - 1)
 
 
 def _diagonals(num_pairs: int):
     """Diagonals of the pair projectors (one row per pair), the global
     projector, the Hamiltonian and the reflection 2*Pi - I."""
-    viol = _violations(num_pairs)
+    viol = _violations(num_pairs, np.arange(4 ** num_pairs))
     pairs = np.array([(viol >> i) & 1 for i in range(num_pairs)], dtype=float)
     consistent = viol == 0
     return (pairs, consistent.astype(float), pairs.sum(axis=0),
@@ -71,7 +71,7 @@ def contradiction_projector(num_pairs: int, pair: int) -> np.ndarray:
     _check_pairs(num_pairs)
     if not 0 <= pair < num_pairs:
         raise ValueError(f"pair index {pair} out of range for {num_pairs} pairs")
-    return np.diag(((_violations(num_pairs) >> pair) & 1).astype(np.complex128))
+    return np.diag(_diagonals(num_pairs)[0][pair].astype(np.complex128))
 
 
 def global_consistency_projector(num_pairs: int) -> np.ndarray:
@@ -79,7 +79,7 @@ def global_consistency_projector(num_pairs: int) -> np.ndarray:
     violated pair.  Rank is 3**num_pairs (three allowed configurations per
     pair out of four)."""
     _check_pairs(num_pairs)
-    return np.diag((_violations(num_pairs) == 0).astype(np.complex128))
+    return np.diag(_diagonals(num_pairs)[1].astype(np.complex128))
 
 
 def logic_hamiltonian(num_pairs: int) -> np.ndarray:
@@ -138,24 +138,6 @@ def taylor_exponential(op: np.ndarray, terms: int = 48) -> np.ndarray:
     return acc
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a small circuit, built column by column through the
-    statevector engine (an independent route from any matrix algebra)."""
-    if circuit.num_qubits > _MAX_DENSE_QUBITS:
-        raise ValueError(
-            f"circuit_unitary capped at {_MAX_DENSE_QUBITS} qubits, "
-            f"got {circuit.num_qubits}"
-        )
-    dim = 1 << circuit.num_qubits
-    unitary = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        state = statevec.basis_state(col, circuit.num_qubits)
-        for gate in circuit.gates:
-            statevec.apply_gate(state, gate)
-        unitary[:, col] = state.amplitudes
-    return unitary
-
-
 def basis_map(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     """Image of every basis input under a circuit without H gates.
 
@@ -184,13 +166,14 @@ def basis_map(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     return out_index, phase
 
 
-def _flag_out(mode: str, num_pairs: int) -> np.ndarray:
-    """Flag bit the mode's circuit leaves on every pair-register-plus-flag
-    basis input, ancillas at 0.  The default layout holds the pair register
-    in bits 0..2m-1 and the flag in bit 2m, so input a | f << 2m is
-    assignment a with flag f."""
-    out_index, _ = basis_map(build_general(PairLayout.default(num_pairs), mode))
-    return (out_index[:1 << (2 * num_pairs + 1)] >> (2 * num_pairs)) & 1
+def _flag_map(mode: str, num_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """basis_map of the mode's circuit on the 2**(2m+1) pair-register-plus-
+    flag basis inputs, ancillas at 0.  The default layout holds the pair
+    register in bits 0..2m-1 and the flag in bit 2m, so input a | f << 2m is
+    assignment a with flag f, and bit 2m of its output is the flag out."""
+    out_index, phase = basis_map(build_general(PairLayout.default(num_pairs), mode))
+    size = 1 << (2 * num_pairs + 1)
+    return out_index[:size], phase[:size]
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +184,23 @@ class RuleResult:
     flag_out: int
     label: str
     violated: tuple[int, ...]
+
+
+_LABELS = (FULLY_CONSISTENT, LOCALLY_RESOLVED, INCONSISTENCY_DETECTED,
+           FULLY_INCONSISTENT)
+
+
+def _rule(num_pairs: int, inputs):
+    """Classical rule on pair+flag basis inputs (an int or an int64 array,
+    flag in bit 2m): the flag output and the _LABELS index of each."""
+    full = (1 << num_pairs) - 1
+    viol = _violations(num_pairs, inputs)
+    flag_out = ((inputs >> (2 * num_pairs)) & 1) ^ (viol != 0)
+    # 0 with no active contradiction, else 1 with every one resolved, else 3
+    # when all pairs of a multi-pair register are violated, else 2
+    label = ((inputs & full) != 0) * (
+        1 + (viol != 0) * (1 + ((viol == full) & (num_pairs >= 2))))
+    return flag_out, label
 
 
 def classical_rule(contradictions, resolutions, flag_in: int) -> RuleResult:
@@ -219,19 +219,12 @@ def classical_rule(contradictions, resolutions, flag_in: int) -> RuleResult:
     if any(b not in (0, 1) for b in c + r) or flag_in not in (0, 1):
         raise ValueError("assignments must be 0/1 bits")
 
-    violated = tuple(i for i, (ci, ri) in enumerate(zip(c, r)) if ci == 1 and ri == 0)
-    flag_out = flag_in ^ (1 if violated else 0)
-
-    active = sum(c)
-    if active == 0:
-        label = FULLY_CONSISTENT
-    elif not violated:
-        label = LOCALLY_RESOLVED
-    elif len(violated) == len(c) and len(c) >= 2:
-        label = FULLY_INCONSISTENT
-    else:
-        label = INCONSISTENCY_DETECTED
-    return RuleResult(flag_out, label, violated)
+    m = len(c)
+    index = sum(b << i for i, b in enumerate(c + r)) | flag_in << (2 * m)
+    flag_out, label = _rule(m, index)
+    viol = _violations(m, index)
+    violated = tuple(i for i in range(m) if (viol >> i) & 1)
+    return RuleResult(flag_out, _LABELS[label], violated)
 
 
 @dataclass(frozen=True)
@@ -260,23 +253,15 @@ def truth_table(num_pairs: int, flag_in: int = 1) -> list[TruthTableRow]:
     if flag_in not in (0, 1):
         raise ValueError(f"flag_in must be 0 or 1, got {flag_in}")
     m = num_pairs
-    circuit_flags = _flag_out(PARITY, m)
-    rows = []
-    for assignment in range(4 ** m):
-        c_bits = tuple((assignment >> i) & 1 for i in range(m))
-        r_bits = tuple((assignment >> (m + i)) & 1 for i in range(m))
-        rule = classical_rule(c_bits, r_bits, flag_in)
-        circuit_flag = int(circuit_flags[flag_in << (2 * m) | assignment])
-        rows.append(TruthTableRow(
-            contradictions=c_bits,
-            resolutions=r_bits,
-            flag_in=flag_in,
-            rule_flag=rule.flag_out,
-            label=rule.label,
-            circuit_flag=circuit_flag,
-            diverges=(circuit_flag != rule.flag_out),
-        ))
-    return rows
+    inputs = np.arange(4 ** m) | flag_in << (2 * m)
+    rule_flags, labels = _rule(m, inputs)
+    out_index, _ = _flag_map(PARITY, m)
+    circuit_flags = (out_index[inputs] >> (2 * m)) & 1
+    bits = ((inputs[:, None] >> np.arange(2 * m)) & 1).tolist()
+    return [TruthTableRow(tuple(row[:m]), tuple(row[m:]), flag_in, rule_flag,
+                          _LABELS[label], circuit_flag, circuit_flag != rule_flag)
+            for row, rule_flag, label, circuit_flag in zip(
+                bits, rule_flags.tolist(), labels.tolist(), circuit_flags.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +294,10 @@ class FixedPointReport:
     note: str
 
 
-def _cascade_fixed(num_pairs: int) -> np.ndarray:
-    """Mask over the 2**(2m+1) pair+flag basis inputs: True where the parity
-    circuit maps the input exactly to itself (amplitude 1, no phase)."""
-    out_index, phase = basis_map(build_general(PairLayout.default(num_pairs), PARITY))
+def _cascade_fixed(out_index: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Mask over the pair+flag basis inputs of the parity circuit's
+    _flag_map: True where it maps the input exactly to itself (amplitude 1,
+    no phase)."""
     return (out_index == np.arange(out_index.size)) & (np.abs(phase - 1.0) < 1e-12)
 
 
@@ -359,7 +344,7 @@ def fixed_point_report(num_pairs: int) -> FixedPointReport:
     _check_pairs(num_pairs)
     _, _, hamiltonian, unitary = _diagonals(num_pairs)
     return _fixed_point_report(num_pairs, hamiltonian, unitary,
-                               _cascade_fixed(num_pairs))
+                               _cascade_fixed(*_flag_map(PARITY, num_pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +358,7 @@ class CheckResult:
     detail: str
 
 
-def verification_suite(num_pairs: int, taylor_terms: int = 48) -> list[CheckResult]:
+def verification_suite(num_pairs: int) -> list[CheckResult]:
     """Operator-identity and circuit-equivalence checks for one register size.
 
     Every operator is diagonal, so the checks run elementwise on diagonals:
@@ -383,8 +368,6 @@ def verification_suite(num_pairs: int, taylor_terms: int = 48) -> list[CheckResu
     deviation.
     """
     _check_pairs(num_pairs)
-    if taylor_terms < 1:
-        raise ValueError("terms must be >= 1")
     m = num_pairs
     dim = 4 ** m
     checks: list[CheckResult] = []
@@ -422,16 +405,15 @@ def verification_suite(num_pairs: int, taylor_terms: int = 48) -> list[CheckResu
     op = np.pi * complement
     acc = np.ones(dim, dtype=np.complex128)
     term = np.ones(dim, dtype=np.complex128)
-    for k in range(1, taylor_terms):
+    for k in range(1, _TAYLOR_TERMS):
         term = term * op * (-1j / k)
         acc = acc + term
     dev = float(np.abs(acc - unitary).max())
     checks.append(CheckResult(
         "exponential_taylor", dev <= 1e-9, dev,
-        f"truncated power series ({taylor_terms} terms) matches the reflection"))
+        f"truncated power series ({_TAYLOR_TERMS} terms) matches the reflection"))
 
-    expected_diag = np.array([violation_count(x, m) for x in range(dim)], dtype=float)
-    dev = float(np.abs(hamiltonian - expected_diag).max())
+    dev = float(np.abs(hamiltonian - violation_count(np.arange(dim), m)).max())
     checks.append(CheckResult(
         "hamiltonian_spectrum", dev == 0.0, dev,
         "Hamiltonian is diagonal with violated-pair counts as eigenvalues"))
@@ -443,7 +425,8 @@ def verification_suite(num_pairs: int, taylor_terms: int = 48) -> list[CheckResu
         f"kernel of the Hamiltonian and +1 eigenspace of the reflection "
         f"coincide on all {dim} basis states (dimension {int(kernel.sum())})"))
 
-    fixed = _cascade_fixed(m)
+    parity_out, parity_phase = _flag_map(PARITY, m)
+    fixed = _cascade_fixed(parity_out, parity_phase)
     report = _fixed_point_report(m, hamiltonian, unitary, fixed)
     counts = np.tile(hamiltonian, 2)  # violation count of each pair+flag input
     cascade_ok = bool(np.array_equal(fixed, counts % 2 == 0)) and report.algebra_match
@@ -452,15 +435,10 @@ def verification_suite(num_pairs: int, taylor_terms: int = 48) -> list[CheckResu
         report.note))
 
     if m <= 3:
-        or_flag = _flag_out(OR_ACCUMULATE, m)
-        parity_flag = _flag_out(PARITY, m)
+        or_flag = (_flag_map(OR_ACCUMULATE, m)[0] >> (2 * m)) & 1
+        parity_flag = (parity_out >> (2 * m)) & 1
         total = or_flag.size
-        rule_flag = np.array([
-            classical_rule([(a >> i) & 1 for i in range(m)],
-                           [(a >> (m + i)) & 1 for i in range(m)],
-                           a >> (2 * m)).flag_out
-            for a in range(total)
-        ])
+        rule_flag, _ = _rule(m, np.arange(total))
         or_ok = bool(np.array_equal(or_flag, rule_flag))
         checks.append(CheckResult(
             "rule_matches_or_circuit", or_ok, 0.0 if or_ok else 1.0,

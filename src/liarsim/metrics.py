@@ -18,6 +18,7 @@ from .dist import COUNTS, PROBABILITY, Distribution
 from .statevec import bit_of
 
 DEFAULT_CONSISTENT = ("1001", "1010")
+_MIN_EXPECTED = 5.0  # chi-squared bins expecting fewer counts are pooled
 
 
 def _check_states(states, width: int, what: str) -> tuple[str, ...]:
@@ -40,13 +41,14 @@ def consistency_fidelity(dist: Distribution, consistent_set) -> float:
 
 
 def tv_distance(p: Distribution, q: Distribution) -> float:
-    """Total variation distance (1/2) * sum |p - q| over the union support."""
+    """Total variation distance (1/2) * sum |p - q| over the union support,
+    summed in ascending state order so the float result is reproducible."""
     if p.width != q.width:
         raise ValueError(f"width mismatch: {p.width} vs {q.width}")
     a = p.as_probabilities()
     b = q.as_probabilities()
     return 0.5 * float(sum(abs(a.get(k, 0.0) - b.get(k, 0.0))
-                           for k in a.keys() | b.keys()))
+                           for k in sorted(a.keys() | b.keys())))
 
 
 def interference_suppression(experimental: Distribution, ideal: Distribution,
@@ -101,15 +103,14 @@ class Chi2Result:
     pooled_bins: int
 
 
-def chi_squared_gof(observed: Distribution, expected: Distribution,
-                    min_expected: float = 5.0) -> Chi2Result:
+def chi_squared_gof(observed: Distribution, expected: Distribution) -> Chi2Result:
     """Pearson chi-squared test of observed counts against expected shape.
 
-    Bins with expected count below min_expected are pooled into one residual
-    bin; dof = bins_after_pooling - 1.  The p-value is the regularized upper
-    incomplete gamma Q(dof/2, statistic/2).  The expected distribution is
-    normalized to a unit-sum shape, so a degenerate single-bin pooling always
-    yields statistic 0 and p-value 1.
+    Bins with expected count below 5 are pooled into one residual bin;
+    dof = bins_after_pooling - 1.  Sums run in ascending state order.  The
+    p-value is the regularized upper incomplete gamma Q(dof/2, statistic/2).
+    The expected distribution is normalized to a unit-sum shape, so a
+    degenerate single-bin pooling always yields statistic 0 and p-value 1.
     """
     if observed.kind != COUNTS:
         raise ValueError("chi-squared needs observed counts, not probabilities")
@@ -125,12 +126,12 @@ def chi_squared_gof(observed: Distribution, expected: Distribution,
         raise ValueError("expected distribution has no mass")
     shape = {k: v / shape_total for k, v in shape.items()}
 
-    keys = shape.keys() | observed.entries.keys()
+    keys = sorted(shape.keys() | observed.entries.keys())
     exp_counts = {k: shape.get(k, 0.0) * shots for k in keys}
     obs_counts = {k: observed.entries.get(k, 0.0) for k in keys}
 
-    big = [k for k in keys if exp_counts[k] >= min_expected]
-    small = [k for k in keys if exp_counts[k] < min_expected]
+    big = [k for k in keys if exp_counts[k] >= _MIN_EXPECTED]
+    small = [k for k in keys if exp_counts[k] < _MIN_EXPECTED]
     statistic = sum(
         (obs_counts[k] - exp_counts[k]) ** 2 / exp_counts[k] for k in big
     )

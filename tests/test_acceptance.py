@@ -5,6 +5,9 @@ Each test also prints a CRITERION summary (visible with -s or on failure).
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,17 +16,17 @@ import pytest
 
 from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE, Circuit,
                              PairLayout, build_general, build_liar_literal,
-                             build_liar_reference, ccx, gate_census,
-                             toffoli_decompose)
+                             build_liar_reference, ccx, expand_toffolis,
+                             gate_census, toffoli_decompose)
 from liarsim.cli import main
 from liarsim.dist import COUNTS, PROBABILITY, Distribution, load_reference_table
 from liarsim.hardware_model import NoiseProfile, fidelity_estimate, noisy_sample
-from liarsim.logic_ops import circuit_unitary, classical_rule, verification_suite
+from liarsim.logic_ops import classical_rule, verification_suite
 from liarsim.metrics import (chi_squared_gof, consistency_fidelity,
                              interference_suppression, tv_distance)
 from liarsim.statevec import probabilities, run_circuit
 
-from basis_oracle import circuit_flag_on_basis
+from basis_oracle import circuit_flag_on_basis, circuit_unitary
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -212,7 +215,7 @@ def test_criterion_07_cost_model_gate_budget():
     for n in (2, 4, 8, 16):
         pairs = n // 2
         circuit = build_general(PairLayout.default(pairs), PARITY)
-        census = gate_census(circuit, decompose=True)
+        census = gate_census(expand_toffolis(circuit))
         assert census.count_2q == 3 * n
         assert census.count_ccx == 0
         for gate in circuit.gates:
@@ -289,6 +292,19 @@ def test_criterion_09_byte_identical_reruns(tmp_path, capsys):
     assert main(base + ["--csv", str(csv_a), "--out", str(tmp_path / "x.json")]) == 0
     assert main(base + ["--csv", str(csv_b), "--out", str(tmp_path / "y.json")]) == 0
     assert csv_a.read_bytes() == csv_b.read_bytes()
+
+    # float sums must not follow the per-process string hash order
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    reports = set()
+    for hash_seed in ("0", "3", "4"):
+        env["PYTHONHASHSEED"] = hash_seed
+        reports.add(subprocess.run(
+            [sys.executable, "-m", "liarsim.cli", "metrics", "--exp", "bundled:hardware"],
+            env=env, capture_output=True, check=True).stdout)
+    assert len(reports) == 1
     capsys.readouterr()
     announce(9, "every command's --out and --csv files are byte-identical "
-                "across reruns with the same seed")
+                "across reruns with the same seed, and metrics reports across "
+                "hash seeds")

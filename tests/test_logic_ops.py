@@ -17,10 +17,10 @@ from liarsim.logic_ops import (FULLY_CONSISTENT, FULLY_INCONSISTENT,
                                global_consistency_projector, is_hermitian,
                                is_projector, is_unitary, logic_hamiltonian,
                                projector_exponential, reflection,
-                               taylor_exponential, truth_table,
+                               TruthTableRow, taylor_exponential, truth_table,
                                verification_suite, violation_count)
 
-from basis_oracle import circuit_flag_on_basis
+from basis_oracle import circuit_flag_on_basis, reference_rule
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +239,34 @@ def test_rule_input_validation():
         classical_rule([1], [0], 2)
 
 
+def _assignments(m):
+    for a in range(4 ** m):
+        yield (tuple((a >> i) & 1 for i in range(m)),
+               tuple((a >> (m + i)) & 1 for i in range(m)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_rule_matches_scalar_reference_on_every_input(m):
+    for c, r in _assignments(m):
+        for flag_in in (0, 1):
+            assert classical_rule(c, r, flag_in) == reference_rule(c, r, flag_in)
+
+
 # ---------------------------------------------------------------------------
 # truth table
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("flag_in", [0, 1])
+def test_truth_table_matches_scalar_reference(m, flag_in):
+    # the parity circuit flips the flag once per violated pair
+    rows = []
+    for c, r in _assignments(m):
+        ref = reference_rule(c, r, flag_in)
+        circuit_flag = flag_in ^ (len(ref.violated) % 2)
+        rows.append(TruthTableRow(c, r, flag_in, ref.flag_out, ref.label,
+                                  circuit_flag, circuit_flag != ref.flag_out))
+    assert truth_table(m, flag_in) == rows
+
 
 def test_truth_table_single_pair():
     rows = truth_table(1)
