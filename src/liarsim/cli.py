@@ -119,6 +119,25 @@ def _scalar_items(scalars, sep: str) -> str:
     return text[1:-1]
 
 
+def _is_object(value) -> bool:
+    """A non-empty dict with str keys: rendered one item per line."""
+    return isinstance(value, dict) and bool(value) and set(map(type, value)) == {str}
+
+
+def _object_items(value: dict, inner: str) -> list[str]:
+    """The rendered '"key": value' items of an _is_object dict, in key order,
+    for joining with ",\n" + inner.  A dict of scalars comes back as one
+    string that already holds every item."""
+    sep = ",\n" + inner
+    if not _has_containers(value.values()):
+        return [_scalar_items(value, sep)]
+    scalars = {k: v for k, v in value.items() if not isinstance(v, _CONTAINERS)}
+    items = dict(zip(sorted(scalars), _scalar_items(scalars, sep).split(sep)))
+    items.update((k, json.dumps(k) + ": " + _render(v, inner))
+                 for k, v in value.items() if k not in scalars)
+    return [items[k] for k in sorted(items)]
+
+
 def _render(value, pad: str) -> str:
     """Same text as _indented(value, pad).  json.dumps with an indent runs
     CPython's pure-Python encoder; here the scalars of each dict or list are
@@ -133,25 +152,27 @@ def _render(value, pad: str) -> str:
         else:
             body = _scalar_items(value, sep)
         return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(value, dict) and value and set(map(type, value)) == {str}:
-        if _has_containers(value.values()):
-            scalars = {k: v for k, v in value.items()
-                       if not isinstance(v, _CONTAINERS)}
-            items = dict(zip(sorted(scalars),
-                             _scalar_items(scalars, sep).split(sep)))
-            items.update((k, json.dumps(k) + ": " + _render(v, inner))
-                         for k, v in value.items() if k not in scalars)
-            body = sep.join(items[k] for k in sorted(items))
-        else:
-            body = _scalar_items(value, sep)
-        return "{\n" + inner + body + "\n" + pad + "}"
+    if _is_object(value):
+        return "{\n" + inner + sep.join(_object_items(value, inner)) + "\n" + pad + "}"
     return _indented(value, pad)
+
+
+def _document(payload) -> list[str]:
+    """canonical_json(payload) as pieces to write in turn: a report's
+    top-level items stay apart, so no copy of the whole document is made."""
+    if not _is_object(payload):
+        return [_render(payload, "") + "\n"]
+    pieces = ["{\n  "]
+    for item in _object_items(payload, "  "):
+        pieces += [item, ",\n  "]
+    pieces[-1] = "\n}\n"
+    return pieces
 
 
 def canonical_json(payload: dict) -> str:
     """json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
     allow_nan=False, default=_json_default) plus a newline, byte for byte."""
-    return _render(payload, "") + "\n"
+    return "".join(_document(payload))
 
 
 def _sha256_file(path) -> str:
@@ -164,14 +185,17 @@ def _sha256_file(path) -> str:
 
 def _emit(payload: dict, args, pretty_lines: list[str]) -> None:
     """Write canonical JSON to --out if given; stdout gets the pretty text
-    under --pretty, otherwise the JSON (suppressed when --out already has it)."""
-    text = canonical_json(payload)
+    under --pretty, otherwise the JSON (suppressed when --out already has it).
+    The whole document is rendered before --out is opened, so a failed
+    render leaves no file."""
+    pieces = _document(payload)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     if args.pretty:
         sys.stdout.write("\n".join(pretty_lines) + "\n")
     elif not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _parse_noise(text: str, seed: int) -> NoiseProfile:

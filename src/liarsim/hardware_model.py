@@ -11,9 +11,10 @@ on execution order or chunking and sharded runs merge exactly into serial ones.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from importlib import resources
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -79,36 +80,29 @@ class CouplingGraph:
         # built once per graph; not a field, so equality and repr ignore it
         object.__setattr__(self, "_adj", tuple(tuple(nbrs) for nbrs in adj))
 
+    def _distances_from(self, start: int) -> list[int]:
+        """BFS shortest-path lengths in edges from start to every node; -1
+        where unreachable."""
+        adj = self._adj
+        dist = [-1] * self.num_nodes
+        dist[start] = 0
+        order = [start]
+        for node in order:  # the queue: nodes are appended as they are reached
+            depth = dist[node] + 1
+            for nxt in adj[node]:
+                if dist[nxt] < 0:
+                    dist[nxt] = depth
+                    order.append(nxt)
+        return dist
+
     def distance(self, start: int, goal: int) -> int:
         """BFS shortest-path length in edges; -1 if unreachable."""
         if not (0 <= start < self.num_nodes and 0 <= goal < self.num_nodes):
             raise ValueError(f"node out of range: {start}, {goal}")
-        if start == goal:
-            return 0
-        adj = self._adj
-        seen = {start}
-        queue = deque([(start, 0)])
-        while queue:
-            node, depth = queue.popleft()
-            for nxt in adj[node]:
-                if nxt == goal:
-                    return depth + 1
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, depth + 1))
-        return -1
+        return self._distances_from(start)[goal]
 
     def is_connected(self) -> bool:
-        adj = self._adj
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            node = queue.popleft()
-            for nxt in adj[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen) == self.num_nodes
+        return -1 not in self._distances_from(0)
 
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self._adj), default=0)
@@ -231,19 +225,20 @@ def routing_estimate(circuit: Circuit, graph: CouplingGraph,
         if not 0 <= node < graph.num_nodes:
             raise ValueError(f"layout node {node} outside the {graph.num_nodes}-node graph")
 
-    distances = []
-    cache: dict[tuple[int, int], int] = {}
+    # one BFS per distinct source node, each dropped once its pairs are read
+    pairs = []
     for gate in expanded.gates:
-        if len(gate.qubits) != 2:
-            continue
-        a, b = sorted(gate.qubits)
-        key = (layout[a], layout[b])
-        if key not in cache:
-            d = graph.distance(*key)
-            if d < 0:
-                raise ValueError(f"nodes {key} are disconnected in the coupling graph")
-            cache[key] = d
-        distances.append(cache[key])
+        if len(gate.qubits) == 2:
+            a, b = sorted(gate.qubits)
+            pairs.append((layout[a], layout[b]))
+    found: dict[tuple[int, int], int] = {}
+    for src, keys in groupby(sorted(set(pairs)), key=itemgetter(0)):
+        row = graph._distances_from(src)
+        found.update((key, row[key[1]]) for key in keys)
+    distances = [found[key] for key in pairs]
+    for key, d in zip(pairs, distances):
+        if d < 0:
+            raise ValueError(f"nodes {key} are disconnected in the coupling graph")
 
     mean_distance = float(np.mean(distances)) if distances else 0.0
     swap_overhead = 2 * sum((d - 1) * 3 for d in distances)

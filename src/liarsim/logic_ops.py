@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec
-from .circuit import (NEGATED, OR_ACCUMULATE, PARITY, Circuit, PairLayout,
+from .circuit import (OR_ACCUMULATE, PARITY, Circuit, PairLayout,
                       build_general)
 
 MAX_PAIRS = 5
@@ -143,26 +143,18 @@ def basis_map(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
 
     X, CNOT, CCX, P and CP each send a basis state to one basis state times a
     phase, so the circuit takes input i to out_index[i] with amplitude
-    phase[i].  All 2**n inputs go through each gate at once as int64 bit
-    operations; controls fire on 1 (positive) or 0 (negated).
+    phase[i].  All 2**n inputs go through each gate at once, by the monomial
+    step of the simulator's sparse run.
     """
     n = circuit.num_qubits
     if n > statevec.MAX_QUBITS:
         raise ValueError(f"basis_map capped at {statevec.MAX_QUBITS} qubits, got {n}")
+    if any(gate.kind == "H" for gate in circuit.gates):
+        raise ValueError("basis_map needs a circuit without H gates")
     out_index = np.arange(1 << n, dtype=np.int64)
     phase = np.ones(1 << n, dtype=np.complex128)
     for gate in circuit.gates:
-        if gate.kind == "H":
-            raise ValueError("basis_map needs a circuit without H gates")
-        fires = 1
-        for q, pol in zip(gate.controls, gate.polarities):
-            fires = fires & (((out_index >> q) & 1) ^ int(pol == NEGATED))
-        target = gate.targets[0]
-        if gate.kind in ("P", "CP"):
-            hit = (fires & (out_index >> target) & 1).astype(bool)
-            phase[hit] *= np.exp(1j * gate.angle)
-        else:
-            out_index ^= fires << target
+        statevec._monomial_step(gate, out_index, phase)
     return out_index, phase
 
 

@@ -1,4 +1,4 @@
-"""Dense statevector simulation.
+"""Statevector simulation: a dense kernel, and a sparse run for few-H circuits.
 
 Amplitudes live in a flat complex128 array of length 2**n.  Qubit k is bit k
 of the array index; canonical bitstrings therefore read q_{n-1} ... q_0 from
@@ -7,6 +7,13 @@ length-2 axis per touched qubit with the untouched qubits merged into runs
 between them, then acts in place on basic-slice views of that shape; no
 2**n x 2**n matrix is ever materialized here.  Outcome keys are rendered as
 bitstrings in one vectorized step, and only for outcomes that are kept.
+
+X, CNOT, CCX, P and CP each map a basis state to one basis state times a
+phase, so from |0...0> a circuit with h H gates never holds more than 2**h
+nonzero amplitudes.  When that bound is small against 2**n, run_circuit keeps
+only the support (int64 indices and their amplitudes) and scatters it into
+the dense array after the last gate.  Its arithmetic is the dense kernel's,
+in the same order, so both runs give equal amplitudes.
 """
 
 from __future__ import annotations
@@ -23,6 +30,13 @@ MAX_SHOTS = 2**31 - 1  # the largest count a 32-bit C long holds
 DEFAULT_SEED = 1234
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# Crossover of the sparse run, measured on 50-gate circuits with the H gates
+# first (the support's worst case), 2-core x86 host: at 12 qubits the sparse
+# run takes 0.84x the dense time with h = n - 3 H gates and 1.00x with n - 2;
+# at 11 qubits it saves at most 10%, at 10 qubits nothing.
+_SPARSE_MIN_QUBITS = 12
+_SPARSE_HEADROOM = 3
 
 
 @dataclass
@@ -102,13 +116,17 @@ def _branches(amps: np.ndarray, num_qubits: int, qubits: tuple[int, ...]):
     return pick
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place and return the same StateVector."""
-    if max(gate.qubits) >= state.num_qubits:
+def _check_fits(gate: Gate, num_qubits: int) -> None:
+    if max(gate.qubits) >= num_qubits:
         raise ValueError(
             f"{gate.kind} touches qubit {max(gate.qubits)} but the state has "
-            f"{state.num_qubits} qubits"
+            f"{num_qubits} qubits"
         )
+
+
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """Apply one gate in place and return the same StateVector."""
+    _check_fits(gate, state.num_qubits)
     pick = _branches(state.amplitudes, state.num_qubits, gate.qubits)
     # controls come first in gate.qubits, so select their active branch
     sel = tuple(0 if pol == NEGATED else 1 for pol in gate.polarities)
@@ -130,6 +148,61 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         phased *= np.exp(1j * gate.angle)
     else:  # unreachable: Gate validates its kind
         raise ValueError(f"unknown gate kind {kind!r}")
+    return state
+
+
+def _monomial_step(gate: Gate, index: np.ndarray, amps: np.ndarray) -> None:
+    """Apply an X, CNOT, CCX, P or CP gate in place to the basis states in
+    the int64 array index, whose amplitudes are amps: X-type gates XOR the
+    target bit into the indices where the controls fire (on 1, or on 0 when
+    negated), P-type gates multiply the amplitudes where the controls fire
+    and the target bit is 1."""
+    fires = 1
+    for q, pol in zip(gate.controls, gate.polarities):
+        fires = fires & (((index >> q) & 1) ^ int(pol == NEGATED))
+    target = gate.targets[0]
+    if gate.kind in ("P", "CP"):
+        hit = (fires & (index >> target) & 1).astype(bool)
+        # Out of place on purpose: NumPy's in-place complex multiply rounds a
+        # one-element array differently from longer ones, while the dense
+        # kernel multiplies views of two or more elements (n > gate width).
+        amps[hit] = amps[hit] * np.exp(1j * gate.angle)
+    else:
+        index ^= fires << target
+
+
+def _sparse_h(target: int, index: np.ndarray, amps: np.ndarray):
+    """H on a support: each index meets its partner across the target bit (a
+    partner outside the support holds 0) and the pair is combined in the
+    dense kernel's order.  Returns the new indices and amplitudes, at most
+    twice as many."""
+    bit = 1 << target
+    keys, slot = np.unique(index & ~bit, return_inverse=True)
+    upper = (index & bit) != 0
+    lo = np.zeros(keys.size, dtype=np.complex128)
+    hi = np.zeros_like(lo)
+    lo[slot[~upper]] = amps[~upper]
+    hi[slot[upper]] = amps[upper]
+    plus = lo + hi
+    hi = (lo - hi) * _INV_SQRT2
+    lo = plus * _INV_SQRT2
+    return np.concatenate((keys, keys | bit)), np.concatenate((lo, hi))
+
+
+def _run_sparse(circuit: Circuit) -> StateVector:
+    """run_circuit from |0...0> on the support alone, scattered into the
+    dense array at the end."""
+    state = init_zero(circuit.num_qubits)
+    index = np.zeros(1, dtype=np.int64)
+    amps = np.ones(1, dtype=np.complex128)
+    for gate in circuit.gates:
+        _check_fits(gate, circuit.num_qubits)
+        if gate.kind == "H":
+            index, amps = _sparse_h(gate.targets[0], index, amps)
+        else:
+            _monomial_step(gate, index, amps)
+    state.amplitudes[0] = 0.0
+    state.amplitudes[index] = amps
     return state
 
 
@@ -155,13 +228,30 @@ def apply_pauli(state: StateVector, pauli: str, qubit: int) -> StateVector:
     return state
 
 
+def _sparse_pays(circuit: Circuit) -> bool:
+    """Whether the sparse run beats the dense kernel: the register is wide
+    enough for a dense gate to cost more than a sparse step's fixed NumPy
+    overhead, and the support bound 2**h (h H gates) is at most
+    2**n >> _SPARSE_HEADROOM.  It also keeps off the sparse run the circuits
+    whose P or CP spans the whole register, the one case where the dense
+    kernel's in-place phase multiply rounds differently (see
+    _monomial_step)."""
+    n = circuit.num_qubits
+    if n < _SPARSE_MIN_QUBITS:
+        return False
+    return sum(gate.kind == "H" for gate in circuit.gates) <= n - _SPARSE_HEADROOM
+
+
 def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Apply the circuit's gates in listed order.
 
-    Starts from |0...0> when no initial state is given; a supplied initial
-    state is copied, never mutated.
+    Starts from |0...0> when no initial state is given, on the sparse support
+    when that pays; a supplied initial state is copied, never mutated, and
+    always runs on the dense kernel.
     """
     if initial is None:
+        if _sparse_pays(circuit):
+            return _run_sparse(circuit)
         state = init_zero(circuit.num_qubits)
     else:
         if initial.num_qubits != circuit.num_qubits:

@@ -1,19 +1,25 @@
 """End-to-end command-line behavior: payload shapes, exit codes, determinism."""
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
+import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from liarsim import cli
-from liarsim.circuit import GATE_KINDS, NEGATED, POSITIVE
-from liarsim.cli import _json_default, _strict_numbers, canonical_json, main
+from liarsim import cli, statevec
+from liarsim.circuit import GATE_KINDS, NEGATED, POSITIVE, load_circuit
+from liarsim.cli import (_emit, _json_default, _strict_numbers,
+                         canonical_json, main)
 from liarsim.hardware_model import MAX_GRAPH_NODES
 from liarsim.logic_ops import CheckResult
 from liarsim.statevec import DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS
@@ -405,6 +411,88 @@ def test_canonical_json_matches_indented_reference(payload):
     reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
                            allow_nan=False, default=_json_default) + "\n"
     assert canonical_json(payload) == reference
+    # the report writer streams the same text to --out, or else to stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        _emit(payload, argparse.Namespace(out=str(out), pretty=False), [])
+        assert out.read_bytes().decode("utf-8") == reference
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        _emit(payload, argparse.Namespace(out=None, pretty=False), [])
+    assert stdout.getvalue() == reference
+
+
+def test_failed_render_leaves_no_out_file(tmp_path):
+    out = tmp_path / "report.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _emit({"a": 1, "z": {"k": object()}},
+              argparse.Namespace(out=str(out), pretty=False), [])
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# simulate --out bytes, pinned: few-H circuits run on the sparse support and
+# many-H ones on the dense kernel, and both keep the reports the dense kernel
+# gave before the sparse run existed
+
+def _pinned_circuit(kind: str, n: int, seed: int) -> dict:
+    """Seeded circuit JSON.  "deep": H on n // 2 + 1 distinct qubits, then 38
+    X/CNOT/CCX/P/CP gates with two more H among them, so that amplitudes
+    interfere.  "dense": H on every qubit, a CNOT cascade and two phases."""
+    rng = random.Random(seed)
+
+    def gate(name, target, controls=(), angle=None):
+        pols = [rng.choice([POSITIVE, NEGATED]) for _ in controls]
+        return {"kind": name, "targets": [target], "controls": list(controls),
+                "polarities": pols, "angle": angle}
+
+    if kind == "dense":
+        gates = [gate("H", q) for q in range(n)]
+        gates += [gate("CNOT", n - 1, (q,)) for q in range(n - 1)]
+        gates += [gate("P", rng.randrange(n), angle=rng.uniform(-3, 3))
+                  for _ in range(2)]
+        return {"num_qubits": n, "gates": gates, "roles": {}}
+    gates = [gate("H", q) for q in rng.sample(range(n), n // 2 + 1)]
+    names = [rng.choice(["X", "CNOT", "CCX", "P", "CP"]) for _ in range(38)]
+    names.insert(rng.randrange(10, 20), "H")
+    names.insert(rng.randrange(25, 35), "H")
+    for name in names:
+        a, b, c = rng.sample(range(n), 3)
+        controls = {"CNOT": (b,), "CP": (b,), "CCX": (b, c)}.get(name, ())
+        angle = rng.uniform(-3, 3) if name in ("P", "CP") else None
+        gates.append(gate(name, a, controls, angle))
+    return {"num_qubits": n, "gates": gates, "roles": {}}
+
+
+PINNED_SIMULATE = {
+    ("deep", 14, 1):
+        "23e728574e707672ad9d672c99c51363cf68e9d223fea6fc805a2b872c6113a8",
+    ("deep", 16, 2):
+        "41ac4a695084031c0ff62e92c7867764692238a48339d5c37b9176ba47aa3f6b",
+    ("deep", 18, 3):
+        "94be33fc619d78bd56626983cf65e7df48f297006be2ef4f69003d4111757ca2",
+    ("deep", 20, 4):
+        "800cd3e4b1a972ba21b153aaec1325b5a3540c8a2b4920de8d001d4b96fb07fb",
+    ("dense", 6, 5):
+        "bae8eadd839f7d94feeabbdc1a4435cd5fd4c47b125c45f4ecaac4281cd14634",
+    ("dense", 11, 6):
+        "80dcc159ac45943925e73fab23ad6ff54a7cf8f2e34a9c4f4bf485ff9cedccb4",
+    ("dense", 13, 7):
+        "dbb1c2cbbf537640c4065e35ca6581611b82ab7969f0d7fdc1b8806c794dd681",
+}
+
+
+@pytest.mark.parametrize("kind,n,seed", sorted(PINNED_SIMULATE))
+def test_simulate_out_bytes_are_pinned(kind, n, seed, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names the circuit file by path
+    with open("c.json", "w", encoding="utf-8") as fh:
+        json.dump(_pinned_circuit(kind, n, seed), fh)
+    assert statevec._sparse_pays(load_circuit("c.json")) == (kind == "deep")
+    assert main(["simulate", "c.json", "--shots", "512", "--seed", str(seed),
+                 "--out", "r.json"]) == 0
+    with open("r.json", "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == PINNED_SIMULATE[kind, n, seed]
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,52 @@ def test_routing_layout_validation():
                          layout=(0, 2))
 
 
+def _relaxed_distances(graph: CouplingGraph) -> list[list[int]]:
+    """All-pairs hop counts by edge relaxation, sharing no code with the
+    BFS; -1 where unreachable."""
+    inf = graph.num_nodes
+    dist = [[0 if u == v else inf for v in range(inf)] for u in range(inf)]
+    for _ in range(graph.num_nodes):
+        for u, v in graph.edges:
+            for s in range(graph.num_nodes):
+                best = min(dist[s][u], dist[s][v]) + 1
+                dist[s][u] = min(dist[s][u], best)
+                dist[s][v] = min(dist[s][v], best)
+    return [[-1 if d == inf else d for d in row] for row in dist]
+
+
+@settings(max_examples=60)
+@given(data=st.data(), nodes=st.integers(3, 9), width=st.integers(2, 5),
+       connected=st.booleans())
+def test_routing_matches_per_pair_distance(data, nodes, width, connected):
+    width = min(width, nodes)
+    chain = [(i, i + 1) for i in range(nodes - 1)] if connected else []
+    extra = data.draw(st.lists(st.tuples(st.integers(0, nodes - 1),
+                                         st.integers(0, nodes - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=8))
+    graph = CouplingGraph(nodes, tuple(chain + extra))
+    layout = data.draw(st.permutations(range(nodes)))[:width]
+    pairs = data.draw(st.lists(st.lists(st.integers(0, width - 1), min_size=2,
+                                        max_size=2, unique=True),
+                               min_size=1, max_size=12))
+    circuit = Circuit(width, [cnot(a, b) for a, b in pairs])
+
+    oracle = _relaxed_distances(graph)
+    keys = [(layout[min(pair)], layout[max(pair)]) for pair in pairs]
+    per_pair = [graph.distance(*key) for key in keys]
+    assert per_pair == [oracle[u][v] for u, v in keys]
+    assert graph.is_connected() == all(d >= 0 for d in oracle[0])
+    cut = next((key for key, d in zip(keys, per_pair) if d < 0), None)
+    if cut is not None:
+        with pytest.raises(ValueError) as info:
+            routing_estimate(circuit, graph, layout=layout)
+        assert str(info.value) == f"nodes {cut} are disconnected in the coupling graph"
+        return
+    est = routing_estimate(circuit, graph, layout=layout)
+    assert est.mean_distance == float(np.mean(per_pair))
+    assert est.swap_overhead_cnots == 2 * sum((d - 1) * 3 for d in per_pair)
+
+
 # ---------------------------------------------------------------------------
 # noisy sampling
 

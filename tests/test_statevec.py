@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liarsim import statevec
 from liarsim.circuit import (NEGATED, POSITIVE, Circuit, Gate, ccx, cnot, cp,
                              h, p, save_circuit, x)
 from liarsim.cli import main
@@ -291,6 +292,37 @@ def test_apply_pauli_matches_index_oracle(where, n, pauli, seed):
     expected = pauli_matrix(pauli, qubit, n) @ state.amplitudes
     apply_pauli(state, pauli, qubit)
     np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(3, 10), label="n")
+    gates = []
+    for _ in range(draw(st.integers(1, 30), label="gates")):
+        kind = draw(st.sampled_from(sorted(ARITY)))
+        qubits = draw(st.permutations(range(n)))[:ARITY[kind]]
+        polarities = draw(st.lists(st.sampled_from([POSITIVE, NEGATED]),
+                                   min_size=len(qubits) - 1,
+                                   max_size=len(qubits) - 1))
+        angle = draw(st.floats(-2 * math.pi, 2 * math.pi))
+        gates.append(_gate(kind, qubits[0], qubits[1:], polarities, angle))
+    return Circuit(n, gates)
+
+
+@settings(max_examples=200)
+@given(circuit=_circuits())
+# phases land on a single support amplitude, and H gates then mix it
+@example(circuit=Circuit(3, [h(0), p(0.3, 0), p(1.1, 0), cnot(0, 2), h(0),
+                             ccx(0, 2, 1, NEGATED)]))
+@example(circuit=Circuit(10, [h(9), p(2.5, 9), x(3), cp(0.7, 3, 9, NEGATED),
+                              h(9), h(4), cnot(9, 4), h(4)]))
+def test_sparse_run_equals_dense_kernel(circuit):
+    dense = init_zero(circuit.num_qubits)
+    for gate in circuit.gates:
+        apply_gate(dense, gate)
+    # values, not bytes: the dense kernel may hold -0.0 where sparse has 0.0
+    assert np.array_equal(statevec._run_sparse(circuit).amplitudes,
+                          dense.amplitudes)
 
 
 # ---------------------------------------------------------------------------
