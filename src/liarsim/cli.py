@@ -27,9 +27,9 @@ import numpy as np
 from .circuit import (OR_ACCUMULATE, PARITY, Circuit, PairLayout,
                       build_general, build_liar_literal, build_liar_reference,
                       gate_census, load_circuit, save_circuit)
-from .dist import (COUNTS, PROBABILITY, Distribution, bundled_table_names,
-                   load_reference_table, read_distribution_csv,
-                   write_counts_csv)
+from .dist import (COUNTS, PROBABILITY, Distribution, bitstrings,
+                   bundled_table_names, load_reference_table,
+                   read_distribution_csv, render_entries, write_counts_csv)
 from .hardware_model import (MAX_GRAPH_NODES, CouplingGraph, NoiseProfile,
                              load_bundled_graph, make_graph, noisy_sample,
                              routing_estimate)
@@ -74,6 +74,10 @@ def _json_default(value):
         return float(value)
     if isinstance(value, np.bool_):
         return bool(value)
+    if isinstance(value, Distribution):  # as rendered: counts are integers
+        if value.kind == COUNTS:
+            return {k: int(v) for k, v in value.entries.items()}
+        return dict(value.entries.items())
     raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
@@ -92,7 +96,8 @@ def _strict_numbers(value):
     return value
 
 
-_CONTAINERS = (dict, list, tuple)
+# A Distribution renders as a JSON object of its entries.
+_CONTAINERS = (dict, list, tuple, Distribution)
 
 
 def _indented(value, pad: str) -> str:
@@ -154,6 +159,10 @@ def _render(value, pad: str) -> str:
         return "[\n" + inner + body + "\n" + pad + "]"
     if _is_object(value):
         return "{\n" + inner + sep.join(_object_items(value, inner)) + "\n" + pad + "}"
+    if isinstance(value, Distribution) and len(value.indices):
+        chunks = list(render_entries(value, '"', '": ', sep))
+        chunks[-1] = chunks[-1][:-len(sep)]
+        return "".join(["{\n", inner, *chunks, "\n", pad, "}"])
     return _indented(value, pad)
 
 
@@ -270,7 +279,7 @@ def cmd_simulate(args) -> int:
     counts = None
     if args.shots is not None:
         if profile is not None:
-            counts = noisy_sample(circuit, profile, args.shots)
+            counts = noisy_sample(circuit, profile, args.shots, ideal=state)
         else:
             counts = sample_counts(state, args.shots, args.seed)
 
@@ -295,8 +304,8 @@ def cmd_simulate(args) -> int:
         "num_qubits": circuit.num_qubits,
         "gate_count": len(circuit.gates),
         "census": dataclasses.asdict(census),
-        "probabilities": probs.entries,
-        "counts": {k: int(v) for k, v in counts.entries.items()} if counts else None,
+        "probabilities": probs,
+        "counts": counts,
     }
 
     pretty = []
@@ -304,13 +313,13 @@ def cmd_simulate(args) -> int:
         pretty = [f"circuit: {source} ({circuit.num_qubits} qubits, "
                   f"{len(circuit.gates)} gates, depth {census.depth})",
                   "probabilities:"]
-        for state_str in sorted(probs.entries):
-            pretty.append(f"  {state_str}  {probs.entries[state_str]:.12f}")
+        for state_str, p in sorted(probs.entries.items()):
+            pretty.append(f"  {state_str}  {p:.12f}")
         if counts is not None:
             noise_tag = " (noisy)" if profile else ""
             pretty.append(f"counts over {args.shots} shots{noise_tag}, seed {args.seed}:")
-            for state_str in sorted(counts.entries):
-                pretty.append(f"  {state_str}  {int(counts.entries[state_str])}")
+            for state_str, count in sorted(counts.entries.items()):
+                pretty.append(f"  {state_str}  {int(count)}")
     _emit(payload, args, pretty)
     return 0
 
@@ -519,19 +528,20 @@ def cmd_truthtable(args) -> int:
     rows = truth_table(args.pairs, flag_in=args.flag_in)
     m = args.pairs
 
-    def bits(tup):
-        # highest pair index leftmost, matching bitstring rendering elsewhere
-        return "".join(str(b) for b in reversed(tup))
+    # each pair-bit tuple as a bitstring, highest pair index leftmost
+    weights = 1 << np.arange(m)
+    pair_bits = [bitstrings(np.array([getattr(r, column) for r in rows]) @ weights, m)
+                 for column in ("contradictions", "resolutions")]
 
     row_dicts = [{
-        "contradictions": bits(r.contradictions),
-        "resolutions": bits(r.resolutions),
+        "contradictions": c,
+        "resolutions": res,
         "flag_in": r.flag_in,
         "rule_flag": r.rule_flag,
         "classification": r.label,
         "circuit_flag": r.circuit_flag,
         "diverges": r.diverges,
-    } for r in rows]
+    } for r, c, res in zip(rows, *pair_bits)]
 
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 from importlib import resources
+from itertools import repeat
+
+import numpy as np
 
 PROBABILITY = "probability"
 COUNTS = "counts"
@@ -14,6 +16,16 @@ COUNTS = "counts"
 # Those columns sum to 0.9624 (simulation arm) and 0.9445 (hardware arm), not
 # to 1, so validation of that one dataset needs this much slack.
 REFERENCE_TABLE_SUM_TOL = 0.06
+
+# Outcomes are held as int64 basis indices.
+MAX_WIDTH = 63
+# Entries rendered per block by render_entries: large enough that NumPy's
+# per-call cost is spread thin, small enough that a block stays in cache and
+# a 2**24-outcome report never holds a full-size temporary array.
+_CHUNK_ROWS = 4096
+# Up to this many entries render_entries formats each entry in Python, which
+# beats the block layout's fixed cost of about a dozen NumPy calls.
+_FORMAT_EACH = 128
 
 _BUNDLED_TABLES = {
     "simulation": "table_s1_simulation.csv",
@@ -26,9 +38,96 @@ def _check_bitstring(state: str, width: int) -> None:
         raise ValueError(f"bad state {state!r} for width {width}")
 
 
-@dataclass
+def _bit_chars(indices: np.ndarray, width: int) -> np.ndarray:
+    """The "0"/"1" character codes of each index, one row per index, highest
+    bit first."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & 1) + ord("0")
+
+
+def bitstrings(indices: np.ndarray, width: int) -> list[str]:
+    """The canonical bitstring (highest qubit index leftmost) of every index
+    in the array, rendered in one NumPy pass (one by one up to _FORMAT_EACH
+    indices, where NumPy's fixed cost per call dominates)."""
+    if len(indices) <= _FORMAT_EACH:
+        spec = f"0{width}b"
+        return [format(i, spec) for i in np.asarray(indices).tolist()]
+    chars = _bit_chars(indices, width).astype(np.uint32)
+    return chars.view(f"U{width}").ravel().tolist()
+
+
+def _parse_states(states: list, width: int) -> np.ndarray:
+    """int64 indices of canonical bitstrings, or ValueError naming the first
+    bad one."""
+    try:
+        fits = (set(map(len, states)) <= {width}
+                and not "".join(states).replace("0", "").replace("1", ""))
+    except TypeError:  # a state that is not a string
+        fits = False
+    if fits:
+        return np.fromiter(map(int, states, repeat(2)), dtype=np.int64, count=len(states))
+    for state in states:
+        _check_bitstring(state, width)
+    raise AssertionError("unreachable: some state failed the check above")
+
+
+class _Entries(Mapping):
+    """Read-only bitstring -> value view of a distribution's arrays.  The dict
+    behind it, in entry order, is the one given or else built on the first
+    lookup; len() reads the arrays."""
+
+    __slots__ = ("_width", "_indices", "_values", "_dict")
+
+    def __init__(self, width: int, indices: np.ndarray, values: np.ndarray,
+                 items: dict[str, float] | None = None):
+        self._width, self._indices, self._values = width, indices, values
+        self._dict = items
+
+    def _items(self) -> dict[str, float]:
+        if self._dict is None:
+            self._dict = dict(zip(bitstrings(self._indices, self._width),
+                                  self._values.tolist()))
+        return self._dict
+
+    def __getitem__(self, state: str) -> float:
+        return self._items()[state]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    # the dict's own methods, not the per-key Python loops Mapping would run
+    def __contains__(self, state) -> bool:
+        return state in self._items()
+
+    def get(self, state, default=None):
+        return self._items().get(state, default)
+
+    def keys(self):
+        return self._items().keys()
+
+    def items(self):
+        return self._items().items()
+
+    def values(self):
+        return self._items().values()
+
+    def __repr__(self) -> str:
+        return repr(self._items())
+
+
 class Distribution:
-    """Outcomes keyed by canonical bitstring (highest qubit index leftmost).
+    """Measurement outcomes: an int64 array of basis indices and a float64
+    array of their values, in the order the entries arrived.  Index i is the
+    outcome whose canonical bitstring (highest qubit index leftmost) is
+    format(i, f"0{width}b"); `entries` is the same data as a read-only
+    bitstring -> value mapping, built on first use.
+
+    Build one from a mapping, `Distribution(width, {"01": 0.5, ...}, kind)`,
+    or from arrays, `Distribution(width, None, kind, indices=..., values=...)`;
+    the arrays are kept as read-only views, not copied.
 
     kind "probability": values are probabilities; whether they must sum to 1
     is checked by validate(), not at construction, because one bundled dataset
@@ -37,38 +136,107 @@ class Distribution:
     their sum.
     """
 
-    width: int
-    entries: dict[str, float]
-    kind: str
-    total_shots: int | None = None
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
-        if self.kind not in (PROBABILITY, COUNTS):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
-        for state, value in self.entries.items():
-            _check_bitstring(state, self.width)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"bad value {value!r} for state {state}")
-        if self.kind == COUNTS:
-            for state, value in self.entries.items():
-                if value != int(value):
-                    raise ValueError(f"count for {state} is not an integer: {value}")
-            observed = int(sum(self.entries.values()))
-            if self.total_shots is None:
+    def __init__(self, width: int, entries: Mapping[str, float] | None, kind: str,
+                 total_shots: int | None = None, *,
+                 indices: np.ndarray | None = None,
+                 values: np.ndarray | None = None):
+        if not 1 <= width <= MAX_WIDTH:
+            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+        if kind not in (PROBABILITY, COUNTS):
+            raise ValueError(f"unknown distribution kind {kind!r}")
+        if entries is not None:
+            if indices is not None or values is not None:
+                raise ValueError("pass entries or indices and values, not both")
+            states = list(entries)
+            indices = _parse_states(states, width)
+            values = np.fromiter(entries.values(), dtype=np.float64, count=len(states))
+            # the caller's keys are the bitstrings: no need to render them again
+            known = dict(zip(states, values.tolist()))
+        elif indices is None or values is None:
+            raise ValueError("pass entries, or both indices and values")
+        else:
+            indices = np.asarray(indices)
+            if indices.size and indices.dtype.kind not in "iu":
+                raise ValueError(f"indices must be integers, got {indices.dtype}")
+            indices = indices.astype(np.int64, copy=False)
+            values = np.asarray(values, dtype=np.float64)
+            if indices.ndim != 1 or indices.shape != values.shape:
+                raise ValueError("indices and values must be 1-D and equally long")
+            self._check_indices(indices, width)
+            known = None
+        self.width, self.kind, self.total_shots = width, kind, total_shots
+        self.indices, self.values = indices.view(), values.view()
+        self.indices.flags.writeable = self.values.flags.writeable = False
+        self._entries = _Entries(width, self.indices, self.values, known)
+
+        if values.size and not (values.min() >= 0 and values.max() < np.inf):  # NaN fails
+            self._reject(~((values >= 0) & (values < np.inf)),
+                         "bad value {value!r} for state {state}")
+        if kind == COUNTS:
+            if (values % 1).any():
+                self._reject(values % 1 != 0, "count for {state} is not an integer: {value}")
+            observed = int(sum(values.tolist()))
+            if total_shots is None:
                 self.total_shots = observed
-            elif self.total_shots != observed:
+            elif total_shots != observed:
                 raise ValueError(
-                    f"total_shots={self.total_shots} but entries sum to {observed}"
+                    f"total_shots={total_shots} but entries sum to {observed}"
                 )
-        elif self.total_shots is not None:
+        elif total_shots is not None:
             raise ValueError("total_shots only applies to counts distributions")
+
+    @staticmethod
+    def _check_indices(indices: np.ndarray, width: int) -> None:
+        if not indices.size:
+            return
+        if indices.size > 1 and not (indices[1:] > indices[:-1]).all():
+            if np.unique(indices).size != indices.size:
+                raise ValueError("duplicate state indices")
+            low, high = indices.min(), indices.max()
+        else:  # ascending: the ends bound the rest
+            low, high = indices[0], indices[-1]
+        if low < 0 or high >> width:
+            outside = (indices < 0) | (indices >> width != 0)
+            raise ValueError(f"bad state index {int(indices[outside.argmax()])} "
+                             f"for width {width}")
+
+    def _reject(self, mask: np.ndarray, message: str):
+        at = int(mask.argmax())
+        state = bitstrings(self.indices[at:at + 1], self.width)[0]
+        raise ValueError(message.format(value=self.values[at].item(), state=state))
+
+    @property
+    def entries(self) -> Mapping[str, float]:
+        return self._entries
+
+    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, values) in ascending index order, which at a fixed width
+        is sorted bitstring order."""
+        indices = self.indices
+        if indices.size < 2 or (indices[1:] > indices[:-1]).all():
+            return indices, self.values
+        order = np.argsort(indices)
+        return indices[order], self.values[order]
+
+    def __eq__(self, other):
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        if (self.width, self.kind, self.total_shots) != (
+                other.width, other.kind, other.total_shots):
+            return False
+        mine, theirs = self.sorted_arrays(), other.sorted_arrays()
+        return all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+
+    def __repr__(self) -> str:
+        return (f"Distribution(width={self.width}, entries={self.entries!r}, "
+                f"kind={self.kind!r}, total_shots={self.total_shots!r})")
 
     def validate(self, sum_tol: float = 1e-6) -> "Distribution":
         """Probability masses must sum to 1 within sum_tol."""
         if self.kind == PROBABILITY:
-            total = sum(self.entries.values())
+            total = self.total()
             if abs(total - 1.0) > sum_tol:
                 raise ValueError(
                     f"probabilities sum to {total:.6f}, outside 1 +- {sum_tol}"
@@ -76,7 +244,8 @@ class Distribution:
         return self
 
     def total(self) -> float:
-        return float(sum(self.entries.values()))
+        """The values summed left to right in entry order."""
+        return float(sum(self.values.tolist()))
 
     def as_probabilities(self) -> dict[str, float]:
         """Counts are normalized by total_shots; probability entries are
@@ -85,7 +254,41 @@ class Distribution:
             if not self.total_shots:
                 raise ValueError("cannot normalize an empty counts distribution")
             return {s: v / self.total_shots for s, v in self.entries.items()}
-        return dict(self.entries)
+        return dict(self.entries.items())
+
+
+def render_entries(dist: Distribution, head: str, mid: str, tail: str):
+    """Yield the text of every entry as head + bitstring + mid + value + tail,
+    in ascending index (= sorted bitstring) order, in chunks of _CHUNK_ROWS
+    entries.  Values are spelled as json.dumps spells them: repr() for
+    probabilities, the integer for counts.  Up to _FORMAT_EACH entries are
+    formatted one by one.  Above that, each distinct value (by bit pattern)
+    is formatted once, and each chunk is laid out as one uint8 block whose
+    padding bytes are dropped; head, mid and tail must be ASCII without NUL."""
+    spell = repr if dist.kind == PROBABILITY else (lambda v: str(int(v)))
+    width = dist.width
+    if dist.indices.size <= _FORMAT_EACH:  # below NumPy's fixed cost per call
+        pairs = sorted(zip(dist.indices.tolist(), dist.values.tolist()))
+        if pairs:
+            yield "".join([f"{head}{i:0{width}b}{mid}{spell(v)}{tail}" for i, v in pairs])
+        return
+    indices, values = dist.sorted_arrays()
+    patterns, which = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([spell(v) for v in patterns.view(np.float64).tolist()], dtype=bytes)
+    texts = texts.view(np.uint8).reshape(len(texts), -1)
+    # one row per entry: head, the bits, mid, the value NUL-padded, tail
+    bits_at = len(head)
+    value_at = bits_at + width + len(mid)
+    value_end = value_at + texts.shape[1]
+    row = np.frombuffer(f"{head}{'0' * width}{mid}{' ' * texts.shape[1]}{tail}"
+                        .encode("ascii"), dtype=np.uint8)
+    for first in range(0, indices.size, _CHUNK_ROWS):
+        chunk = slice(first, first + _CHUNK_ROWS)
+        block = np.repeat(row[None, :], len(indices[chunk]), axis=0)
+        block[:, bits_at:value_at - len(mid)] = _bit_chars(indices[chunk], width)
+        block[:, value_at:value_end] = texts[which[chunk]]
+        flat = block.ravel()
+        yield flat[flat != 0].tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +328,7 @@ def _parse_rows(rows: list[list[str]], column: str, where: str) -> Distribution:
             raise ValueError(f"{where}:{lineno}: expected {len(header)} columns")
         state = row[0].strip()
         if width is None:
-            width = len(state)
-        _check_bitstring(state, width)
+            width = len(state)  # the Distribution checks every state against it
         if state in entries:
             raise ValueError(f"{where}:{lineno}: duplicate state {state}")
         raw = row[value_at].strip()
@@ -156,8 +358,7 @@ def write_counts_csv(dist: Distribution, path) -> None:
         raise ValueError("counts CSV requires a counts distribution")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("state,counts\n")
-        for state in sorted(dist.entries):
-            fh.write(f"{state},{int(dist.entries[state])}\n")
+        fh.writelines(render_entries(dist, "", ",", "\n"))
 
 
 # ---------------------------------------------------------------------------

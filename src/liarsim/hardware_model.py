@@ -20,8 +20,8 @@ import numpy as np
 
 from .circuit import Circuit, expand_toffolis, gate_census
 from .dist import COUNTS, Distribution
-from .statevec import (DEFAULT_SEED, MAX_SHOTS, apply_gate, apply_pauli,
-                       bitstrings, init_zero, run_circuit)
+from .statevec import (DEFAULT_SEED, MAX_SHOTS, StateVector, apply_gate,
+                       apply_pauli, init_zero, run_circuit)
 
 BUNDLED_GRAPH_NAME = "heavy_hex_example.txt"
 # Graphs hold per-node lists, so node counts and indices are checked against
@@ -274,7 +274,7 @@ def _cumulative(state) -> np.ndarray:
 
 
 def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
-                 first_shot: int = 0) -> Distribution:
+                 first_shot: int = 0, ideal: StateVector | None = None) -> Distribution:
     """Sample the circuit under the noise profile.
 
     Every shot reads a fixed block of uniforms from one Philox stream keyed
@@ -285,18 +285,25 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
     noisy_sample(c, p, 400, first_shot=600).  Faultless shots draw from the
     ideal distribution in bulk; faulty shots are grouped by fault signature
     (gate index, qubit, Pauli) and each signature is simulated once.
+    `ideal` is the circuit's output state from |0...0>, when the caller has
+    already run it; otherwise it is simulated here.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
     if first_shot < 0:
         raise ValueError("first_shot must be >= 0")
     n = circuit.num_qubits
+    if ideal is None:
+        ideal = run_circuit(circuit)
+    elif ideal.num_qubits != n:
+        raise ValueError(f"ideal state has {ideal.num_qubits} qubits, "
+                         f"circuit has {n}")
     gates = list(circuit.gates)
     g = len(gates)
     block = -(-(3 * g + 1 + n) // 4) * 4
     outcome_col = 3 * g
 
-    cum_ideal = _cumulative(run_circuit(circuit))
+    cum_ideal = _cumulative(ideal)
     gate_rates = np.array(
         [profile.p_1q if len(gt.qubits) == 1 else profile.p_2q for gt in gates]
     )
@@ -304,7 +311,7 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
     bit_weights = np.int64(1) << np.arange(n, dtype=np.int64)
     seed_seq = np.random.SeedSequence(profile.seed)
 
-    counts: dict[int, int] = {}
+    seen, tallies = [], []
     chunk = max(1, _CHUNK_DRAWS // block)
     for start in range(first_shot, first_shot + shots, chunk):
         size = min(chunk, first_shot + shots - start)
@@ -335,11 +342,9 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
             flips = u[:, outcome_col + 1:outcome_col + 1 + n] < profile.p_readout
             outcomes ^= flips @ bit_weights
         values, tally = np.unique(outcomes, return_counts=True)
-        for value, count in zip(values.tolist(), tally.tolist()):
-            counts[value] = counts.get(value, 0) + count
+        seen.append(values)
+        tallies.append(tally)
 
-    observed = sorted(counts)
-    return Distribution(width=n,
-                        entries=dict(zip(bitstrings(np.array(observed), n),
-                                         (float(counts[k]) for k in observed))),
-                        kind=COUNTS, total_shots=shots)
+    observed, slot = np.unique(np.concatenate(seen), return_inverse=True)
+    counts = np.bincount(slot, weights=np.concatenate(tallies))
+    return Distribution(n, None, COUNTS, shots, indices=observed, values=counts)

@@ -126,9 +126,10 @@ def chi_squared_gof(observed: Distribution, expected: Distribution) -> Chi2Resul
         raise ValueError("expected distribution has no mass")
     shape = {k: v / shape_total for k, v in shape.items()}
 
-    keys = sorted(shape.keys() | observed.entries.keys())
+    counts = dict(observed.entries.items())
+    keys = sorted(shape.keys() | counts.keys())
     exp_counts = {k: shape.get(k, 0.0) * shots for k in keys}
-    obs_counts = {k: observed.entries.get(k, 0.0) for k in keys}
+    obs_counts = {k: counts.get(k, 0.0) for k in keys}
 
     big = [k for k in keys if exp_counts[k] >= _MIN_EXPECTED]
     small = [k for k in keys if exp_counts[k] < _MIN_EXPECTED]

@@ -5,8 +5,8 @@ of the array index; canonical bitstrings therefore read q_{n-1} ... q_0 from
 left to right.  A gate reshapes the flat array, without copying it, into one
 length-2 axis per touched qubit with the untouched qubits merged into runs
 between them, then acts in place on basic-slice views of that shape; no
-2**n x 2**n matrix is ever materialized here.  Outcome keys are rendered as
-bitstrings in one vectorized step, and only for outcomes that are kept.
+2**n x 2**n matrix is ever materialized here.  Outcome distributions are
+built straight from the index and value arrays; no bitstring is rendered.
 
 X, CNOT, CCX, P and CP each map a basis state to one basis state times a
 phase, so from |0...0> a circuit with h H gates never holds more than 2**h
@@ -79,15 +79,6 @@ def bitstring(index: int, width: int) -> str:
 def bit_of(bits: str, qubit: int) -> int:
     """Value of the given qubit in a canonical bitstring."""
     return 1 if bits[len(bits) - 1 - qubit] == "1" else 0
-
-
-def bitstrings(indices: np.ndarray, width: int) -> list[str]:
-    """bitstring() of every index in the array, rendered in one NumPy pass."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
-    chars = np.asarray(indices, dtype=np.uint32)[:, None] >> shifts
-    chars &= 1
-    chars += ord("0")
-    return chars.view(f"U{width}").ravel().tolist()
 
 
 def _branches(amps: np.ndarray, num_qubits: int, qubits: tuple[int, ...]):
@@ -272,11 +263,11 @@ def probabilities(state: StateVector, drop_below: float = 1e-12) -> Distribution
     """
     probs = np.abs(state.amplitudes) ** 2
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # written so that a NaN total fails too
         raise ValueError(f"probabilities sum to {total:.6f}, outside 1 +- 1e-09")
     kept = np.flatnonzero(probs >= drop_below)
-    entries = dict(zip(bitstrings(kept, state.num_qubits), probs[kept].tolist()))
-    return Distribution(width=state.num_qubits, entries=entries, kind=PROBABILITY)
+    return Distribution(state.num_qubits, None, PROBABILITY,
+                        indices=kept, values=probs[kept])
 
 
 def z_expectation(state: StateVector, qubit: int) -> float:
@@ -298,7 +289,5 @@ def sample_counts(state: StateVector, shots: int, seed: int) -> Distribution:
     probs = probs / probs.sum()
     counts = rng.multinomial(shots, probs)
     seen = np.flatnonzero(counts)
-    entries = dict(zip(bitstrings(seen, state.num_qubits),
-                       counts[seen].astype(np.float64).tolist()))
-    return Distribution(width=state.num_qubits, entries=entries,
-                        kind=COUNTS, total_shots=shots)
+    return Distribution(state.num_qubits, None, COUNTS, shots,
+                        indices=seen, values=counts[seen])

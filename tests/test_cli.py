@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liarsim import cli, statevec
+from liarsim import cli, hardware_model, statevec
 from liarsim.circuit import GATE_KINDS, NEGATED, POSITIVE, load_circuit
-from liarsim.cli import (_emit, _json_default, _strict_numbers,
+from liarsim.cli import (_emit, _indented, _json_default, _strict_numbers,
                          canonical_json, main)
+from liarsim.dist import _CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY, Distribution
 from liarsim.hardware_model import MAX_GRAPH_NODES
 from liarsim.logic_ops import CheckResult
 from liarsim.statevec import DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS
@@ -93,6 +94,32 @@ def test_simulate_noisy_counts(capsys):
     assert payload["config"]["noise"] == {"p_1q": 0.0, "p_2q": 0.0,
                                           "p_readout": 0.5}
     assert sum(payload["counts"].values()) == 400
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_simulate_noise_runs_the_ideal_circuit_once(tmp_path, monkeypatch):
+    runs = []
+
+    def counting_run(circuit, initial=None):
+        runs.append(circuit)
+        return statevec.run_circuit(circuit, initial)
+
+    monkeypatch.setattr(cli, "run_circuit", counting_run)
+    monkeypatch.setattr(hardware_model, "run_circuit", counting_run)
+    out, table = tmp_path / "s.json", tmp_path / "s.csv"
+    assert main(["simulate", "general", "--pairs", "3", "--mode", "or",
+                 "--noise", "0.01,0.03,0.02", "--shots", "3000", "--seed", "11",
+                 "--out", str(out), "--csv", str(table)]) == 0
+    assert len(runs) == 1
+    # the same bytes as when the sampler simulated the ideal circuit itself
+    assert _sha256(out) == ("281d43bbf030677efc2390561504c05a"
+                            "c3b98b7512be8f034f268359b8092f48")
+    assert _sha256(table) == ("e64b3ef44709d062959fd11828413f78"
+                              "d16d815a5cb63877807ca570605cb8e7")
 
 
 def test_simulate_pretty_is_text(capsys):
@@ -217,6 +244,29 @@ def test_metrics_infinite_statistic_stays_strict_json(capsys, tmp_path):
     assert payload["report"]["chi2_p_value"] == 0.0
 
 
+def test_metrics_on_unsorted_csv_sums_in_file_order(tmp_path, monkeypatch):
+    # In file order these probabilities sum to 0.9999999999999999, in sorted
+    # order to 1.0: the report keeps the file's order.
+    monkeypatch.chdir(tmp_path)  # the report names the CSV by path
+    x, rows = 0.123456789, []
+    for i in range(16):
+        x = (x * 7.31 + 0.137) % 1.0
+        rows.append((format((i * 11) % 16, "04b"), x))
+    total = sum(v for _, v in rows)
+    with open("unsorted.csv", "w", encoding="utf-8") as fh:
+        fh.write("state,probability\n")
+        fh.writelines(f"{k},{v / total!r}\n" for k, v in rows)
+    assert main(["metrics", "--exp", "unsorted.csv", "--out", "m.json"]) == 0
+    with open("m.json", encoding="utf-8") as fh:
+        assert json.load(fh)["sources"]["experimental"]["total"] == 0.9999999999999999
+    assert _sha256("m.json") == ("901c84445a0e810554516d7e149c85f3"
+                                 "3b818713ca2ec7239ff45aacc0bdcd9b")
+    assert main(["metrics", "--exp", "unsorted.csv", "--ideal", "unsorted.csv",
+                 "--paradox-set", "0000,0111,1111", "--out", "m2.json"]) == 0
+    assert _sha256("m2.json") == ("e4dad7aa023e9d783f223b9b521a76f7"
+                                  "b173da17e83209bfd7c1bf1d8a313804")
+
+
 def test_metrics_default_ideal_is_exact_circuit(capsys):
     payload = run_json(capsys, ["metrics", "--exp", "bundled:hardware"])
     report = payload["report"]
@@ -297,6 +347,30 @@ def test_truthtable_divergence_and_csv(capsys, tmp_path):
     assert lines[0] == ("contradictions,resolutions,flag_in,rule_flag,"
                         "classification,circuit_flag,diverges")
     assert len(lines) == 17
+
+
+PINNED_TRUTHTABLE = {  # sha256 of --out and --csv, from the per-row renderer
+    1: ("6b473c002d4a52139efc22dbcd53979f0ed46b1df6be149b6a913c6a8d81b789",
+        "929e6e989a3ec7a5b6701fb4b5aa3081cd4f06f00ed87187f4bb09c07e46dde3"),
+    2: ("aab71d2209ea3dc0c735e23fc2baaf7534456b68bf3d11d366598fa9b1d7e866",
+        "294e0c485b897e4207f5e637da075daa4b1e2d299b5e0a8b4a16e37b432d6c7a"),
+    3: ("309111b26d9da2aa10c95155091b23c43d38142b7e6cf5235af950e8a381a89d",
+        "ca0d79e5b87271ae5ebec84c3ddee0bc887c0cdf12575b51159891b32556448b"),
+    4: ("d136fb215f0036a7ffb9efe2d418affc9a588df32fdeb2b6f32b74d998d885ed",
+        "07dc8417e79a2a49b81d6e9041b120de0b7165a686d8a2d24b572b2817e4449b"),
+    5: ("951b57d6f545e1c49372bbd95cd293d8681a954c38ba23b6dfa1626fe766c6c9",
+        "93f4b8d6b4e4cdd5426c8d261a1214206f438df9e5d1fa56075729e745bdddea"),
+    6: ("f4d35ac7ff2d70b3ef43a75a1a0a6baabedcc0b0bcf5ac21fe3fb616fa31bcf9",
+        "de8d9a851a6be34213c087854b1227438223bb8fdb857320094c7729ed63d781"),
+}
+
+
+@pytest.mark.parametrize("pairs", sorted(PINNED_TRUTHTABLE))
+def test_truthtable_bytes_are_pinned(pairs, tmp_path):
+    out, table = tmp_path / "t.json", tmp_path / "t.csv"
+    assert main(["truthtable", "--pairs", str(pairs), "--out", str(out),
+                 "--csv", str(table)]) == 0
+    assert (_sha256(out), _sha256(table)) == PINNED_TRUTHTABLE[pairs]
 
 
 def test_truthtable_cap(capsys):
@@ -420,6 +494,54 @@ def test_canonical_json_matches_indented_reference(payload):
     with contextlib.redirect_stdout(stdout):
         _emit(payload, argparse.Namespace(out=None, pretty=False), [])
     assert stdout.getvalue() == reference
+
+
+_SPECIAL_VALUES = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-12,
+                   0.1, 0.5, 1.0 / 3.0, 1.0)
+
+
+@st.composite
+def _distributions(draw):
+    """A Distribution on 1-24 qubits whose size sits at 0, 1, or either side
+    of the renderer's thresholds, with all-equal, all-distinct or special
+    values, entries in random arrival order."""
+    size = draw(st.sampled_from(
+        [0, 1, 2, _FORMAT_EACH, _FORMAT_EACH + 1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
+         _CHUNK_ROWS + 1]))
+    width = draw(st.integers(max(1, (size - 1).bit_length()), 24))
+    kind = draw(st.sampled_from([PROBABILITY, COUNTS]))
+    mix = draw(st.sampled_from(["equal", "distinct", "special"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indices = rng.choice(1 << width, size, replace=False)
+    if kind == COUNTS:
+        top = draw(st.sampled_from([1, 9, 1000, MAX_SHOTS]))
+        values = rng.integers(0, top, size, endpoint=True).astype(np.float64)
+        if mix == "equal":
+            values[:] = top
+    elif mix == "distinct":
+        values = rng.random(size)
+    elif mix == "equal":
+        values = np.full(size, draw(st.sampled_from(_SPECIAL_VALUES)))
+    else:
+        values = rng.choice(_SPECIAL_VALUES, size)
+    return Distribution(width, None, kind, indices=indices, values=values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_distributions(), st.sampled_from(["", "  "]))
+def test_distribution_renders_as_json_dumps_of_its_entries(dist, pad):
+    # the per-index dict the renderer replaced, as the oracle
+    spell = int if dist.kind == COUNTS else float
+    entries = {format(int(i), f"0{dist.width}b"): spell(v)
+               for i, v in zip(dist.indices, dist.values)}
+    reference = json.dumps(entries, indent=2, sort_keys=True).split("\n")
+    # compared as lists of lines: pytest's diff of two long strings is slow
+    assert cli._render(dist, pad).split("\n" + pad) == reference
+    assert _indented(dist, pad).split("\n" + pad) == reference
+    payload = {"counts": None, "probabilities": dist, "z": [dist]}
+    assert canonical_json(payload).split("\n") == json.dumps(
+        {"counts": None, "probabilities": entries, "z": [entries]},
+        indent=2, sort_keys=True).split("\n") + [""]
 
 
 def test_failed_render_leaves_no_out_file(tmp_path):

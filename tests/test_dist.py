@@ -1,11 +1,17 @@
 """Distribution type, CSV parsing, and the bundled reference tables."""
 
-import pytest
+import math
 
-from liarsim.dist import (COUNTS, PROBABILITY, REFERENCE_TABLE_SUM_TOL,
-                          Distribution, bundled_table_names,
-                          load_reference_table, read_distribution_csv,
-                          write_counts_csv)
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liarsim.dist import (_CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY,
+                          REFERENCE_TABLE_SUM_TOL, Distribution,
+                          bundled_table_names, load_reference_table,
+                          read_distribution_csv, write_counts_csv)
+from liarsim.statevec import MAX_SHOTS
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +49,99 @@ def test_bad_states_and_values_rejected():
         Distribution(2, {"00": 1.0}, "frequencies")
 
 
+@pytest.mark.parametrize("kind,value,message", [
+    (PROBABILITY, math.nan, "bad value nan for state 10"),
+    (PROBABILITY, math.inf, "bad value inf for state 10"),
+    (COUNTS, -math.inf, "bad value -inf for state 10"),
+    (PROBABILITY, -1e-300, "bad value -1e-300 for state 10"),
+    (COUNTS, -2.0, "bad value -2.0 for state 10"),
+    (COUNTS, 2.5, "count for 10 is not an integer: 2.5"),
+    (COUNTS, 5e-324, "count for 10 is not an integer: 5e-324"),
+])
+def test_bad_values_rejected_from_mappings_and_arrays(kind, value, message):
+    with pytest.raises(ValueError, match=message):
+        Distribution(2, {"00": 1.0, "10": value}, kind)
+    with pytest.raises(ValueError, match=message):
+        Distribution(2, None, kind, indices=np.array([0, 2]),
+                     values=np.array([1.0, value]))
+
+
+@pytest.mark.parametrize("state", ["01 ", "0x", "0", "011", "１0", "", 5])
+def test_bad_keys_rejected(state):
+    with pytest.raises((ValueError, TypeError)):
+        Distribution(2, {"00": 0.5, state: 0.5}, PROBABILITY)
+    if isinstance(state, str):
+        with pytest.raises(ValueError, match=f"bad state {state!r} for width 2"):
+            Distribution(2, {"00": 0.5, state: 0.5}, PROBABILITY)
+
+
+def test_bad_indices_rejected():
+    def build(indices, values=None, width=3):
+        values = [1.0] * len(indices) if values is None else values
+        return Distribution(width, None, COUNTS, indices=np.array(indices),
+                            values=np.array(values))
+
+    with pytest.raises(ValueError, match="bad state index 8 for width 3"):
+        build([1, 8])
+    with pytest.raises(ValueError, match="bad state index -1 for width 3"):
+        build([-1, 2])
+    with pytest.raises(ValueError, match="duplicate state indices"):
+        build([5, 2, 5])
+    with pytest.raises(ValueError, match="indices must be integers"):
+        build([0.0, 1.0])
+    with pytest.raises(ValueError, match="equally long"):
+        build([0, 1], [1.0])
+    with pytest.raises(ValueError, match="width must be in 1..63"):
+        build([0], width=64)
+    with pytest.raises(ValueError, match="width must be in 1..63"):
+        Distribution(0, {}, PROBABILITY)
+    with pytest.raises(ValueError, match="not both"):
+        Distribution(1, {"0": 1.0}, COUNTS, indices=np.array([0]),
+                     values=np.array([1.0]))
+    with pytest.raises(ValueError, match="both indices and values"):
+        Distribution(1, None, COUNTS, indices=np.array([0]))
+    # the widest register an int64 index holds
+    wide = build([2**62, 3], width=63)
+    assert list(wide.entries) == ["1" + "0" * 62, "0" * 61 + "11"]
+
+
+def test_total_shots_checked_for_array_counts():
+    with pytest.raises(ValueError, match="total_shots=7 but entries sum to 6"):
+        Distribution(2, None, COUNTS, 7, indices=np.array([0, 3]),
+                     values=np.array([2.0, 4.0]))
+
+
+def test_entries_is_a_lazy_read_only_view_in_arrival_order():
+    dist = Distribution(3, None, PROBABILITY, indices=np.array([6, 1, 3]),
+                        values=np.array([0.25, 0.5, 0.25]))
+    assert len(dist.entries) == 3
+    assert list(dist.entries) == ["110", "001", "011"]
+    assert dist.entries == {"001": 0.5, "011": 0.25, "110": 0.25}
+    assert "011" in dist.entries and "111" not in dist.entries
+    with pytest.raises(TypeError):
+        dist.entries["111"] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        dist.values[0] = 1.0
+    indices, values = dist.sorted_arrays()
+    assert indices.tolist() == [1, 3, 6] and values.tolist() == [0.5, 0.25, 0.25]
+    # equality ignores arrival order, like the dict it stands for
+    assert dist == Distribution(3, {"001": 0.5, "011": 0.25, "110": 0.25},
+                                PROBABILITY)
+    assert dist != Distribution(3, {"001": 0.5, "011": 0.25, "111": 0.25},
+                                PROBABILITY)
+
+
+def test_sums_run_left_to_right_in_entry_order():
+    values = [0.1, 0.2, 0.3, 0.4, 1e-17, 0.7]
+    forward = Distribution(3, None, PROBABILITY, indices=np.arange(6),
+                           values=np.array(values))
+    backward = Distribution(3, None, PROBABILITY, indices=np.arange(5, -1, -1),
+                            values=np.array(values[::-1]))
+    assert forward.total() == sum(values)
+    assert backward.total() == sum(values[::-1])
+    assert forward.total() != backward.total()  # so the order is observable
+
+
 def test_validate_checks_probability_sum():
     Distribution(1, {"0": 0.5, "1": 0.5}, PROBABILITY).validate()
     with pytest.raises(ValueError, match="sum to"):
@@ -72,10 +171,40 @@ def test_counts_csv_round_trip(tmp_path):
     assert back.total_shots == 16
 
 
+def _csv_by_row(dist: Distribution) -> str:
+    """The per-row writer write_counts_csv replaced, kept as its oracle."""
+    return "state,counts\n" + "".join(f"{state},{int(dist.entries[state])}\n"
+                                       for state in sorted(dist.entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.sampled_from([0, 1, 2, _FORMAT_EACH, _FORMAT_EACH + 1,
+                             _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]),
+       data=st.data())
+def test_write_counts_csv_matches_per_row_writer(tmp_path_factory, size, data):
+    width = data.draw(st.integers(max(1, (size - 1).bit_length()), 24))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    indices = rng.choice(1 << width, size, replace=False)  # arrival order unsorted
+    values = rng.integers(1, data.draw(st.sampled_from([2, 50, MAX_SHOTS])), size)
+    dist = Distribution(width, None, COUNTS, indices=indices, values=values)
+    path = tmp_path_factory.mktemp("csv") / "counts.csv"
+    write_counts_csv(dist, path)
+    # compared as lists of lines: pytest's diff of two long strings is slow
+    assert path.read_text(encoding="utf-8").split("\n") == _csv_by_row(dist).split("\n")
+
+
 def test_write_counts_csv_rejects_probabilities(tmp_path):
     probs = Distribution(1, {"0": 1.0}, PROBABILITY)
     with pytest.raises(ValueError, match="counts"):
         write_counts_csv(probs, tmp_path / "x.csv")
+
+
+def test_csv_keeps_file_order(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("state,probability\n11,0.25\n00,0.5\n10,0.25\n")
+    dist = read_distribution_csv(path)
+    assert dist.indices.tolist() == [3, 0, 2]
+    assert list(dist.entries) == ["11", "00", "10"]
 
 
 def test_read_probability_csv(tmp_path):

@@ -15,12 +15,11 @@ from liarsim import statevec
 from liarsim.circuit import (NEGATED, POSITIVE, Circuit, Gate, ccx, cnot, cp,
                              h, p, save_circuit, x)
 from liarsim.cli import main
-from liarsim.dist import COUNTS, PROBABILITY, Distribution
+from liarsim.dist import COUNTS, PROBABILITY, Distribution, bitstrings
 from liarsim.statevec import (DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS, apply_gate,
                               apply_pauli, basis_state, bit_of, bitstring,
-                              bitstrings, init_zero, probabilities,
-                              run_circuit, sample_counts, state_norm,
-                              z_expectation)
+                              init_zero, probabilities, run_circuit,
+                              sample_counts, state_norm, z_expectation)
 
 from noise_oracle import gate_matrix, pauli_matrix
 
@@ -111,6 +110,10 @@ def test_bitstrings_match_bitstring():
         indices = np.unique(np.array([0, 1, top // 3, top - 1, top]) & top)
         assert bitstrings(indices, width) == [bitstring(int(i), width)
                                               for i in indices]
+    # past the size where the rendering switches to one NumPy pass
+    indices = np.random.default_rng(3).choice(1 << MAX_QUBITS, 300, replace=False)
+    assert bitstrings(indices, MAX_QUBITS) == [bitstring(int(i), MAX_QUBITS)
+                                               for i in indices]
     assert bitstrings(np.array([], dtype=np.int64), 4) == []
 
 
@@ -395,6 +398,17 @@ def test_sample_counts_reproducible_and_complete():
     assert shifted.entries != first.entries
     with pytest.raises(ValueError):
         sample_counts(state, 0, seed=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_probabilities_reject_non_finite_amplitudes(bad):
+    # a NaN total passes an "abs(total - 1) > tol" test, and NaN entries fail
+    # every ">= drop_below" test, so this must be checked explicitly
+    state = statevec.StateVector(2, np.array([bad, 1.0, 0.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="probabilities sum to"):
+        probabilities(state)
+    with pytest.raises(ValueError, match="probabilities sum to"):
+        probabilities(state, drop_below=0.0)
 
 
 @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10**20])
