@@ -36,8 +36,8 @@ from .hardware_model import (MAX_GRAPH_NODES, CouplingGraph, NoiseProfile,
 from .logic_ops import (MAX_PAIRS, fixed_point_report, truth_table,
                         verification_suite)
 from .metrics import MetricsConfig, full_report
-from .statevec import (DEFAULT_SEED, MAX_QUBITS, probabilities, run_circuit,
-                       sample_counts)
+from .statevec import (DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS, probabilities,
+                       run_circuit, sample_counts)
 
 USAGE_EXIT = 1
 VERIFY_EXIT = 2
@@ -45,6 +45,7 @@ IO_EXIT = 3
 
 TRUTHTABLE_MAX_PAIRS = 6
 BUNDLED_GRAPH_ARG = "bundled:heavy-hex"
+_LIARS = {"liar-reference": build_liar_reference, "liar-literal": build_liar_literal}
 
 
 class CliError(Exception):
@@ -192,19 +193,38 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _emit(payload: dict, args, pretty_lines: list[str]) -> None:
-    """Write canonical JSON to --out if given; stdout gets the pretty text
-    under --pretty, otherwise the JSON (suppressed when --out already has it).
-    The whole document is rendered before --out is opened, so a failed
-    render leaves no file."""
-    pieces = _document(payload)
+def _emit(args, config: dict, inputs: dict, fields: dict, pretty) -> None:
+    """Write the report: the envelope (command, config, seed, inputs) plus the
+    command's fields.  Canonical JSON goes to --out if given; stdout gets the
+    lines pretty() returns under --pretty, the only case that calls it, and
+    otherwise the JSON (suppressed when --out already has it).  Everything is
+    rendered before --out is opened, so a failed render leaves no file."""
+    pieces = _document({"command": args.subcommand, "config": config,
+                        "seed": args.seed, "inputs": inputs, **fields})
+    text = "\n".join(pretty()) + "\n" if args.pretty else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
     if args.pretty:
-        sys.stdout.write("\n".join(pretty_lines) + "\n")
+        sys.stdout.write(text)
     elif not args.out:
         sys.stdout.writelines(pieces)
+
+
+def _read_input(source: str, load, inputs: dict, missing: str,
+                unparsable: str) -> tuple:
+    """load(path) of the input file at source, and str(path); its sha256 goes
+    into inputs.  A missing file exits 3 with the message missing, and a
+    ValueError from load with "<unparsable>: <error>"."""
+    path = Path(source)
+    if not path.is_file():
+        raise CliError(IO_EXIT, missing)
+    try:
+        value = load(path)
+    except ValueError as exc:
+        raise CliError(IO_EXIT, f"{unparsable}: {exc}") from exc
+    inputs[str(path)] = _sha256_file(path)
+    return value, str(path)
 
 
 def _parse_noise(text: str, seed: int) -> NoiseProfile:
@@ -237,10 +257,8 @@ def _noise_dict(profile: NoiseProfile) -> dict:
 
 def _resolve_circuit(args, inputs: dict) -> tuple[Circuit, str]:
     name = args.circuit
-    if name == "liar-reference":
-        return build_liar_reference(), name
-    if name == "liar-literal":
-        return build_liar_literal(), name
+    if name in _LIARS:
+        return _LIARS[name](), name
     if name == "general":
         if not 1 <= args.pairs <= MAX_QUBITS:
             raise CliError(USAGE_EXIT,
@@ -249,16 +267,10 @@ def _resolve_circuit(args, inputs: dict) -> tuple[Circuit, str]:
         circuit = build_general(PairLayout.default(args.pairs), mode,
                                 with_phase=args.with_phase)
         return circuit, f"general(pairs={args.pairs}, mode={args.mode})"
-    path = Path(name)
-    if not path.is_file():
-        raise CliError(IO_EXIT, f"no such circuit: {name} (expected a named "
-                                f"circuit or a circuit JSON file)")
-    try:
-        circuit = load_circuit(path)
-    except ValueError as exc:
-        raise CliError(IO_EXIT, f"cannot parse circuit file {name}: {exc}") from exc
-    inputs[str(path)] = _sha256_file(path)
-    return circuit, str(path)
+    return _read_input(name, load_circuit, inputs,
+                       f"no such circuit: {name} (expected a named circuit "
+                       f"or a circuit JSON file)",
+                       f"cannot parse circuit file {name}")
 
 
 def cmd_simulate(args) -> int:
@@ -266,8 +278,9 @@ def cmd_simulate(args) -> int:
         raise CliError(USAGE_EXIT, "--noise requires --shots")
     if args.csv is not None and args.shots is None:
         raise CliError(USAGE_EXIT, "--csv requires --shots")
-    if args.shots is not None and args.shots < 1:
-        raise CliError(USAGE_EXIT, f"--shots must be >= 1, got {args.shots}")
+    if args.shots is not None and not 1 <= args.shots <= MAX_SHOTS:
+        raise CliError(USAGE_EXIT,
+                       f"--shots must be in 1..{MAX_SHOTS}, got {args.shots}")
 
     inputs: dict = {}
     circuit, source = _resolve_circuit(args, inputs)
@@ -289,38 +302,34 @@ def cmd_simulate(args) -> int:
         write_counts_csv(counts, args.csv)
 
     census = gate_census(circuit)
-    payload = {
-        "command": "simulate",
-        "config": {
-            "circuit": source,
-            "pairs": args.pairs if args.circuit == "general" else None,
-            "mode": args.mode if args.circuit == "general" else None,
-            "with_phase": args.with_phase if args.circuit == "general" else None,
-            "shots": args.shots,
-            "noise": _noise_dict(profile) if profile else None,
-        },
-        "seed": args.seed,
-        "inputs": inputs,
+    general = args.circuit == "general"
+    config = {
+        "circuit": source,
+        "pairs": args.pairs if general else None,
+        "mode": args.mode if general else None,
+        "with_phase": args.with_phase if general else None,
+        "shots": args.shots,
+        "noise": _noise_dict(profile) if profile else None,
+    }
+
+    def pretty():
+        lines = [f"circuit: {source} ({circuit.num_qubits} qubits, "
+                 f"{len(circuit.gates)} gates, depth {census.depth})",
+                 "probabilities:"]
+        lines += [f"  {s}  {p:.12f}" for s, p in sorted(probs.entries.items())]
+        if counts is not None:
+            noise_tag = " (noisy)" if profile else ""
+            lines.append(f"counts over {args.shots} shots{noise_tag}, seed {args.seed}:")
+            lines += [f"  {s}  {int(c)}" for s, c in sorted(counts.entries.items())]
+        return lines
+
+    _emit(args, config, inputs, {
         "num_qubits": circuit.num_qubits,
         "gate_count": len(circuit.gates),
         "census": dataclasses.asdict(census),
         "probabilities": probs,
         "counts": counts,
-    }
-
-    pretty = []
-    if args.pretty:  # one line per outcome: not worth building for JSON only
-        pretty = [f"circuit: {source} ({circuit.num_qubits} qubits, "
-                  f"{len(circuit.gates)} gates, depth {census.depth})",
-                  "probabilities:"]
-        for state_str, p in sorted(probs.entries.items()):
-            pretty.append(f"  {state_str}  {p:.12f}")
-        if counts is not None:
-            noise_tag = " (noisy)" if profile else ""
-            pretty.append(f"counts over {args.shots} shots{noise_tag}, seed {args.seed}:")
-            for state_str, count in sorted(counts.entries.items()):
-                pretty.append(f"  {state_str}  {int(count)}")
-    _emit(payload, args, pretty)
+    }, pretty)
     return 0
 
 
@@ -335,24 +344,22 @@ def cmd_verify(args) -> int:
     fixed = fixed_point_report(args.pairs)
     all_passed = all(c.passed for c in checks)
 
-    payload = {
-        "command": "verify",
-        "config": {"pairs": args.pairs},
-        "seed": args.seed,
-        "inputs": {},
+    def pretty():
+        lines = [f"identity suite on {args.pairs} pair(s):"]
+        for c in checks:
+            status = "PASS" if c.passed else "FAIL"
+            lines.append(f"  {status}  {c.name}  (max deviation {c.max_deviation:.3e})")
+            if c.detail:
+                lines.append(f"        {c.detail}")
+        lines.append(fixed.note)
+        lines.append("all checks passed" if all_passed else "SOME CHECKS FAILED")
+        return lines
+
+    _emit(args, {"pairs": args.pairs}, {}, {
         "checks": [dataclasses.asdict(c) for c in checks],
         "all_passed": all_passed,
         "fixed_points": dataclasses.asdict(fixed),
-    }
-    pretty = [f"identity suite on {args.pairs} pair(s):"]
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        pretty.append(f"  {status}  {c.name}  (max deviation {c.max_deviation:.3e})")
-        if c.detail:
-            pretty.append(f"        {c.detail}")
-    pretty.append(fixed.note)
-    pretty.append("all checks passed" if all_passed else "SOME CHECKS FAILED")
-    _emit(payload, args, pretty)
+    }, pretty)
     if not all_passed:
         raise CliError(VERIFY_EXIT, "verification failed")
     return 0
@@ -370,18 +377,11 @@ def _resolve_distribution(source: str, column: str, inputs: dict) -> tuple[Distr
                            f"choose from {', '.join(bundled_table_names())}")
         wanted = PROBABILITY if column == "auto" else column
         return load_reference_table(arm, column=wanted), source
-    if source in ("liar-reference", "liar-literal"):
-        builder = build_liar_reference if source == "liar-reference" else build_liar_literal
-        return probabilities(run_circuit(builder())), source
-    path = Path(source)
-    if not path.is_file():
-        raise CliError(IO_EXIT, f"no such distribution file: {source}")
-    try:
-        dist = read_distribution_csv(path, column=column)
-    except ValueError as exc:
-        raise CliError(IO_EXIT, f"cannot parse {source}: {exc}") from exc
-    inputs[str(path)] = _sha256_file(path)
-    return dist, str(path)
+    if source in _LIARS:
+        return probabilities(run_circuit(_LIARS[source]())), source
+    return _read_input(source, functools.partial(read_distribution_csv, column=column),
+                       inputs, f"no such distribution file: {source}",
+                       f"cannot parse {source}")
 
 
 def cmd_metrics(args) -> int:
@@ -396,18 +396,36 @@ def cmd_metrics(args) -> int:
     )
     report = full_report(experimental, ideal, config)
 
-    payload = {
-        "command": "metrics",
-        "config": {
-            "exp": args.exp,
-            "ideal": args.ideal,
-            "column": args.column,
-            "consistent_set": list(config.consistent_set) if config.consistent_set else None,
-            "paradox_set": list(config.paradox_set) if config.paradox_set else None,
-            "flag_index": config.flag_index,
-        },
-        "seed": args.seed,
-        "inputs": inputs,
+    def pretty():
+        def fmt(value, digits=6):
+            return "n/a" if value is None else f"{value:.{digits}f}"
+
+        lines = [
+            f"experimental: {exp_source} ({experimental.kind})",
+            f"ideal:        {ideal_source} ({ideal.kind})",
+            f"F_C(experimental) = {fmt(report.f_c_experimental)}",
+            f"F_C(ideal)        = {fmt(report.f_c_ideal)}",
+            f"D_TV              = {fmt(report.d_tv)}",
+            f"R_I               = {fmt(report.r_i)}"
+            + (f"   ({report.r_i_note})" if report.r_i_note else ""),
+            f"chi2 statistic    = {fmt(report.chi2_statistic, 4)}"
+            + (f"  dof {report.chi2_dof}  p {fmt(report.chi2_p_value, 4)}"
+               if report.chi2_statistic is not None else ""),
+        ]
+        if report.chi2_note:
+            lines.append(f"chi2 note: {report.chi2_note}")
+        lines.append(f"<Z_flag>(experimental) = {fmt(report.z_flag_experimental)}")
+        lines.append(f"<Z_flag>(ideal)        = {fmt(report.z_flag_ideal)}")
+        return lines
+
+    _emit(args, {
+        "exp": args.exp,
+        "ideal": args.ideal,
+        "column": args.column,
+        "consistent_set": list(config.consistent_set) if config.consistent_set else None,
+        "paradox_set": list(config.paradox_set) if config.paradox_set else None,
+        "flag_index": config.flag_index,
+    }, inputs, {
         "sources": {
             "experimental": {"source": exp_source, "kind": experimental.kind,
                              "total": experimental.total()},
@@ -415,28 +433,7 @@ def cmd_metrics(args) -> int:
                       "total": ideal.total()},
         },
         "report": report.to_dict(),
-    }
-
-    def fmt(value, digits=6):
-        return "n/a" if value is None else f"{value:.{digits}f}"
-
-    pretty = [
-        f"experimental: {exp_source} ({experimental.kind})",
-        f"ideal:        {ideal_source} ({ideal.kind})",
-        f"F_C(experimental) = {fmt(report.f_c_experimental)}",
-        f"F_C(ideal)        = {fmt(report.f_c_ideal)}",
-        f"D_TV              = {fmt(report.d_tv)}",
-        f"R_I               = {fmt(report.r_i)}"
-        + (f"   ({report.r_i_note})" if report.r_i_note else ""),
-        f"chi2 statistic    = {fmt(report.chi2_statistic, 4)}"
-        + (f"  dof {report.chi2_dof}  p {fmt(report.chi2_p_value, 4)}"
-           if report.chi2_statistic is not None else ""),
-    ]
-    if report.chi2_note:
-        pretty.append(f"chi2 note: {report.chi2_note}")
-    pretty.append(f"<Z_flag>(experimental) = {fmt(report.z_flag_experimental)}")
-    pretty.append(f"<Z_flag>(ideal)        = {fmt(report.z_flag_ideal)}")
-    _emit(payload, args, pretty)
+    }, pretty)
     return 0
 
 
@@ -450,15 +447,8 @@ def _resolve_graph(source: str, size: int | None, needed: int,
     if source in ("linear", "ring"):
         node_count = size if size is not None else needed  # n + 1 >= 3 nodes
         return make_graph(source, size=node_count), f"{source}({node_count})"
-    path = Path(source)
-    if not path.is_file():
-        raise CliError(IO_EXIT, f"no such graph file: {source}")
-    try:
-        graph = make_graph("from_file", path=path)
-    except ValueError as exc:
-        raise CliError(IO_EXIT, f"cannot parse graph {source}: {exc}") from exc
-    inputs[str(path)] = _sha256_file(path)
-    return graph, str(path)
+    return _read_input(source, lambda path: make_graph("from_file", path=path), inputs,
+                       f"no such graph file: {source}", f"cannot parse graph {source}")
 
 
 def cmd_estimate(args) -> int:
@@ -483,18 +473,26 @@ def cmd_estimate(args) -> int:
 
     estimate = routing_estimate(circuit, graph, layout=layout, profile=profile)
 
-    payload = {
-        "command": "estimate",
-        "config": {
-            "n": args.n,
-            "pairs": pairs,
-            "graph": args.graph,
-            "graph_size": args.graph_size,
-            "layout": list(layout) if layout else None,
-            "noise": _noise_dict(profile),
-        },
-        "seed": args.seed,
-        "inputs": inputs,
+    def pretty():
+        return [
+            f"general circuit, {pairs} pair(s) ({args.n} statement qubits, "
+            f"{circuit.num_qubits} total with flag)",
+            f"graph: {graph_source} ({graph.num_nodes} nodes, "
+            f"{len(graph.edges)} edges, max degree {graph.max_degree()})",
+            f"g_2q = {estimate.g_2q}   g_1q = {estimate.g_1q}   depth = {estimate.depth}",
+            f"mean interaction distance = {estimate.mean_distance:.4f}",
+            f"swap overhead (CNOT-equivalents, forward+back) = {estimate.swap_overhead_cnots}",
+            f"fidelity estimate = {estimate.fidelity:.6f}",
+        ]
+
+    _emit(args, {
+        "n": args.n,
+        "pairs": pairs,
+        "graph": args.graph,
+        "graph_size": args.graph_size,
+        "layout": list(layout) if layout else None,
+        "noise": _noise_dict(profile),
+    }, inputs, {
         "graph": {
             "source": graph_source,
             "num_nodes": graph.num_nodes,
@@ -503,18 +501,7 @@ def cmd_estimate(args) -> int:
             "connected": graph.is_connected(),
         },
         "estimate": estimate.to_dict(),
-    }
-    pretty = [
-        f"general circuit, {pairs} pair(s) ({args.n} statement qubits, "
-        f"{circuit.num_qubits} total with flag)",
-        f"graph: {graph_source} ({graph.num_nodes} nodes, "
-        f"{len(graph.edges)} edges, max degree {graph.max_degree()})",
-        f"g_2q = {estimate.g_2q}   g_1q = {estimate.g_1q}   depth = {estimate.depth}",
-        f"mean interaction distance = {estimate.mean_distance:.4f}",
-        f"swap overhead (CNOT-equivalents, forward+back) = {estimate.swap_overhead_cnots}",
-        f"fidelity estimate = {estimate.fidelity:.6f}",
-    ]
-    _emit(payload, args, pretty)
+    }, pretty)
     return 0
 
 
@@ -542,6 +529,7 @@ def cmd_truthtable(args) -> int:
         "circuit_flag": r.circuit_flag,
         "diverges": r.diverges,
     } for r, c, res in zip(rows, *pair_bits)]
+    divergent = sum(1 for r in rows if r.diverges)
 
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
@@ -549,27 +537,19 @@ def cmd_truthtable(args) -> int:
             writer.writeheader()
             writer.writerows(row_dicts)
 
-    payload = {
-        "command": "truthtable",
-        "config": {"pairs": m, "flag_in": args.flag_in},
-        "seed": args.seed,
-        "inputs": {},
-        "rows": row_dicts,
-        "divergent_rows": sum(1 for r in rows if r.diverges),
-    }
-    pretty = []
-    if args.pretty:  # one line per row: not worth building for JSON only
-        pretty = [f"truth table, {m} pair(s), flag_in={args.flag_in}:",
-                  f"{'c':>{m}} {'r':>{m}} flag_in rule circuit "
-                  f"diverges classification"]
-        for r in row_dicts:
-            pretty.append(
-                f"{r['contradictions']:>{m}} {r['resolutions']:>{m}} "
-                f"{r['flag_in']:>7} {r['rule_flag']:>4} {r['circuit_flag']:>7} "
-                f"{'yes' if r['diverges'] else '.':>8} {r['classification']}"
-            )
-        pretty.append(f"{payload['divergent_rows']} divergent row(s)")
-    _emit(payload, args, pretty)
+    def pretty():
+        lines = [f"truth table, {m} pair(s), flag_in={args.flag_in}:",
+                 f"{'c':>{m}} {'r':>{m}} flag_in rule circuit "
+                 f"diverges classification"]
+        lines += [f"{r['contradictions']:>{m}} {r['resolutions']:>{m}} "
+                  f"{r['flag_in']:>7} {r['rule_flag']:>4} {r['circuit_flag']:>7} "
+                  f"{'yes' if r['diverges'] else '.':>8} {r['classification']}"
+                  for r in row_dicts]
+        lines.append(f"{divergent} divergent row(s)")
+        return lines
+
+    _emit(args, {"pairs": m, "flag_in": args.flag_in}, {},
+          {"rows": row_dicts, "divergent_rows": divergent}, pretty)
     return 0
 
 

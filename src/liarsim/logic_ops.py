@@ -143,29 +143,27 @@ def basis_map(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
 
     X, CNOT, CCX, P and CP each send a basis state to one basis state times a
     phase, so the circuit takes input i to out_index[i] with amplitude
-    phase[i].  All 2**n inputs go through each gate at once, by the monomial
-    step of the simulator's sparse run.
+    phase[i].  All 2**n inputs go through each gate at once, by the
+    simulator's support run.
     """
     n = circuit.num_qubits
     if n > statevec.MAX_QUBITS:
         raise ValueError(f"basis_map capped at {statevec.MAX_QUBITS} qubits, got {n}")
     if any(gate.kind == "H" for gate in circuit.gates):
         raise ValueError("basis_map needs a circuit without H gates")
-    out_index = np.arange(1 << n, dtype=np.int64)
-    phase = np.ones(1 << n, dtype=np.complex128)
-    for gate in circuit.gates:
-        statevec._monomial_step(gate, out_index, phase)
-    return out_index, phase
+    return statevec._run_support(circuit, np.arange(1 << n, dtype=np.int64),
+                                 np.ones(1 << n, dtype=np.complex128))
 
 
 def _flag_map(mode: str, num_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """basis_map of the mode's circuit on the 2**(2m+1) pair-register-plus-
-    flag basis inputs, ancillas at 0.  The default layout holds the pair
+    flag basis inputs alone, ancillas at 0.  The default layout holds the pair
     register in bits 0..2m-1 and the flag in bit 2m, so input a | f << 2m is
     assignment a with flag f, and bit 2m of its output is the flag out."""
-    out_index, phase = basis_map(build_general(PairLayout.default(num_pairs), mode))
     size = 1 << (2 * num_pairs + 1)
-    return out_index[:size], phase[:size]
+    return statevec._run_support(build_general(PairLayout.default(num_pairs), mode),
+                                 np.arange(size, dtype=np.int64),
+                                 np.ones(size, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gammaincc
 
-from .dist import COUNTS, PROBABILITY, Distribution
+from .dist import COUNTS, PROBABILITY, Distribution, bitstrings
 from .statevec import bit_of
 
 DEFAULT_CONSISTENT = ("1001", "1010")
@@ -184,9 +185,9 @@ class MetricsConfig:
         if paradox is None:
             if width > 16:
                 raise ValueError("complement paradox set too large; pass it explicitly")
-            skip = {int(s, 2) for s in consistent}
-            paradox = tuple(format(i, f"0{width}b")
-                            for i in range(1 << width) if i not in skip)
+            keep = np.ones(1 << width, dtype=bool)
+            keep[[int(s, 2) for s in consistent]] = False
+            paradox = tuple(bitstrings(np.flatnonzero(keep), width))
             if not paradox:
                 raise ValueError("paradox_set must not be empty")
         else:

@@ -180,18 +180,26 @@ def _sparse_h(target: int, index: np.ndarray, amps: np.ndarray):
     return np.concatenate((keys, keys | bit)), np.concatenate((lo, hi))
 
 
-def _run_sparse(circuit: Circuit) -> StateVector:
-    """run_circuit from |0...0> on the support alone, scattered into the
-    dense array at the end."""
-    state = init_zero(circuit.num_qubits)
-    index = np.zeros(1, dtype=np.int64)
-    amps = np.ones(1, dtype=np.complex128)
+def _run_support(circuit: Circuit, index: np.ndarray, amps: np.ndarray):
+    """Push the basis states in the int64 array index, whose amplitudes are
+    amps, through the circuit: H by _sparse_h, every other gate by
+    _monomial_step.  Works in place where the gates allow; returns the final
+    indices and amplitudes."""
     for gate in circuit.gates:
         _check_fits(gate, circuit.num_qubits)
         if gate.kind == "H":
             index, amps = _sparse_h(gate.targets[0], index, amps)
         else:
             _monomial_step(gate, index, amps)
+    return index, amps
+
+
+def _run_sparse(circuit: Circuit) -> StateVector:
+    """run_circuit from |0...0> on the support alone, scattered into the
+    dense array at the end."""
+    state = init_zero(circuit.num_qubits)
+    index, amps = _run_support(circuit, np.zeros(1, dtype=np.int64),
+                               np.ones(1, dtype=np.complex128))
     state.amplitudes[0] = 0.0
     state.amplitudes[index] = amps
     return state

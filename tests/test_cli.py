@@ -141,6 +141,16 @@ def test_simulate_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_simulate_rejects_too_many_shots_before_simulating(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_circuit called")
+
+    monkeypatch.setattr("liarsim.cli.run_circuit", refuse)
+    assert main(["simulate", "general", "--pairs", "11", "--shots", "2147483648"]) == 1
+    assert capsys.readouterr().err == (
+        "liarsim simulate: --shots must be in 1..2147483647, got 2147483648\n")
+
+
 def test_simulate_missing_circuit_file_is_io_error(capsys):
     assert main(["simulate", "/no/such/file.json"]) == 3
     assert "no such circuit" in capsys.readouterr().err
@@ -314,6 +324,16 @@ def test_estimate_rejects_odd_or_small_n(capsys):
     capsys.readouterr()
 
 
+def test_malformed_graph_file_is_parse_error(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("0 x\n", encoding="utf-8")
+    code, out, err = call(["estimate", "--n", "2", "--graph", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"liarsim estimate: cannot parse graph {path}: ")
+    check_outcome(["estimate"], code, err)
+
+
 def test_estimate_layout_and_graph_errors(capsys):
     assert main(["estimate", "--n", "4", "--graph-size", "2"]) == 1
     assert main(["estimate", "--n", "4", "--layout", "0,1,x"]) == 1
@@ -391,6 +411,28 @@ def test_missing_subcommand_exits_one():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def test_every_report_carries_the_envelope(capsys, tmp_path):
+    circuit = Path(write_circuit(tmp_path / "c.json", GOOD_CIRCUIT))
+    counts = tmp_path / "counts.csv"
+    counts.write_text("state,counts\n1001,60\n1010,40\n", encoding="utf-8")
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\n1 2\n", encoding="utf-8")
+    commands = {
+        "simulate": (["simulate", str(circuit), "--shots", "8"], [circuit]),
+        "verify": (["verify", "--pairs", "1"], []),
+        "metrics": (["metrics", "--exp", str(counts), "--ideal", str(counts)], [counts]),
+        "estimate": (["estimate", "--n", "2", "--graph", str(graph)], [graph]),
+        "truthtable": (["truthtable"], []),
+    }
+    for command, (argv, files) in commands.items():
+        payload = run_json(capsys, argv + ["--seed", "42"])
+        assert payload["command"] == command
+        assert payload["seed"] == 42
+        assert isinstance(payload["config"], dict) and payload["config"]
+        assert payload["inputs"] == {
+            str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
 
 
 def test_out_files_are_byte_identical_across_reruns(capsys, tmp_path):
@@ -485,14 +527,20 @@ def test_canonical_json_matches_indented_reference(payload):
     reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
                            allow_nan=False, default=_json_default) + "\n"
     assert canonical_json(payload) == reference
-    # the report writer streams the same text to --out, or else to stdout
+    # the report writer streams the same text, in its envelope, to --out, or
+    # else to stdout
+    report = {"command": "verify", "config": payload, "inputs": {}, "seed": 7}
+    reference = json.dumps(_strict_numbers(report), indent=2, sort_keys=True,
+                           allow_nan=False, default=_json_default) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        _emit(payload, argparse.Namespace(out=str(out), pretty=False), [])
+        _emit(argparse.Namespace(subcommand="verify", seed=7, out=str(out),
+                                 pretty=False), payload, {}, {}, None)
         assert out.read_bytes().decode("utf-8") == reference
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        _emit(payload, argparse.Namespace(out=None, pretty=False), [])
+        _emit(argparse.Namespace(subcommand="verify", seed=7, out=None,
+                                 pretty=False), payload, {}, {}, None)
     assert stdout.getvalue() == reference
 
 
@@ -544,11 +592,25 @@ def test_distribution_renders_as_json_dumps_of_its_entries(dist, pad):
         indent=2, sort_keys=True).split("\n") + [""]
 
 
+def test_emit_builds_pretty_text_only_under_pretty(tmp_path, capsys):
+    def pretty():
+        raise AssertionError("pretty text built without --pretty")
+
+    out = tmp_path / "report.json"
+    for target in (None, str(out)):
+        _emit(argparse.Namespace(subcommand="verify", seed=3, out=target,
+                                 pretty=False), {"pairs": 1}, {}, {"x": 1}, pretty)
+    assert json.loads(out.read_text(encoding="utf-8")) == json.loads(capsys.readouterr().out)
+    _emit(argparse.Namespace(subcommand="verify", seed=3, out=None, pretty=True),
+          {}, {}, {}, lambda: ["one", "two"])
+    assert capsys.readouterr().out == "one\ntwo\n"
+
+
 def test_failed_render_leaves_no_out_file(tmp_path):
     out = tmp_path / "report.json"
     with pytest.raises(TypeError, match="not JSON serializable"):
-        _emit({"a": 1, "z": {"k": object()}},
-              argparse.Namespace(out=str(out), pretty=False), [])
+        _emit(argparse.Namespace(subcommand="verify", seed=0, out=str(out),
+                                 pretty=False), {}, {}, {"a": 1, "z": {"k": object()}}, None)
     assert not out.exists()
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from liarsim import statevec
 from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE, Circuit,
                              PairLayout, build_general, ccx, cnot, cp, h, p, x)
-from liarsim.logic_ops import (FULLY_CONSISTENT, FULLY_INCONSISTENT,
+from liarsim.logic_ops import (_flag_map, FULLY_CONSISTENT, FULLY_INCONSISTENT,
                                INCONSISTENCY_DETECTED, LOCALLY_RESOLVED,
                                MAX_PAIRS, basis_map, classical_rule,
                                contradiction_projector, fixed_point_report,
@@ -164,6 +164,17 @@ def test_basis_map_matches_statevector(circuit):
 def test_basis_map_rejects_h():
     with pytest.raises(ValueError, match="H"):
         basis_map(Circuit(2, [x(0), h(1)]))
+
+
+@pytest.mark.parametrize("mode", [PARITY, OR_ACCUMULATE])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_flag_map_is_the_full_map_on_pair_and_flag_inputs(mode, m):
+    # the full 2**n map sliced to its first 2**(2m+1) inputs, as the oracle
+    out_index, phase = basis_map(build_general(PairLayout.default(m), mode))
+    size = 1 << (2 * m + 1)
+    got_index, got_phase = _flag_map(mode, m)
+    assert np.array_equal(got_index, out_index[:size])
+    assert np.array_equal(got_phase, phase[:size])
 
 
 def _dense_identity_checks(m):

@@ -231,6 +231,28 @@ def test_config_requires_explicit_set_off_width_4():
     assert flag == 2
 
 
+@pytest.mark.parametrize("width", range(1, 17))
+def test_default_paradox_set_is_the_complement_in_index_order(width):
+    rng = np.random.default_rng(width)
+    everything = [format(i, f"0{width}b") for i in range(1 << width)]
+    for size in {1, min(3, (1 << width) - 1), (1 << width) - 1}:
+        picked = rng.choice(1 << width, size, replace=False)
+        consistent = tuple(everything[i] for i in picked)
+        # the per-index format loop the mask replaced, as the oracle
+        skip = {int(s, 2) for s in consistent}
+        expected = tuple(format(i, f"0{width}b")
+                         for i in range(1 << width) if i not in skip)
+        got = MetricsConfig(consistent_set=consistent).resolve(width)
+        assert got == (consistent, expected, width - 1)
+    with pytest.raises(ValueError, match="paradox_set must not be empty"):
+        MetricsConfig(consistent_set=tuple(everything)).resolve(width)
+
+
+def test_default_paradox_set_stays_capped_at_16_qubits():
+    with pytest.raises(ValueError, match="complement paradox set too large"):
+        MetricsConfig(consistent_set=("0" * 17,)).resolve(17)
+
+
 def test_full_report_bundled_pinned_values():
     hw = load_reference_table("hardware")
     sim = load_reference_table("simulation")
