@@ -13,13 +13,13 @@ Every failure prints one "liarsim <subcommand>: <message>" line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .dist import (COUNTS, PROBABILITY, Distribution, bitstrings,
 from .hardware_model import (MAX_GRAPH_NODES, CouplingGraph, NoiseProfile,
                              load_bundled_graph, make_graph, noisy_sample,
                              routing_estimate)
-from .logic_ops import (MAX_PAIRS, fixed_point_report, truth_table,
+from .logic_ops import (_LABELS, MAX_PAIRS, _truth_columns, fixed_point_report,
                         verification_suite)
 from .metrics import MetricsConfig, full_report
 from .statevec import (DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS, probabilities,
@@ -44,6 +44,8 @@ VERIFY_EXIT = 2
 IO_EXIT = 3
 
 TRUTHTABLE_MAX_PAIRS = 6
+_TRUTHTABLE_COLUMNS = ("contradictions", "resolutions", "flag_in", "rule_flag",
+                       "classification", "circuit_flag", "diverges")
 BUNDLED_GRAPH_ARG = "bundled:heavy-hex"
 _LIARS = {"liar-reference": build_liar_reference, "liar-literal": build_liar_literal}
 
@@ -512,44 +514,36 @@ def cmd_truthtable(args) -> int:
     if not 1 <= args.pairs <= TRUTHTABLE_MAX_PAIRS:
         raise CliError(USAGE_EXIT,
                        f"--pairs must be in 1..{TRUTHTABLE_MAX_PAIRS}, got {args.pairs}")
-    rows = truth_table(args.pairs, flag_in=args.flag_in)
-    m = args.pairs
+    m, flag_in = args.pairs, args.flag_in
+    inputs, rule_flags, labels, circuit_flags = _truth_columns(m, flag_in)
+    diverges = rule_flags != circuit_flags
+    divergent = int(diverges.sum())
+    # one tuple per assignment in _TRUTHTABLE_COLUMNS order; each pair
+    # register half as a bitstring, highest pair index leftmost
+    pairs = (1 << m) - 1
+    rows = list(zip(bitstrings(inputs & pairs, m), bitstrings((inputs >> m) & pairs, m),
+                    repeat(flag_in), rule_flags.tolist(),
+                    [_LABELS[label] for label in labels.tolist()],
+                    circuit_flags.tolist(), diverges.tolist()))
 
-    # each pair-bit tuple as a bitstring, highest pair index leftmost
-    weights = 1 << np.arange(m)
-    pair_bits = [bitstrings(np.array([getattr(r, column) for r in rows]) @ weights, m)
-                 for column in ("contradictions", "resolutions")]
-
-    row_dicts = [{
-        "contradictions": c,
-        "resolutions": res,
-        "flag_in": r.flag_in,
-        "rule_flag": r.rule_flag,
-        "classification": r.label,
-        "circuit_flag": r.circuit_flag,
-        "diverges": r.diverges,
-    } for r, c, res in zip(rows, *pair_bits)]
-    divergent = sum(1 for r in rows if r.diverges)
-
-    if args.csv:
+    if args.csv:  # no field holds a comma, quote or line break: none is quoted
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(row_dicts[0].keys()))
-            writer.writeheader()
-            writer.writerows(row_dicts)
+            fh.write(",".join(_TRUTHTABLE_COLUMNS) + "\r\n")
+            fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
 
     def pretty():
-        lines = [f"truth table, {m} pair(s), flag_in={args.flag_in}:",
+        lines = [f"truth table, {m} pair(s), flag_in={flag_in}:",
                  f"{'c':>{m}} {'r':>{m}} flag_in rule circuit "
                  f"diverges classification"]
-        lines += [f"{r['contradictions']:>{m}} {r['resolutions']:>{m}} "
-                  f"{r['flag_in']:>7} {r['rule_flag']:>4} {r['circuit_flag']:>7} "
-                  f"{'yes' if r['diverges'] else '.':>8} {r['classification']}"
-                  for r in row_dicts]
+        lines += [f"{c:>{m}} {r:>{m}} {flag:>7} {rule:>4} {circuit:>7} "
+                  f"{'yes' if diverge else '.':>8} {label}"
+                  for c, r, flag, rule, label, circuit, diverge in rows]
         lines.append(f"{divergent} divergent row(s)")
         return lines
 
-    _emit(args, {"pairs": m, "flag_in": args.flag_in}, {},
-          {"rows": row_dicts, "divergent_rows": divergent}, pretty)
+    _emit(args, {"pairs": m, "flag_in": flag_in}, {},
+          {"rows": [dict(zip(_TRUTHTABLE_COLUMNS, row)) for row in rows],
+           "divergent_rows": divergent}, pretty)
     return 0
 
 

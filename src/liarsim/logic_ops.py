@@ -10,11 +10,14 @@ elementwise to machine precision.  The public builders return the same
 diagonals as dense matrices, capped at dimension 1024 (5 pairs).
 
 The flag circuits contain no H, so each maps a basis state to one basis
-state times a phase; basis_map pushes all basis inputs through such a
-circuit at once instead of simulating them one at a time.  The classical
-rule has one core, _rule, which reads the flag output and label of any
-number of pair+flag basis inputs off their violated-pair and contradiction
-bitmasks; classical_rule, truth_table and the suite all run it.
+state times a phase; _flag_map pushes every pair+flag basis input through
+such a circuit at once, by the simulator's support run, instead of
+simulating them one at a time.  The classical rule has one core, _rule,
+which reads the flag output and label of any number of pair+flag basis
+inputs off their violated-pair and contradiction bitmasks; classical_rule,
+the suite and the truth-table columns all run it.  The truth table has one
+core too, _truth_columns, which returns its columns as arrays: truth_table
+builds its rows from them and the CLI renders them directly.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec
-from .circuit import (OR_ACCUMULATE, PARITY, Circuit, PairLayout,
-                      build_general)
+from .circuit import OR_ACCUMULATE, PARITY, PairLayout, build_general
 
 MAX_PAIRS = 5
 _MAX_DENSE_QUBITS = 10  # dim 1024
@@ -138,28 +140,12 @@ def taylor_exponential(op: np.ndarray, terms: int = 48) -> np.ndarray:
     return acc
 
 
-def basis_map(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """Image of every basis input under a circuit without H gates.
-
-    X, CNOT, CCX, P and CP each send a basis state to one basis state times a
-    phase, so the circuit takes input i to out_index[i] with amplitude
-    phase[i].  All 2**n inputs go through each gate at once, by the
-    simulator's support run.
-    """
-    n = circuit.num_qubits
-    if n > statevec.MAX_QUBITS:
-        raise ValueError(f"basis_map capped at {statevec.MAX_QUBITS} qubits, got {n}")
-    if any(gate.kind == "H" for gate in circuit.gates):
-        raise ValueError("basis_map needs a circuit without H gates")
-    return statevec._run_support(circuit, np.arange(1 << n, dtype=np.int64),
-                                 np.ones(1 << n, dtype=np.complex128))
-
-
 def _flag_map(mode: str, num_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """basis_map of the mode's circuit on the 2**(2m+1) pair-register-plus-
-    flag basis inputs alone, ancillas at 0.  The default layout holds the pair
-    register in bits 0..2m-1 and the flag in bit 2m, so input a | f << 2m is
-    assignment a with flag f, and bit 2m of its output is the flag out."""
+    """Image of each of the 2**(2m+1) pair-register-plus-flag basis inputs,
+    ancillas at 0, under the mode's circuit: its output index and phase.  The
+    default layout holds the pair register in bits 0..2m-1 and the flag in
+    bit 2m, so input a | f << 2m is assignment a with flag f, and bit 2m of
+    its output is the flag out."""
     size = 1 << (2 * num_pairs + 1)
     return statevec._run_support(build_general(PairLayout.default(num_pairs), mode),
                                  np.arange(size, dtype=np.int64),
@@ -228,14 +214,10 @@ class TruthTableRow:
     diverges: bool
 
 
-def truth_table(num_pairs: int, flag_in: int = 1) -> list[TruthTableRow]:
-    """Exhaustive rule-vs-parity-circuit comparison over all 4**m assignments.
-
-    Each row pairs the classical flag rule with the flag bit the parity
-    circuit produces on the same basis input.  The two disagree exactly on
-    even nonzero violation counts, where the cascade's second flip undoes
-    the first; the diverges column makes those rows easy to pick out.
-    """
+def _truth_columns(num_pairs: int, flag_in: int):
+    """The truth table as int64 arrays over the 4**m assignments in index
+    order: the pair+flag basis inputs, the rule's flag output, the _LABELS
+    index and the parity circuit's flag output."""
     if num_pairs < 1:
         raise ValueError(f"need num_pairs >= 1, got {num_pairs}")
     if 2 * num_pairs + 1 > statevec.MAX_QUBITS:
@@ -246,7 +228,19 @@ def truth_table(num_pairs: int, flag_in: int = 1) -> list[TruthTableRow]:
     inputs = np.arange(4 ** m) | flag_in << (2 * m)
     rule_flags, labels = _rule(m, inputs)
     out_index, _ = _flag_map(PARITY, m)
-    circuit_flags = (out_index[inputs] >> (2 * m)) & 1
+    return inputs, rule_flags, labels, (out_index[inputs] >> (2 * m)) & 1
+
+
+def truth_table(num_pairs: int, flag_in: int = 1) -> list[TruthTableRow]:
+    """Exhaustive rule-vs-parity-circuit comparison over all 4**m assignments.
+
+    Each row pairs the classical flag rule with the flag bit the parity
+    circuit produces on the same basis input.  The two disagree exactly on
+    even nonzero violation counts, where the cascade's second flip undoes
+    the first; the diverges column makes those rows easy to pick out.
+    """
+    inputs, rule_flags, labels, circuit_flags = _truth_columns(num_pairs, flag_in)
+    m = num_pairs
     bits = ((inputs[:, None] >> np.arange(2 * m)) & 1).tolist()
     return [TruthTableRow(tuple(row[:m]), tuple(row[m:]), flag_in, rule_flag,
                           _LABELS[label], circuit_flag, circuit_flag != rule_flag)

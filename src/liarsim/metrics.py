@@ -1,28 +1,30 @@
 """Coherence metrics over outcome distributions.
 
-Mass metrics (consistency fidelity, total variation, interference
-suppression) take probability entries exactly as stored: counts distributions
-are normalized by their shot totals, probability distributions are trusted as
-given.  The flag polarization z_flag normalizes by total observed mass so
-that z = 1 - 2*P(flag=1) holds identically.
+Metrics read a distribution's index and value arrays: counts divided by
+total_shots, probabilities exactly as stored (no silent renormalization).
+Outcome sets become int64 indices once; the default paradox set is an index
+mask, rendered as bitstrings only for the report.  Sums run left to right: D_TV
+and chi-squared bins in ascending state order, F_C and R_I in set order, totals
+and z_flag (over total mass, so z = 1 - 2*P(flag=1) holds) in entry order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.special import gammaincc
 
-from .dist import COUNTS, PROBABILITY, Distribution, bitstrings
-from .statevec import bit_of
+from .dist import COUNTS, Distribution, bitstrings
 
 DEFAULT_CONSISTENT = ("1001", "1010")
 _MIN_EXPECTED = 5.0  # chi-squared bins expecting fewer counts are pooled
 
 
-def _check_states(states, width: int, what: str) -> tuple[str, ...]:
+def _check_states(states, width: int, what: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The states as a tuple and as int64 indices, in the order given."""
     states = tuple(states)
     if not states:
         raise ValueError(f"{what} must not be empty")
@@ -31,14 +33,35 @@ def _check_states(states, width: int, what: str) -> tuple[str, ...]:
             raise ValueError(f"bad state {s!r} in {what} for width {width}")
     if len(set(states)) != len(states):
         raise ValueError(f"duplicate states in {what}")
-    return states
+    return states, np.array([int(s, 2) for s in states], dtype=np.int64)
+
+
+def _probabilities(dist: Distribution) -> np.ndarray:
+    """dist.values in entry order, counts divided by total_shots."""
+    if dist.kind == COUNTS and not dist.total_shots:
+        raise ValueError("cannot normalize an empty counts distribution")
+    return dist.values / float(dist.total_shots) if dist.kind == COUNTS else dist.values
+
+
+def _mass(dist: Distribution, states: np.ndarray) -> float:
+    """dist's probability mass on states (int64 indices), summed in their order."""
+    _, at_state, at_entry = np.intersect1d(states, dist.indices, assume_unique=True,
+                                           return_indices=True)
+    return float(sum(_probabilities(dist)[at_entry[np.argsort(at_state)]].tolist()))
+
+
+def _aligned(p: Distribution, a: np.ndarray, q: Distribution, b: np.ndarray):
+    """a and b, the values of p's and q's entries, on their ascending union."""
+    states = np.union1d(p.indices, q.indices)
+    out = np.zeros((2, states.size))
+    out[0, np.searchsorted(states, p.indices)] = a
+    out[1, np.searchsorted(states, q.indices)] = b
+    return out
 
 
 def consistency_fidelity(dist: Distribution, consistent_set) -> float:
     """Probability mass on the designated consistent outcomes."""
-    states = _check_states(consistent_set, dist.width, "consistent_set")
-    probs = dist.as_probabilities()
-    return float(sum(probs.get(s, 0.0) for s in states))
+    return _mass(dist, _check_states(consistent_set, dist.width, "consistent_set")[1])
 
 
 def tv_distance(p: Distribution, q: Distribution) -> float:
@@ -46,10 +69,8 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     summed in ascending state order so the float result is reproducible."""
     if p.width != q.width:
         raise ValueError(f"width mismatch: {p.width} vs {q.width}")
-    a = p.as_probabilities()
-    b = q.as_probabilities()
-    return 0.5 * float(sum(abs(a.get(k, 0.0) - b.get(k, 0.0))
-                           for k in sorted(a.keys() | b.keys())))
+    a, b = _aligned(p, _probabilities(p), q, _probabilities(q))
+    return 0.5 * float(sum(np.abs(a - b).tolist()))
 
 
 def interference_suppression(experimental: Distribution, ideal: Distribution,
@@ -61,22 +82,18 @@ def interference_suppression(experimental: Distribution, ideal: Distribution,
     """
     if experimental.width != ideal.width:
         raise ValueError("width mismatch between experimental and ideal")
-    states = _check_states(paradox_set, ideal.width, "paradox_set")
-    return _suppression(experimental, ideal, states)
+    return _suppression(experimental, ideal,
+                        _check_states(paradox_set, ideal.width, "paradox_set")[1])
 
 
 def _suppression(experimental: Distribution, ideal: Distribution,
-                 states: tuple[str, ...]) -> float:
+                 states: np.ndarray) -> float:
     """interference_suppression on an already validated paradox set."""
-    exp_p = experimental.as_probabilities()
-    ideal_p = ideal.as_probabilities()
-    denom = sum(ideal_p.get(s, 0.0) for s in states)
+    numer = _mass(experimental, states)
+    denom = _mass(ideal, states)
     if denom < 1e-12:
-        raise ValueError(
-            "interference suppression is undefined: ideal paradox mass "
-            f"{denom:.3e} is below 1e-12"
-        )
-    numer = sum(exp_p.get(s, 0.0) for s in states)
+        raise ValueError("interference suppression is undefined: ideal paradox "
+                         f"mass {denom:.3e} is below 1e-12")
     return float(1.0 - numer / denom)
 
 
@@ -84,11 +101,11 @@ def z_flag(dist: Distribution, flag_index: int) -> float:
     """Flag polarization P(flag=0) - P(flag=1), normalized by total mass."""
     if not 0 <= flag_index < dist.width:
         raise ValueError(f"flag index {flag_index} out of range for width {dist.width}")
-    probs = dist.as_probabilities()
-    total = sum(probs.values())
+    probs = _probabilities(dist)
+    total = sum(probs.tolist())
     if total <= 0.0:
         raise ValueError("empty distribution has no flag marginal")
-    mass_one = sum(v for s, v in probs.items() if bit_of(s, flag_index))
+    mass_one = sum(probs[(dist.indices >> flag_index) & 1 == 1].tolist())
     return float((total - 2.0 * mass_one) / total)
 
 
@@ -108,8 +125,9 @@ def chi_squared_gof(observed: Distribution, expected: Distribution) -> Chi2Resul
     """Pearson chi-squared test of observed counts against expected shape.
 
     Bins with expected count below 5 are pooled into one residual bin;
-    dof = bins_after_pooling - 1.  Sums run in ascending state order.  The
-    p-value is the regularized upper incomplete gamma Q(dof/2, statistic/2).
+    dof = bins_after_pooling - 1.  Bins are summed in ascending state order,
+    the expected shape's total in entry order.  The p-value is the
+    regularized upper incomplete gamma Q(dof/2, statistic/2).
     The expected distribution is normalized to a unit-sum shape, so a
     degenerate single-bin pooling always yields statistic 0 and p-value 1.
     """
@@ -121,26 +139,22 @@ def chi_squared_gof(observed: Distribution, expected: Distribution) -> Chi2Resul
     if not shots:
         raise ValueError("observed distribution has zero shots")
 
-    shape = expected.as_probabilities()
-    shape_total = sum(shape.values())
+    shape = _probabilities(expected)
+    shape_total = sum(shape.tolist())
     if shape_total <= 0.0:
         raise ValueError("expected distribution has no mass")
-    shape = {k: v / shape_total for k, v in shape.items()}
+    exp_counts, obs_counts = _aligned(expected, shape / shape_total * shots,
+                                      observed, observed.values)
 
-    counts = dict(observed.entries.items())
-    keys = sorted(shape.keys() | counts.keys())
-    exp_counts = {k: shape.get(k, 0.0) * shots for k in keys}
-    obs_counts = {k: counts.get(k, 0.0) for k in keys}
-
-    big = [k for k in keys if exp_counts[k] >= _MIN_EXPECTED]
-    small = [k for k in keys if exp_counts[k] < _MIN_EXPECTED]
-    statistic = sum(
-        (obs_counts[k] - exp_counts[k]) ** 2 / exp_counts[k] for k in big
-    )
-    bins = len(big)
-    if small:
-        pooled_expected = sum(exp_counts[k] for k in small)
-        pooled_observed = sum(obs_counts[k] for k in small)
+    big = exp_counts >= _MIN_EXPECTED
+    diffs = (obs_counts - exp_counts)[big].tolist()
+    # pow() squares as float ** 2 does, by libm pow: NumPy's square can differ
+    squares = np.fromiter(map(pow, diffs, repeat(2)), float)
+    statistic = sum((squares / exp_counts[big]).tolist())
+    bins, pooled = int(big.sum()), int((~big).sum())
+    if pooled:
+        pooled_expected = sum(exp_counts[~big].tolist())
+        pooled_observed = sum(obs_counts[~big].tolist())
         bins += 1
         if pooled_expected > 0.0:
             statistic += (pooled_observed - pooled_expected) ** 2 / pooled_expected
@@ -155,7 +169,7 @@ def chi_squared_gof(observed: Distribution, expected: Distribution) -> Chi2Resul
         p_value = 0.0
     else:
         p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
-    return Chi2Result(float(statistic), dof, p_value, bins, len(small))
+    return Chi2Result(float(statistic), dof, p_value, bins, pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -172,30 +186,32 @@ class MetricsConfig:
     flag_index: int | None = None
 
     def resolve(self, width: int) -> tuple[tuple[str, ...], tuple[str, ...], int]:
+        return self._resolve(width)[:3]
+
+    def _resolve(self, width: int):
+        """resolve(width) plus both sets as int64 indices, in listed order."""
         consistent = self.consistent_set
         if consistent is None:
             if width != 4:
-                raise ValueError(
-                    "no default consistent set for width "
-                    f"{width}; pass consistent_set explicitly"
-                )
+                raise ValueError(f"no default consistent set for width {width}; "
+                                 "pass consistent_set explicitly")
             consistent = DEFAULT_CONSISTENT
-        consistent = _check_states(consistent, width, "consistent_set")
-        paradox = self.paradox_set
-        if paradox is None:
+        consistent, consistent_idx = _check_states(consistent, width, "consistent_set")
+        if self.paradox_set is None:
             if width > 16:
                 raise ValueError("complement paradox set too large; pass it explicitly")
             keep = np.ones(1 << width, dtype=bool)
-            keep[[int(s, 2) for s in consistent]] = False
-            paradox = tuple(bitstrings(np.flatnonzero(keep), width))
+            keep[consistent_idx] = False
+            paradox_idx = np.flatnonzero(keep)
+            paradox = tuple(bitstrings(paradox_idx, width))
             if not paradox:
                 raise ValueError("paradox_set must not be empty")
         else:
-            paradox = _check_states(paradox, width, "paradox_set")
+            paradox, paradox_idx = _check_states(self.paradox_set, width, "paradox_set")
         flag = self.flag_index if self.flag_index is not None else width - 1
         if not 0 <= flag < width:
             raise ValueError(f"flag index {flag} out of range for width {width}")
-        return consistent, paradox, flag
+        return consistent, paradox, flag, consistent_idx, paradox_idx
 
 
 @dataclass(frozen=True)
@@ -217,23 +233,8 @@ class MetricsReport:
     z_flag_ideal: float
 
     def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "consistent_set": list(self.consistent_set),
-            "paradox_set": list(self.paradox_set),
-            "flag_index": self.flag_index,
-            "f_c_experimental": self.f_c_experimental,
-            "f_c_ideal": self.f_c_ideal,
-            "d_tv": self.d_tv,
-            "r_i": self.r_i,
-            "r_i_note": self.r_i_note,
-            "chi2_statistic": self.chi2_statistic,
-            "chi2_dof": self.chi2_dof,
-            "chi2_p_value": self.chi2_p_value,
-            "chi2_note": self.chi2_note,
-            "z_flag_experimental": self.z_flag_experimental,
-            "z_flag_ideal": self.z_flag_ideal,
-        }
+        return {**vars(self), "consistent_set": list(self.consistent_set),
+                "paradox_set": list(self.paradox_set)}
 
 
 def full_report(experimental: Distribution, ideal: Distribution,
@@ -244,19 +245,18 @@ def full_report(experimental: Distribution, ideal: Distribution,
     with a reason when their preconditions fail (no ideal paradox mass or no
     observed counts, respectively); everything else always computes.
     """
-    if experimental.width != ideal.width:
+    width = experimental.width
+    if width != ideal.width:
         raise ValueError("width mismatch between experimental and ideal")
-    consistent, paradox, flag = config.resolve(experimental.width)
+    consistent, paradox, flag, consistent_idx, paradox_idx = config._resolve(width)
 
-    r_i = None
-    r_i_note = None
+    r_i = r_i_note = None
     try:
-        r_i = _suppression(experimental, ideal, paradox)
+        r_i = _suppression(experimental, ideal, paradox_idx)
     except ValueError as exc:
         r_i_note = str(exc)
 
-    chi2_stat = chi2_dof = chi2_p = None
-    chi2_note = None
+    chi2_stat = chi2_dof = chi2_p = chi2_note = None
     if experimental.kind == COUNTS:
         chi2 = chi_squared_gof(experimental, ideal)
         chi2_stat, chi2_dof, chi2_p = chi2.statistic, chi2.dof, chi2.p_value
@@ -264,12 +264,12 @@ def full_report(experimental: Distribution, ideal: Distribution,
         chi2_note = "chi-squared needs observed counts; experimental data is probabilities"
 
     return MetricsReport(
-        width=experimental.width,
+        width=width,
         consistent_set=consistent,
         paradox_set=paradox,
         flag_index=flag,
-        f_c_experimental=consistency_fidelity(experimental, consistent),
-        f_c_ideal=consistency_fidelity(ideal, consistent),
+        f_c_experimental=_mass(experimental, consistent_idx),
+        f_c_ideal=_mass(ideal, consistent_idx),
         d_tv=tv_distance(experimental, ideal),
         r_i=r_i,
         r_i_note=r_i_note,

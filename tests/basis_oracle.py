@@ -1,7 +1,8 @@
 """Scalar oracles for the flag circuits and the classical rule.
 
 The circuit oracles run one basis state at a time through
-`statevec.apply_gate`, a route that shares no code with `logic_ops.basis_map`;
+`statevec.apply_gate`, a route that shares no code with the support run
+`statevec._run_support` that `logic_ops._flag_map` calls;
 `reference_rule` evaluates the classical rule one assignment at a time in
 plain Python, sharing no code with the bitmask core `logic_ops._rule`.  The
 exhaustive rule-vs-circuit tests therefore do not depend on the vectorized

@@ -20,9 +20,11 @@ from liarsim import cli, hardware_model, statevec
 from liarsim.circuit import GATE_KINDS, NEGATED, POSITIVE, load_circuit
 from liarsim.cli import (_emit, _indented, _json_default, _strict_numbers,
                          canonical_json, main)
-from liarsim.dist import _CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY, Distribution
+from liarsim.dist import (_CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY, Distribution,
+                          read_distribution_csv)
 from liarsim.hardware_model import MAX_GRAPH_NODES
 from liarsim.logic_ops import CheckResult
+from liarsim.metrics import chi_squared_gof
 from liarsim.statevec import DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS
 
 ENVELOPE_KEYS = {"command", "config", "seed", "inputs"}
@@ -277,6 +279,58 @@ def test_metrics_on_unsorted_csv_sums_in_file_order(tmp_path, monkeypatch):
                                   "b173da17e83209bfd7c1bf1d8a313804")
 
 
+def test_metrics_12_qubit_reports_are_pinned(tmp_path, monkeypatch):
+    # Two noisy OR m=3 samples: 743 of the 858 outcomes in either expect
+    # fewer than 5 counts, so chi-squared pools them.  The first report takes
+    # the default paradox set (4095 states), the second explicit sets listed
+    # out of index order.
+    monkeypatch.chdir(tmp_path)  # the report names the CSVs by path
+    for seed, name in (("5", "exp.csv"), ("6", "ideal.csv")):
+        assert main(["simulate", "general", "--pairs", "3", "--mode", "or",
+                     "--noise", "1e-3,1e-2,0.15", "--shots", "4096", "--seed", seed,
+                     "--csv", name, "--out", "s.json"]) == 0
+    chi2 = chi_squared_gof(read_distribution_csv("exp.csv"),
+                           read_distribution_csv("ideal.csv"))
+    assert chi2.pooled_bins == 743
+    assert main(["metrics", "--exp", "exp.csv", "--ideal", "ideal.csv",
+                 "--consistent-set", "000000000000", "--out", "m.json"]) == 0
+    assert _sha256("m.json") == ("a27c1818345a63a6818d65a1c24314c0"
+                                 "966d5809dc1961036c05a86a160a23d6")
+    assert main(["metrics", "--exp", "exp.csv", "--ideal", "ideal.csv",
+                 "--consistent-set", "000000000001,000000000000,100000000000",
+                 "--paradox-set", "100000000001,000000000100,100000000000,000000000011",
+                 "--out", "m2.json"]) == 0
+    assert _sha256("m2.json") == ("8becf5378dc60fa6ec4927feda45c7c9"
+                                  "f93d4c8a911db12d4f6176c65f0f5f8a")
+
+
+ZERO_COUNTS = "state,counts\n1001,0\n1010,0\n"
+
+
+@pytest.mark.parametrize("files,argv,code,message", [
+    ({"zero.csv": ZERO_COUNTS}, ["--exp", "zero.csv"], 1,
+     "observed distribution has zero shots"),
+    ({"zero.csv": ZERO_COUNTS, "obs.csv": "state,counts\n1001,6\n1010,4\n"},
+     ["--exp", "obs.csv", "--ideal", "zero.csv"], 1,
+     "cannot normalize an empty counts distribution"),
+    ({"zero.csv": ZERO_COUNTS}, ["--exp", "bundled:hardware", "--ideal", "zero.csv"], 1,
+     "cannot normalize an empty counts distribution"),
+    ({"zero.csv": "state,probability\n1001,0.0\n1010,0.0\n"}, ["--exp", "zero.csv"], 3,
+     "cannot parse zero.csv: probabilities sum to 0.000000, outside 1 +- 1e-06"),
+], ids=["zero-counts-exp", "zero-counts-ideal", "zero-counts-ideal-probability-exp",
+        "zero-probabilities"])
+def test_metrics_error_paths_keep_their_messages(files, argv, code, message,
+                                                 tmp_path, monkeypatch, capsys):
+    # full_report tries R_I first and keeps its error as a note; the first
+    # metric that cannot catch one (chi-squared, else F_C) names the cause
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    assert main(["metrics", *argv]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"liarsim metrics: {message}\n")
+
+
 def test_metrics_default_ideal_is_exact_circuit(capsys):
     payload = run_json(capsys, ["metrics", "--exp", "bundled:hardware"])
     report = payload["report"]
@@ -370,27 +424,42 @@ def test_truthtable_divergence_and_csv(capsys, tmp_path):
 
 
 PINNED_TRUTHTABLE = {  # sha256 of --out and --csv, from the per-row renderer
-    1: ("6b473c002d4a52139efc22dbcd53979f0ed46b1df6be149b6a913c6a8d81b789",
-        "929e6e989a3ec7a5b6701fb4b5aa3081cd4f06f00ed87187f4bb09c07e46dde3"),
-    2: ("aab71d2209ea3dc0c735e23fc2baaf7534456b68bf3d11d366598fa9b1d7e866",
-        "294e0c485b897e4207f5e637da075daa4b1e2d299b5e0a8b4a16e37b432d6c7a"),
-    3: ("309111b26d9da2aa10c95155091b23c43d38142b7e6cf5235af950e8a381a89d",
-        "ca0d79e5b87271ae5ebec84c3ddee0bc887c0cdf12575b51159891b32556448b"),
-    4: ("d136fb215f0036a7ffb9efe2d418affc9a588df32fdeb2b6f32b74d998d885ed",
-        "07dc8417e79a2a49b81d6e9041b120de0b7165a686d8a2d24b572b2817e4449b"),
-    5: ("951b57d6f545e1c49372bbd95cd293d8681a954c38ba23b6dfa1626fe766c6c9",
-        "93f4b8d6b4e4cdd5426c8d261a1214206f438df9e5d1fa56075729e745bdddea"),
-    6: ("f4d35ac7ff2d70b3ef43a75a1a0a6baabedcc0b0bcf5ac21fe3fb616fa31bcf9",
-        "de8d9a851a6be34213c087854b1227438223bb8fdb857320094c7729ed63d781"),
+    (1, 1): ("6b473c002d4a52139efc22dbcd53979f0ed46b1df6be149b6a913c6a8d81b789",
+             "929e6e989a3ec7a5b6701fb4b5aa3081cd4f06f00ed87187f4bb09c07e46dde3"),
+    (2, 1): ("aab71d2209ea3dc0c735e23fc2baaf7534456b68bf3d11d366598fa9b1d7e866",
+             "294e0c485b897e4207f5e637da075daa4b1e2d299b5e0a8b4a16e37b432d6c7a"),
+    (3, 1): ("309111b26d9da2aa10c95155091b23c43d38142b7e6cf5235af950e8a381a89d",
+             "ca0d79e5b87271ae5ebec84c3ddee0bc887c0cdf12575b51159891b32556448b"),
+    (4, 1): ("d136fb215f0036a7ffb9efe2d418affc9a588df32fdeb2b6f32b74d998d885ed",
+             "07dc8417e79a2a49b81d6e9041b120de0b7165a686d8a2d24b572b2817e4449b"),
+    (5, 1): ("951b57d6f545e1c49372bbd95cd293d8681a954c38ba23b6dfa1626fe766c6c9",
+             "93f4b8d6b4e4cdd5426c8d261a1214206f438df9e5d1fa56075729e745bdddea"),
+    (6, 1): ("f4d35ac7ff2d70b3ef43a75a1a0a6baabedcc0b0bcf5ac21fe3fb616fa31bcf9",
+             "de8d9a851a6be34213c087854b1227438223bb8fdb857320094c7729ed63d781"),
+    (1, 0): ("707759158d8a97bdf9b49610e8ff9d10838ffa350f59c969e6a8c3db3a14157a",
+             "b97ba5687d5468f131b78a2378ecd5fa74b9dc02c4492d1057f09df90a56ee47"),
+    (2, 0): ("74580cc24a9942c428a8545ca2bc218607f63d8b0c0daa9703b1b6d4d99308e9",
+             "59dfd207a9eda39cee01d685408e48716b9bfd4a9e5531de5e71811beea9e857"),
+    (3, 0): ("762e0d73255f06075cae765a24c333f63281b3ccd7f067f7c3d813219cffc36a",
+             "772ab6bbee5bfff4d165fa63aa0851abef81ddf4005aa0c07bf30c6cf921068b"),
+    (4, 0): ("d59f33408dc75128ea2dc0e9c233300e578b62c6ba4b42d259535ec14e8596d7",
+             "8608c0238a20c89e6bdf79d84c76005452ddc0ae972c715294cc3a68b74108ca"),
+    (5, 0): ("e4acf143a5776a329ef3c143356909bbb73bb7352f3dd1952ea3c94583b6bdbf",
+             "e930f4e1c30bd0a6b246214ad3c4dcc836728d5d519f941b65fce261c4a3cc07"),
+    (6, 0): ("779d1cc57fdc2ca57a80a7a3b05249a37e15f46d7fab598e629e155d6c9b6fca",
+             "6d018ade05d4ae8ee33feeade92ddb75c1b0304250da394c53ca74d42594cc6a"),
 }
 
 
-@pytest.mark.parametrize("pairs", sorted(PINNED_TRUTHTABLE))
-def test_truthtable_bytes_are_pinned(pairs, tmp_path):
+# the default --flag-in 1 keeps its plain pair-count ids
+@pytest.mark.parametrize("pairs,flag_in", [
+    pytest.param(pairs, flag_in, id=str(pairs) if flag_in else f"{pairs}-flag_in0")
+    for pairs, flag_in in sorted(PINNED_TRUTHTABLE)])
+def test_truthtable_bytes_are_pinned(pairs, flag_in, tmp_path):
     out, table = tmp_path / "t.json", tmp_path / "t.csv"
-    assert main(["truthtable", "--pairs", str(pairs), "--out", str(out),
-                 "--csv", str(table)]) == 0
-    assert (_sha256(out), _sha256(table)) == PINNED_TRUTHTABLE[pairs]
+    assert main(["truthtable", "--pairs", str(pairs), "--flag-in", str(flag_in),
+                 "--out", str(out), "--csv", str(table)]) == 0
+    assert (_sha256(out), _sha256(table)) == PINNED_TRUTHTABLE[pairs, flag_in]
 
 
 def test_truthtable_cap(capsys):

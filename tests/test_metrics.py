@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import metrics_oracle as oracle
 from liarsim.dist import COUNTS, PROBABILITY, Distribution, load_reference_table
 from liarsim.metrics import (DEFAULT_CONSISTENT, MetricsConfig,
                              chi_squared_gof, consistency_fidelity,
@@ -286,3 +289,85 @@ def test_full_report_notes_zero_ideal_paradox_mass():
 def test_full_report_width_mismatch():
     with pytest.raises(ValueError, match="width"):
         full_report(prob_dist(1, {"0": 1.0}), prob_dist(2, {"00": 1.0}))
+
+
+# ---------------------------------------------------------------------------
+# the array metrics against the dict-based oracle
+
+@st.composite
+def metric_inputs(draw):
+    """Two distributions of one width (counts or probabilities, built from a
+    mapping in random arrival order, or from arrays) and a MetricsConfig
+    whose explicit sets list their states out of index order."""
+    width = draw(st.integers(1, 12))
+    dim = 1 << width
+
+    def distribution():
+        kind = draw(st.sampled_from([COUNTS, PROBABILITY]))
+        states = draw(st.lists(st.integers(0, dim - 1), min_size=1,
+                               max_size=min(dim, 40), unique=True))
+        if kind == COUNTS:
+            value = st.one_of(st.integers(0, 3), st.integers(0, 10**6)).map(float)
+        else:
+            value = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 0.1]))
+        values = draw(st.lists(value, min_size=len(states), max_size=len(states)))
+        if draw(st.booleans()):
+            return Distribution(width, None, kind, indices=np.array(states),
+                                values=np.array(values))
+        return Distribution(width, {format(s, f"0{width}b"): v
+                                    for s, v in zip(states, values)}, kind)
+
+    experimental, ideal = distribution(), distribution()
+    # sets drawn mostly from the two supports, so that they carry mass
+    pool = sorted(set(experimental.indices.tolist()) | set(ideal.indices.tolist()))
+    state = st.one_of(st.sampled_from(pool), st.integers(0, dim - 1))
+
+    def state_set(min_size):
+        picked = draw(st.lists(state, min_size=min(min_size, dim),
+                               max_size=min(dim, 8), unique=True))
+        return tuple(format(s, f"0{width}b") for s in picked)
+
+    config = MetricsConfig(
+        consistent_set=state_set(1),
+        paradox_set=state_set(3) if draw(st.booleans()) else None,
+        flag_index=draw(st.one_of(st.none(), st.integers(0, width - 1))),
+    )
+    return experimental, ideal, config
+
+
+def _outcome(metric, *args):
+    try:
+        return "value", metric(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _assert_same(metric, reference, *args):
+    got, want = _outcome(metric, *args), _outcome(reference, *args)
+    # == alone would let -0.0 stand for 0.0; repr tells them apart
+    assert got == want and repr(got) == repr(want), (metric.__name__, args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric_inputs())
+# a chi-squared statistic whose last bit changes if a bin is squared by NumPy
+# (x * x) instead of by float ** 2 (libm pow)
+@example((counts_dist(1, {"0": 361.0, "1": 178.0}),
+          prob_dist(1, {"0": 0.7183322416287425, "1": 0.28166775837125746}),
+          MetricsConfig(consistent_set=("0",))))
+def test_array_metrics_equal_the_dict_oracle(inputs):
+    experimental, ideal, config = inputs
+    _assert_same(full_report, oracle.full_report, experimental, ideal, config)
+    _assert_same(tv_distance, oracle.tv_distance, experimental, ideal)
+    for dist in (experimental, ideal):
+        _assert_same(consistency_fidelity, oracle.consistency_fidelity,
+                     dist, config.consistent_set)
+        _assert_same(z_flag, oracle.z_flag, dist, experimental.width - 1)
+        if config.flag_index is not None:
+            _assert_same(z_flag, oracle.z_flag, dist, config.flag_index)
+    if config.paradox_set is not None:
+        _assert_same(interference_suppression, oracle.interference_suppression,
+                     experimental, ideal, config.paradox_set)
+    for observed, expected in ((experimental, ideal), (ideal, experimental)):
+        if observed.kind == COUNTS:
+            _assert_same(chi_squared_gof, oracle.chi_squared_gof, observed, expected)
