@@ -213,6 +213,9 @@ def routing_estimate(circuit: Circuit, graph: CouplingGraph,
     census = gate_census(expanded)
 
     if layout is None:
+        if circuit.num_qubits > graph.num_nodes:
+            raise ValueError(f"circuit has {circuit.num_qubits} qubits but the "
+                             f"graph has only {graph.num_nodes} nodes")
         layout = tuple(range(circuit.num_qubits))
     layout = tuple(int(q) for q in layout)
     if len(layout) != circuit.num_qubits:

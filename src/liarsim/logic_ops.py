@@ -149,7 +149,7 @@ def _flag_map(mode: str, num_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     size = 1 << (2 * num_pairs + 1)
     return statevec._run_support(build_general(PairLayout.default(num_pairs), mode),
                                  np.arange(size, dtype=np.int64),
-                                 np.ones(size, dtype=np.complex128))
+                                 np.ones(size, dtype=np.complex128))[:2]
 
 
 # ---------------------------------------------------------------------------

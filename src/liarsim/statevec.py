@@ -1,4 +1,4 @@
-"""Statevector simulation: a dense kernel, and a sparse run for few-H circuits.
+"""Statevector simulation: a dense kernel, and a support run for sparse states.
 
 Amplitudes live in a flat complex128 array of length 2**n.  Qubit k is bit k
 of the array index; canonical bitstrings therefore read q_{n-1} ... q_0 from
@@ -9,11 +9,13 @@ between them, then acts in place on basic-slice views of that shape; no
 built straight from the index and value arrays; no bitstring is rendered.
 
 X, CNOT, CCX, P and CP each map a basis state to one basis state times a
-phase, so from |0...0> a circuit with h H gates never holds more than 2**h
-nonzero amplitudes.  When that bound is small against 2**n, run_circuit keeps
-only the support (int64 indices and their amplitudes) and scatters it into
-the dense array after the last gate.  Its arithmetic is the dense kernel's,
-in the same order, so both runs give equal amplitudes.
+phase, so an H is the only gate that can grow the set of nonzero amplitudes,
+and it at most doubles it.  From |0...0> on a wide register run_circuit keeps
+only that support (int64 indices and their amplitudes) until an H could take
+it past 2**n >> _SPARSE_HEADROOM states; it then scatters the support into the
+dense array and runs the remaining gates on the dense kernel.  The support
+run's arithmetic is the dense kernel's, in the same order, so both give equal
+amplitudes.
 """
 
 from __future__ import annotations
@@ -31,10 +33,14 @@ DEFAULT_SEED = 1234
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# Crossover of the sparse run, measured on 50-gate circuits with the H gates
-# first (the support's worst case), 2-core x86 host: at 12 qubits the sparse
-# run takes 0.84x the dense time with h = n - 3 H gates and 1.00x with n - 2;
-# at 11 qubits it saves at most 10%, at 10 qubits nothing.
+# The support run holds at most 2**n >> _SPARSE_HEADROOM states.  The bound
+# is the measured crossover, on 50-gate circuits with the H gates first (the
+# support's worst case), 2-core x86 host: at 12 qubits the support run takes
+# 0.84x the dense time with a 2**(n-3) support and 1.00x with 2**(n-2); at 11
+# qubits it saves at most 10%, at 10 qubits nothing.  The qubit floor also
+# keeps off the support run the circuits whose P or CP spans the whole
+# register, the one case where the dense kernel's in-place phase multiply
+# rounds differently (see _monomial_step).
 _SPARSE_MIN_QUBITS = 12
 _SPARSE_HEADROOM = 3
 
@@ -180,29 +186,22 @@ def _sparse_h(target: int, index: np.ndarray, amps: np.ndarray):
     return np.concatenate((keys, keys | bit)), np.concatenate((lo, hi))
 
 
-def _run_support(circuit: Circuit, index: np.ndarray, amps: np.ndarray):
+def _run_support(circuit: Circuit, index: np.ndarray, amps: np.ndarray,
+                 limit: float = np.inf):
     """Push the basis states in the int64 array index, whose amplitudes are
     amps, through the circuit: H by _sparse_h, every other gate by
-    _monomial_step.  Works in place where the gates allow; returns the final
-    indices and amplitudes."""
-    for gate in circuit.gates:
+    _monomial_step.  Stops before an H that could take the support past limit
+    states.  Works in place where the gates allow; returns the indices,
+    amplitudes and the number of gates run."""
+    for done, gate in enumerate(circuit.gates):
         _check_fits(gate, circuit.num_qubits)
         if gate.kind == "H":
+            if 2 * index.size > limit:
+                return index, amps, done
             index, amps = _sparse_h(gate.targets[0], index, amps)
         else:
             _monomial_step(gate, index, amps)
-    return index, amps
-
-
-def _run_sparse(circuit: Circuit) -> StateVector:
-    """run_circuit from |0...0> on the support alone, scattered into the
-    dense array at the end."""
-    state = init_zero(circuit.num_qubits)
-    index, amps = _run_support(circuit, np.zeros(1, dtype=np.int64),
-                               np.ones(1, dtype=np.complex128))
-    state.amplitudes[0] = 0.0
-    state.amplitudes[index] = amps
-    return state
+    return index, amps, len(circuit.gates)
 
 
 def apply_pauli(state: StateVector, pauli: str, qubit: int) -> StateVector:
@@ -227,38 +226,30 @@ def apply_pauli(state: StateVector, pauli: str, qubit: int) -> StateVector:
     return state
 
 
-def _sparse_pays(circuit: Circuit) -> bool:
-    """Whether the sparse run beats the dense kernel: the register is wide
-    enough for a dense gate to cost more than a sparse step's fixed NumPy
-    overhead, and the support bound 2**h (h H gates) is at most
-    2**n >> _SPARSE_HEADROOM.  It also keeps off the sparse run the circuits
-    whose P or CP spans the whole register, the one case where the dense
-    kernel's in-place phase multiply rounds differently (see
-    _monomial_step)."""
-    n = circuit.num_qubits
-    if n < _SPARSE_MIN_QUBITS:
-        return False
-    return sum(gate.kind == "H" for gate in circuit.gates) <= n - _SPARSE_HEADROOM
-
-
 def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Apply the circuit's gates in listed order.
 
-    Starts from |0...0> when no initial state is given, on the sparse support
-    when that pays; a supplied initial state is copied, never mutated, and
+    Starts from |0...0> when no initial state is given, on the support while
+    it stays small; a supplied initial state is copied, never mutated, and
     always runs on the dense kernel.
     """
+    gates = circuit.gates
     if initial is None:
-        if _sparse_pays(circuit):
-            return _run_sparse(circuit)
         state = init_zero(circuit.num_qubits)
+        if circuit.num_qubits >= _SPARSE_MIN_QUBITS:
+            index, amps, done = _run_support(
+                circuit, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128),
+                state.amplitudes.size >> _SPARSE_HEADROOM)
+            state.amplitudes[0] = 0.0
+            state.amplitudes[index] = amps
+            gates = gates[done:]
     else:
         if initial.num_qubits != circuit.num_qubits:
             raise ValueError(
                 f"circuit has {circuit.num_qubits} qubits, state has {initial.num_qubits}"
             )
         state = initial.copy()
-    for gate in circuit.gates:
+    for gate in gates:
         apply_gate(state, gate)
     return state
 

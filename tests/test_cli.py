@@ -10,6 +10,7 @@ import random
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liarsim import cli, hardware_model, statevec
-from liarsim.circuit import GATE_KINDS, NEGATED, POSITIVE, load_circuit
+from liarsim.circuit import GATE_KINDS, NEGATED, POSITIVE
 from liarsim.cli import (_emit, _indented, _json_default, _strict_numbers,
                          canonical_json, main)
 from liarsim.dist import (_CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY, Distribution,
@@ -395,6 +396,17 @@ def test_estimate_layout_and_graph_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "28", "--graph", "bundled:heavy-hex"],
+     "circuit has 29 qubits but the graph has only 27 nodes"),
+    (["--n", "4", "--graph", "linear", "--graph-size", "3"],
+     "circuit has 5 qubits but the graph has only 3 nodes"),
+])
+def test_estimate_names_a_graph_smaller_than_the_circuit(argv, message):
+    code, out, err = call(["estimate"] + argv)
+    assert (code, out, err) == (1, "", f"liarsim estimate: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # truthtable
 
@@ -740,9 +752,11 @@ def test_simulate_out_bytes_are_pinned(kind, n, seed, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the report names the circuit file by path
     with open("c.json", "w", encoding="utf-8") as fh:
         json.dump(_pinned_circuit(kind, n, seed), fh)
-    assert statevec._sparse_pays(load_circuit("c.json")) == (kind == "deep")
-    assert main(["simulate", "c.json", "--shots", "512", "--seed", str(seed),
-                 "--out", "r.json"]) == 0
+    with mock.patch.object(statevec, "apply_gate", wraps=statevec.apply_gate) as kernel:
+        assert main(["simulate", "c.json", "--shots", "512", "--seed", str(seed),
+                     "--out", "r.json"]) == 0
+    # deep ops run on the support alone, dense ops reach the dense kernel
+    assert (kernel.call_count == 0) == (kind == "deep")
     with open("r.json", "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert digest == PINNED_SIMULATE[kind, n, seed]

@@ -215,6 +215,17 @@ def test_routing_layout_validation():
                          layout=(0, 2))
 
 
+def test_routing_default_layout_needs_a_node_per_qubit():
+    circuit = Circuit(4, [cnot(0, 3)])
+    with pytest.raises(ValueError) as info:
+        routing_estimate(circuit, make_graph("linear", size=3))
+    assert str(info.value) == "circuit has 4 qubits but the graph has only 3 nodes"
+    # an explicit layout keeps its own message
+    with pytest.raises(ValueError) as info:
+        routing_estimate(circuit, make_graph("linear", size=3), layout=(0, 1, 2, 3))
+    assert str(info.value) == "layout node 3 outside the 3-node graph"
+
+
 def _relaxed_distances(graph: CouplingGraph) -> list[list[int]]:
     """All-pairs hop counts by edge relaxation, sharing no code with the
     BFS; -1 where unreachable."""

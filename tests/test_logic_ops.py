@@ -149,7 +149,7 @@ def _all_inputs_map(circuit):
     """The support run of every one of the 2**n basis inputs, amplitude 1."""
     n = circuit.num_qubits
     return statevec._run_support(circuit, np.arange(1 << n, dtype=np.int64),
-                                 np.ones(1 << n, dtype=np.complex128))
+                                 np.ones(1 << n, dtype=np.complex128))[:2]
 
 
 @settings(max_examples=100, deadline=None)

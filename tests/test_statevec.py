@@ -5,6 +5,7 @@ arithmetic alone, sharing no code with the reshape-view implementation.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -320,12 +321,48 @@ def _circuits(draw):
 @example(circuit=Circuit(10, [h(9), p(2.5, 9), x(3), cp(0.7, 3, 9, NEGATED),
                               h(9), h(4), cnot(9, 4), h(4)]))
 def test_sparse_run_equals_dense_kernel(circuit):
+    n = circuit.num_qubits
+    dense = init_zero(n)
+    for gate in circuit.gates:
+        apply_gate(dense, gate)
+    # headroom 0 can hold the whole run on the support, n leaves it at the
+    # first H, and the ones between switch to the dense kernel mid-run
+    for headroom in range(n + 1):
+        with mock.patch.multiple(statevec, _SPARSE_MIN_QUBITS=1,
+                                 _SPARSE_HEADROOM=headroom):
+            ran = run_circuit(circuit)
+        # values, not bytes: the dense kernel may hold -0.0 where sparse has 0.0
+        assert np.array_equal(ran.amplitudes, dense.amplitudes)
+
+
+def _repeated_h_on_one_qubit():
+    gates = []
+    for k in range(40):
+        gates += [h(0), p(0.3 + 0.1 * k, 0)]
+        if k % 8 == 0:
+            gates += [cnot(0, 1 + k // 8), ccx(0, 1, 10 + k // 8)]
+    return Circuit(20, gates)
+
+
+def _three_h_layers_over_a_cnot_cascade():
+    layer = [h(q) for q in range(8)]
+    cascade = [cnot(q, q + 8) for q in range(8)]
+    mixed = [ccx(1, 9, 12), p(0.7, 3), p(1.3, 11), cnot(12, 15, NEGATED)]
+    return Circuit(20, layer + cascade + mixed + layer + [p(2.1, 5)] + layer)
+
+
+@pytest.mark.parametrize("build", [_repeated_h_on_one_qubit,
+                                   _three_h_layers_over_a_cnot_cascade])
+def test_h_gates_that_keep_the_support_small_run_no_dense_gate(build):
+    circuit = build()
+    assert sum(g.kind == "H" for g in circuit.gates) > circuit.num_qubits - 3
     dense = init_zero(circuit.num_qubits)
     for gate in circuit.gates:
         apply_gate(dense, gate)
-    # values, not bytes: the dense kernel may hold -0.0 where sparse has 0.0
-    assert np.array_equal(statevec._run_sparse(circuit).amplitudes,
-                          dense.amplitudes)
+    with mock.patch.object(statevec, "apply_gate", wraps=apply_gate) as kernel:
+        ran = run_circuit(circuit)
+    assert kernel.call_count == 0
+    assert np.array_equal(ran.amplitudes, dense.amplitudes)
 
 
 # ---------------------------------------------------------------------------
