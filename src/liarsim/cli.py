@@ -33,8 +33,7 @@ from .dist import (COUNTS, PROBABILITY, Distribution, bitstrings,
 from .hardware_model import (MAX_GRAPH_NODES, CouplingGraph, NoiseProfile,
                              load_bundled_graph, make_graph, noisy_sample,
                              routing_estimate)
-from .logic_ops import (_LABELS, MAX_PAIRS, _truth_columns, fixed_point_report,
-                        verification_suite)
+from .logic_ops import _LABELS, MAX_PAIRS, _truth_columns, _verify
 from .metrics import MetricsConfig, full_report
 from .statevec import (DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS, probabilities,
                        run_circuit, sample_counts)
@@ -342,8 +341,7 @@ def cmd_verify(args) -> int:
     if not 1 <= args.pairs <= MAX_PAIRS:
         raise CliError(USAGE_EXIT,
                        f"--pairs must be in 1..{MAX_PAIRS}, got {args.pairs}")
-    checks = verification_suite(args.pairs)
-    fixed = fixed_point_report(args.pairs)
+    checks, fixed = _verify(args.pairs)
     all_passed = all(c.passed for c in checks)
 
     def pretty():

@@ -351,6 +351,12 @@ def verification_suite(num_pairs: int) -> list[CheckResult]:
     and 1.0 on mismatch; operator checks report the max absolute entry
     deviation.
     """
+    return _verify(num_pairs)[0]
+
+
+def _verify(num_pairs: int) -> tuple[list[CheckResult], FixedPointReport]:
+    """verification_suite and fixed_point_report of one register size, from
+    one build of the diagonals and of the parity circuit's map."""
     _check_pairs(num_pairs)
     m = num_pairs
     dim = 4 ** m
@@ -436,4 +442,4 @@ def verification_suite(num_pairs: int) -> list[CheckResult]:
             f"parity and OR modes diverge on exactly the {int(expected.sum())} "
             f"inputs with an even nonzero violation count"))
 
-    return checks
+    return checks, report

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .dist import COUNTS, Distribution, bitstrings
 
@@ -112,6 +111,84 @@ def z_flag(dist: Distribution, flag_index: int) -> float:
 # ---------------------------------------------------------------------------
 # chi-squared goodness of fit
 
+_EPS = 2.0 ** -53  # unit roundoff of a double
+
+
+def _log1pmx(t: float) -> float:
+    """log(1 + t) - t for |t| < 1/2, where the two terms cancel.
+
+    With r = t / (2 + t) and y = r * r, log(1 + t) = 2r(1 + y/3 + y^2/5 + ...)
+    and 2r - t = -rt, so the difference is r(2y(1/3 + y/5 + ...) - t).
+    """
+    r = t / (2.0 + t)
+    y = r * r
+    total, power, k = 0.0, 1.0, 3.0
+    while True:
+        term = power / k
+        total += term
+        if term <= total * _EPS:
+            return r * (2.0 * y * total - t)
+        power *= y
+        k += 2.0
+
+
+def _stirlerr(a: float) -> float:
+    """log Gamma(a) minus its Stirling approximation (a - 1/2) log a - a + log sqrt(2 pi)."""
+    if a <= 15.0:
+        return math.lgamma(a) - (a - 0.5) * math.log(a) + a - 0.5 * math.log(2.0 * math.pi)
+    aa = a * a  # the Stirling series; its first omitted term is below 3e-16 here
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / aa) / aa) / aa)
+            / aa) / a
+
+
+def _gammaincc(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) for a >= 1/2 and x >= 0.
+
+    The power series of P = 1 - Q for x < a + 1, the continued fraction of Q
+    by the modified Lentz method otherwise (Press et al., Numerical Recipes,
+    3rd ed., section 6.2).  Both share the prefactor x^a e^-x / Gamma(a),
+    formed as sqrt(a / 2 pi) exp(a log1pmx((x - a) / a) - stirlerr(a)) so
+    that no large logarithms cancel at large a.
+    """
+    if x < 2.0 ** -1022:
+        return 1.0  # P(a, x) <= x^a / Gamma(a + 1) < 1e-150, so 1 - P rounds to 1
+    if x == math.inf:
+        return 0.0
+    t = (x - a) / a
+    shape = _log1pmx(t) if abs(t) < 0.5 else math.log(x / a) - t
+    prefactor = math.sqrt(a / (2.0 * math.pi)) * math.exp(a * shape - _stirlerr(a))
+    # Either expansion's terms shrink like exp(-n^2 / 2a) once n passes
+    # sqrt(a), so 10 sqrt(a) of them reach the roundoff with room to spare.
+    limit = 100 + int(10.0 * math.sqrt(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, limit):
+            term *= x / (a + n)
+            total += term
+            if term < total * _EPS:
+                return 1.0 - prefactor * total
+    else:
+        tiny = 1e-300  # keeps the Lentz ratios off zero
+        b = x + 1.0 - a
+        c, d = 1.0 / tiny, 1.0 / b
+        fraction = d
+        for n in range(1, limit):
+            an = -n * (n - a)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < tiny:
+                d = tiny
+            c = b + an / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            step = c * d
+            fraction *= step
+            if abs(step - 1.0) <= _EPS:
+                return prefactor * fraction
+    raise ArithmeticError(f"Q({a}, {x}) did not converge in {limit} terms")
+
+
 @dataclass(frozen=True)
 class Chi2Result:
     statistic: float
@@ -168,7 +245,7 @@ def chi_squared_gof(observed: Distribution, expected: Distribution) -> Chi2Resul
     elif math.isinf(statistic):
         p_value = 0.0
     else:
-        p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
+        p_value = _gammaincc(dof / 2.0, statistic / 2.0)
     return Chi2Result(float(statistic), dof, p_value, bins, pooled)
 
 

@@ -4,15 +4,15 @@ Each metric is computed over `Distribution.as_probabilities()` and `entries`
 dicts keyed by bitstring, one state at a time, with the flag bit read by
 `statevec.bit_of`: a route that shares no arithmetic with the array metrics
 of `liarsim.metrics`.  Every sum runs in the order the array metrics
-document, so the two must agree exactly, not to a tolerance.
+document, so the two must agree exactly, not to a tolerance.  Only the
+chi-squared p-value takes the library's own `_gammaincc`; the SciPy grid test
+in test_metrics.py checks that function independently.
 """
 
 import math
 
-from scipy.special import gammaincc
-
 from liarsim.dist import COUNTS
-from liarsim.metrics import _MIN_EXPECTED, Chi2Result, MetricsReport
+from liarsim.metrics import _MIN_EXPECTED, Chi2Result, MetricsReport, _gammaincc
 from liarsim.statevec import bit_of
 
 
@@ -89,7 +89,7 @@ def chi_squared_gof(observed, expected):
     elif math.isinf(statistic):
         p_value = 0.0
     else:
-        p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
+        p_value = _gammaincc(dof / 2.0, statistic / 2.0)
     return Chi2Result(float(statistic), dof, p_value, bins, len(small))
 
 

@@ -6,7 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -17,14 +20,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liarsim import cli, hardware_model, statevec
+from liarsim import cli, hardware_model, metrics, statevec
 from liarsim.circuit import GATE_KINDS, NEGATED, POSITIVE
 from liarsim.cli import (_emit, _indented, _json_default, _strict_numbers,
                          canonical_json, main)
 from liarsim.dist import (_CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY, Distribution,
                           read_distribution_csv)
 from liarsim.hardware_model import MAX_GRAPH_NODES
-from liarsim.logic_ops import CheckResult
+from liarsim.logic_ops import CheckResult, fixed_point_report
 from liarsim.metrics import chi_squared_gof
 from liarsim.statevec import DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS
 
@@ -193,7 +196,8 @@ def test_verify_pair_cap(capsys):
 
 def test_verify_failure_exits_two(capsys, monkeypatch):
     fake = [CheckResult("forced_failure", False, 1.0, "injected by test")]
-    monkeypatch.setattr("liarsim.cli.verification_suite", lambda pairs: fake)
+    monkeypatch.setattr("liarsim.cli._verify",
+                        lambda pairs: (fake, fixed_point_report(pairs)))
     code = main(["verify", "--pairs", "1"])
     captured = capsys.readouterr()
     assert code == 2
@@ -293,16 +297,49 @@ def test_metrics_12_qubit_reports_are_pinned(tmp_path, monkeypatch):
     chi2 = chi_squared_gof(read_distribution_csv("exp.csv"),
                            read_distribution_csv("ideal.csv"))
     assert chi2.pooled_bins == 743
-    assert main(["metrics", "--exp", "exp.csv", "--ideal", "ideal.csv",
-                 "--consistent-set", "000000000000", "--out", "m.json"]) == 0
-    assert _sha256("m.json") == ("a27c1818345a63a6818d65a1c24314c0"
-                                 "966d5809dc1961036c05a86a160a23d6")
-    assert main(["metrics", "--exp", "exp.csv", "--ideal", "ideal.csv",
-                 "--consistent-set", "000000000001,000000000000,100000000000",
-                 "--paradox-set", "100000000001,000000000100,100000000000,000000000011",
-                 "--out", "m2.json"]) == 0
-    assert _sha256("m2.json") == ("8becf5378dc60fa6ec4927feda45c7c9"
-                                  "f93d4c8a911db12d4f6176c65f0f5f8a")
+
+    def reports():
+        assert main(["metrics", "--exp", "exp.csv", "--ideal", "ideal.csv",
+                     "--consistent-set", "000000000000", "--out", "m.json"]) == 0
+        assert main(["metrics", "--exp", "exp.csv", "--ideal", "ideal.csv",
+                     "--consistent-set", "000000000001,000000000000,100000000000",
+                     "--paradox-set", "100000000001,000000000100,100000000000,000000000011",
+                     "--out", "m2.json"]) == 0
+        return _sha256("m.json"), _sha256("m2.json")
+
+    assert reports() == ("771365232a65f3a70bbbede1cf5efe4a"
+                         "4f22caa69b055a8ac7e77f97343eba2d",
+                         "3a354dae057ba11070b8e1d9481a4e47"
+                         "7ea28cf8258347eecae61c58f3deb2ab")
+    # With SciPy's Q in place of the pure one the reports are the bytes pinned
+    # before: only chi2_p_value (2.1091789099419628e-09, now ...942049e-09) moved.
+    special = pytest.importorskip("scipy.special")
+    monkeypatch.setattr(metrics, "_gammaincc", lambda a, x: float(special.gammaincc(a, x)))
+    assert reports() == ("a27c1818345a63a6818d65a1c24314c0"
+                         "966d5809dc1961036c05a86a160a23d6",
+                         "8becf5378dc60fa6ec4927feda45c7c9"
+                         "f93d4c8a911db12d4f6176c65f0f5f8a")
+
+
+SCIPY_FREE = """
+import json, sys
+import liarsim, liarsim.cli
+assert liarsim.cli.main(["metrics", "--exp", "bundled:hardware", "--ideal",
+                         "bundled:simulation", "--column", "counts", "--out", sys.argv[1]]) == 0
+with open(sys.argv[1], encoding="utf-8") as fh:
+    assert 0.0 < json.load(fh)["report"]["chi2_p_value"] < 1.0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_scipy_stays_out_of_the_runtime(tmp_path):
+    # the chi-squared p-value is the one special function; it needs NumPy only
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", SCIPY_FREE, str(tmp_path / "m.json")],
+                            env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 ZERO_COUNTS = "state,counts\n1001,0\n1010,0\n"
@@ -857,7 +894,8 @@ def test_write_failures_exit_three_naming_the_path(tmp_path):
 
 def test_verification_failure_is_one_line(monkeypatch):
     fake = [CheckResult("forced_failure", False, 1.0, "injected by test")]
-    monkeypatch.setattr("liarsim.cli.verification_suite", lambda pairs: fake)
+    monkeypatch.setattr("liarsim.cli._verify",
+                        lambda pairs: (fake, fixed_point_report(pairs)))
     code, out, err = call(["verify", "--pairs", "1"])
     assert code == 2
     assert err == "liarsim verify: verification failed\n"

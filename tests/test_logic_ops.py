@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from liarsim import statevec
 from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE, Circuit,
                              PairLayout, build_general, ccx, cnot, cp, p, x)
-from liarsim.logic_ops import (_flag_map, FULLY_CONSISTENT, FULLY_INCONSISTENT,
+from liarsim.logic_ops import (_flag_map, _verify, FULLY_CONSISTENT, FULLY_INCONSISTENT,
                                INCONSISTENCY_DETECTED, LOCALLY_RESOLVED,
                                MAX_PAIRS, classical_rule,
                                contradiction_projector, fixed_point_report,
@@ -358,6 +358,13 @@ def test_verification_suite_all_pass(pairs):
     for check in checks:
         assert check.passed, f"{check.name}: {check.detail}"
         assert check.max_deviation < 1e-9
+
+
+@pytest.mark.parametrize("pairs", range(1, MAX_PAIRS + 1))
+def test_one_verify_pass_equals_the_public_wrappers(pairs):
+    # verify takes both results from one pass; the report must be the one
+    # fixed_point_report builds on its own
+    assert _verify(pairs) == (verification_suite(pairs), fixed_point_report(pairs))
 
 
 def test_or_circuit_flag_equals_rule_exhaustively():

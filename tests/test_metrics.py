@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import metrics_oracle as oracle
 from liarsim.dist import COUNTS, PROBABILITY, Distribution, load_reference_table
-from liarsim.metrics import (DEFAULT_CONSISTENT, MetricsConfig,
+from liarsim.metrics import (DEFAULT_CONSISTENT, MetricsConfig, _gammaincc,
                              chi_squared_gof, consistency_fidelity,
                              full_report, interference_suppression,
                              tv_distance, z_flag)
@@ -208,6 +208,53 @@ def test_chi2_degenerate_single_bin():
     result = chi_squared_gof(observed, expected)
     assert result.dof == 0
     assert result.p_value == 1.0
+
+
+def _gamma_grid():
+    """(a, x) for dof 1 to 2**20: x at a + z sqrt(a) for z from -8 to 12,
+    and x / a from 0.01 to 4."""
+    points = []
+    for dof in sorted({round(2 ** (k / 4)) for k in range(81)}):
+        a = dof / 2.0
+        points += [(a, a + z * math.sqrt(a)) for z in np.arange(-16, 25) / 2.0
+                   if a + z * math.sqrt(a) >= 0.0]
+        points += [(a, a * r) for r in np.geomspace(0.01, 4.0, 25)]
+    return np.array(points).T
+
+
+def test_gammaincc_matches_scipy_on_a_wide_grid():
+    special = pytest.importorskip("scipy.special")
+    a, x = _gamma_grid()
+    want = special.gammaincc(a, x)
+    got = np.array([_gammaincc(*point) for point in zip(a.tolist(), x.tolist())])
+    assert got.size > 4000 and ((got >= 0.0) & (got <= 1.0)).all()
+    deviation = np.abs(got - want) / np.where(want > 0.0, want, 1.0)
+    assert deviation[want >= 1e-30].max() <= 1e-12
+    assert deviation[want >= 1e-300].max() <= 1e-10
+    assert np.abs(got - want)[want < 1e-300].max() <= 1e-300
+
+
+def test_gammaincc_endpoints_and_closed_forms():
+    for a in (0.5, 1.0, 7.5, 2.0 ** 19):
+        assert _gammaincc(a, 0.0) == 1.0
+        assert _gammaincc(a, math.inf) == 0.0
+    # Q(1, x) = e^-x and Q(1/2, x) = erfc(sqrt x), one point per branch and
+    # out into the deep tail
+    for x in (1e-300, 1e-8, 0.3, 1.0, 1.6, 2.5, 40.0, 700.0):
+        assert _gammaincc(1.0, x) == pytest.approx(math.exp(-x), rel=1e-14)
+        assert _gammaincc(0.5, x) == pytest.approx(math.erfc(math.sqrt(x)), rel=1e-13)
+
+
+def test_gammaincc_hardest_point_stays_within_its_term_limit():
+    # x = a at dof 2**20 needs the most terms on the grid, about 5600 of the
+    # 100 + 10 sqrt(a) the loops allow.  Q(a, a) = 1/2 - 1/(3 sqrt(2 pi a))
+    # + O(a^-3/2), a few parts in 1e13 here
+    a = 2.0 ** 19
+    assert _gammaincc(a, a) == pytest.approx(0.5 - 1 / (3 * math.sqrt(2 * math.pi * a)),
+                                             rel=1e-11)
+    # an x that cannot converge stops at that limit instead of looping on
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _gammaincc(a, math.nan)
 
 
 def test_chi2_requires_observed_counts():
