@@ -16,11 +16,18 @@ it past 2**n >> _SPARSE_HEADROOM states; it then scatters the support into the
 dense array and runs the remaining gates on the dense kernel.  The support
 run's arithmetic is the dense kernel's, in the same order, so both give equal
 amplitudes.
+
+A run that ends on the support returns a support-held StateVector, which
+builds the dense array only when .amplitudes is read.  probabilities() and
+sample_counts() read the support alone, apart from one float64 array of 2**n
+|amplitude|**2 values, scattered only so that its sum() adds them in the
+dense order and the normalization matches the dense state's to the bit.
+NumPy's multinomial draws nothing for a category of p = 0 and gives the last
+category what the others leave, so a draw over the support closed by the last
+basis index, 2**n - 1, makes exactly the dense draw.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,27 +52,56 @@ _SPARSE_MIN_QUBITS = 12
 _SPARSE_HEADROOM = 3
 
 
-@dataclass
 class StateVector:
-    num_qubits: int
-    amplitudes: np.ndarray
+    """A state on num_qubits qubits, held either as the dense amplitude array
+    or as its support: int64 basis indices in ascending order and their
+    amplitudes, every other amplitude 0.  Reading .amplitudes scatters a
+    support into the dense array once; the state is dense from then on."""
+
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray | None = None,
+                 *, support: tuple[np.ndarray, np.ndarray] | None = None):
+        if (amplitudes is None) == (support is None):
+            raise ValueError("pass either amplitudes or support")
+        self.num_qubits = num_qubits
+        self._dense = amplitudes
+        self._support = support
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if self._dense is None:
+            self._dense = _scatter(*self._support, self.num_qubits)
+            self._support = None
+        return self._dense
 
     def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
+        if self._support is None:
+            return StateVector(self.num_qubits, self._dense.copy())
+        index, values = self._support
+        return StateVector(self.num_qubits, support=(index.copy(), values.copy()))
+
+
+def _scatter(index: np.ndarray, values: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The 2**n array that holds values at index and 0 everywhere else."""
+    full = np.zeros(1 << num_qubits, dtype=values.dtype)
+    full[index] = values
+    return full
+
+
+def _check_size(num_qubits: int) -> None:
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
 
 
 def init_zero(num_qubits: int) -> StateVector:
     """|0...0> on the given register size."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
+    _check_size(num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
 
 
 def basis_state(index: int, num_qubits: int) -> StateVector:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
+    _check_size(num_qubits)
     if not 0 <= index < (1 << num_qubits):
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -230,28 +266,46 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     """Apply the circuit's gates in listed order.
 
     Starts from |0...0> when no initial state is given, on the support while
-    it stays small; a supplied initial state is copied, never mutated, and
-    always runs on the dense kernel.
+    it stays small, and returns a support-held state when the whole circuit
+    ran there; a supplied initial state is copied, never mutated, and always
+    runs on the dense kernel.
     """
+    n = circuit.num_qubits
     gates = circuit.gates
     if initial is None:
-        state = init_zero(circuit.num_qubits)
-        if circuit.num_qubits >= _SPARSE_MIN_QUBITS:
+        _check_size(n)
+        if n < _SPARSE_MIN_QUBITS:
+            state = init_zero(n)
+        else:
             index, amps, done = _run_support(
                 circuit, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128),
-                state.amplitudes.size >> _SPARSE_HEADROOM)
-            state.amplitudes[0] = 0.0
-            state.amplitudes[index] = amps
+                (1 << n) >> _SPARSE_HEADROOM)
+            if done == len(gates):
+                order = np.argsort(index)
+                return StateVector(n, support=(index[order], amps[order]))
+            state = StateVector(n, _scatter(index, amps, n))
             gates = gates[done:]
     else:
-        if initial.num_qubits != circuit.num_qubits:
-            raise ValueError(
-                f"circuit has {circuit.num_qubits} qubits, state has {initial.num_qubits}"
-            )
+        if initial.num_qubits != n:
+            raise ValueError(f"circuit has {n} qubits, state has {initial.num_qubits}")
         state = initial.copy()
     for gate in gates:
         apply_gate(state, gate)
     return state
+
+
+def _born(state: StateVector):
+    """Born-rule probabilities of the state: the support's indices (None for a
+    dense state, which lists every index), their |amplitude|**2, and the total
+    of those over all 2**n outcomes.  The total is summed over the scattered
+    2**n array, so that it adds in the dense order and equals a dense state's
+    total to the bit."""
+    if state._support is None:
+        probs = np.abs(state.amplitudes) ** 2
+        return None, probs, float(probs.sum())
+    index, values = state._support
+    probs = np.abs(values) ** 2
+    return index, probs, float(_scatter(index, probs, state.num_qubits).sum())
 
 
 def probabilities(state: StateVector, drop_below: float = 1e-12) -> Distribution:
@@ -260,13 +314,15 @@ def probabilities(state: StateVector, drop_below: float = 1e-12) -> Distribution
     The norm is checked on the full array first, so a state spread thinly
     over many outcomes is not rejected for the mass its dropped entries held.
     """
-    probs = np.abs(state.amplitudes) ** 2
-    total = float(probs.sum())
+    index, probs, total = _born(state)
     if not abs(total - 1.0) <= 1e-9:  # written so that a NaN total fails too
         raise ValueError(f"probabilities sum to {total:.6f}, outside 1 +- 1e-09")
+    if index is not None and not drop_below > 0.0:  # keep the zeros off it too
+        index, probs = None, _scatter(index, probs, state.num_qubits)
     kept = np.flatnonzero(probs >= drop_below)
     return Distribution(state.num_qubits, None, PROBABILITY,
-                        indices=kept, values=probs[kept])
+                        indices=kept if index is None else index[kept],
+                        values=probs[kept])
 
 
 def z_expectation(state: StateVector, qubit: int) -> float:
@@ -280,13 +336,25 @@ def z_expectation(state: StateVector, qubit: int) -> float:
 
 def sample_counts(state: StateVector, shots: int, seed: int) -> Distribution:
     """Multinomial sample of measurement outcomes.  The same seed always
-    yields the same counts."""
+    yields the same counts.
+
+    A support-held state is drawn over its support, in ascending index order,
+    closed by a sentinel category for index 2**n - 1 when the support lacks
+    it, and normalized by the total of the dense summation order.  Categories
+    of p = 0 take no draw and the last one takes the remainder, so the counts
+    are those of the dense draw over all 2**n outcomes.
+    """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
     rng = np.random.default_rng(seed)
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
+    index, probs, total = _born(state)
+    probs /= total
+    last = (1 << state.num_qubits) - 1
+    if index is not None and index[-1] != last:
+        index = np.append(index, last)
+        probs = np.append(probs, 0.0)
     counts = rng.multinomial(shots, probs)
     seen = np.flatnonzero(counts)
     return Distribution(state.num_qubits, None, COUNTS, shots,
-                        indices=seen, values=counts[seen])
+                        indices=seen if index is None else index[seen],
+                        values=counts[seen])

@@ -5,6 +5,7 @@ arithmetic alone, sharing no code with the reshape-view implementation.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -97,6 +98,18 @@ def test_register_size_caps():
         basis_state(8, 3)
     with pytest.raises(ValueError):
         basis_state(-1, 3)
+
+
+@pytest.mark.parametrize("sparse_min", [statevec._SPARSE_MIN_QUBITS, MAX_QUBITS + 2],
+                         ids=["support", "dense"])
+def test_run_circuit_checks_the_register_cap_before_any_work(sparse_min):
+    circuit = Circuit(MAX_QUBITS + 1, [h(0), cnot(0, MAX_QUBITS)])
+    with mock.patch.object(statevec, "_SPARSE_MIN_QUBITS", sparse_min), \
+            mock.patch.object(statevec, "_run_support") as support, \
+            mock.patch.object(statevec, "apply_gate") as kernel, \
+            pytest.raises(ValueError, match=f"num_qubits must be in 1..{MAX_QUBITS}"):
+        run_circuit(circuit)
+    assert support.call_count == kernel.call_count == 0
 
 
 def test_bitstring_highest_qubit_leftmost():
@@ -313,6 +326,13 @@ def _circuits(draw):
     return Circuit(n, gates)
 
 
+def _dense_run(circuit) -> statevec.StateVector:
+    state = init_zero(circuit.num_qubits)
+    for gate in circuit.gates:
+        apply_gate(state, gate)
+    return state
+
+
 @settings(max_examples=200)
 @given(circuit=_circuits())
 # phases land on a single support amplitude, and H gates then mix it
@@ -322,9 +342,7 @@ def _circuits(draw):
                               h(9), h(4), cnot(9, 4), h(4)]))
 def test_sparse_run_equals_dense_kernel(circuit):
     n = circuit.num_qubits
-    dense = init_zero(n)
-    for gate in circuit.gates:
-        apply_gate(dense, gate)
+    dense = _dense_run(circuit)
     # headroom 0 can hold the whole run on the support, n leaves it at the
     # first H, and the ones between switch to the dense kernel mid-run
     for headroom in range(n + 1):
@@ -356,9 +374,7 @@ def _three_h_layers_over_a_cnot_cascade():
 def test_h_gates_that_keep_the_support_small_run_no_dense_gate(build):
     circuit = build()
     assert sum(g.kind == "H" for g in circuit.gates) > circuit.num_qubits - 3
-    dense = init_zero(circuit.num_qubits)
-    for gate in circuit.gates:
-        apply_gate(dense, gate)
+    dense = _dense_run(circuit)
     with mock.patch.object(statevec, "apply_gate", wraps=apply_gate) as kernel:
         ran = run_circuit(circuit)
     assert kernel.call_count == 0
@@ -495,3 +511,164 @@ def test_outcome_extraction_matches_per_index_loop():
         for shots, seed in ((1, 0), (1000, 17), (50_000, DEFAULT_SEED)):
             _same(sample_counts(state, shots, seed),
                   _sample_counts_by_index(state, shots, seed))
+
+
+# ---------------------------------------------------------------------------
+# support-held states
+
+def _drop_edges(probs: np.ndarray) -> list[float]:
+    nonzero = probs[probs > 0]
+    return [-1.0, 0.0, 1e-12, float(nonzero.min()), float(probs.max()),
+            float(np.nextafter(probs.max(), 2.0)), float(np.median(nonzero)), 1.0]
+
+
+@settings(max_examples=120)
+@given(circuit=_circuits(), seed=st.integers(0, 2**32 - 1))
+# the support holds index 2**n - 1, with another entry or alone
+@example(circuit=Circuit(4, [x(0), x(1), x(2), x(3), h(2)]), seed=1)
+@example(circuit=Circuit(3, [x(0), x(1), x(2)]), seed=2)
+# H twice leaves an exact-zero amplitude on the support
+@example(circuit=Circuit(5, [h(1), h(1), h(3), cnot(3, 4), p(0.4, 4)]), seed=3)
+@example(circuit=Circuit(4, [h(0), h(1), cnot(0, 3), h(0), h(0), h(1),
+                             ccx(3, 1, 2, NEGATED)]), seed=4)
+# a single-outcome support away from the last index
+@example(circuit=Circuit(6, [x(4), cp(1.2, 4, 1), cnot(4, 2, NEGATED)]), seed=5)
+def test_report_edge_on_the_support_equals_dense_oracles(circuit, seed):
+    n = circuit.num_qubits
+    dense = _dense_run(circuit)
+    edges = _drop_edges(np.abs(dense.amplitudes) ** 2)
+    want_probs = [_probabilities_by_index(dense, d) for d in edges]
+    shots = (1, 1024, 100_000)
+    want_counts = [_sample_counts_by_index(dense, k, seed) for k in shots]
+    # headroom 0 ends most runs on the support, n leaves it at the first H,
+    # and the ones between switch to the dense kernel mid-run
+    for headroom in range(n + 1):
+        with mock.patch.multiple(statevec, _SPARSE_MIN_QUBITS=1,
+                                 _SPARSE_HEADROOM=headroom):
+            ran = run_circuit(circuit)
+        for drop_below, want in zip(edges, want_probs):
+            _same(probabilities(ran, drop_below), want)
+        for k, want in zip(shots, want_counts):
+            _same(sample_counts(ran, k, seed), want)
+
+
+def _held(circuit) -> statevec.StateVector:
+    """The circuit's output held on its support, however large it grows."""
+    index, amps, _ = statevec._run_support(circuit, np.zeros(1, dtype=np.int64),
+                                           np.ones(1, dtype=np.complex128))
+    order = np.argsort(index)
+    return statevec.StateVector(circuit.num_qubits, support=(index[order], amps[order]))
+
+
+@settings(max_examples=60)
+@given(circuit=_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_support_held_state_reads_like_the_dense_one(circuit, seed):
+    n = circuit.num_qubits
+    dense = _dense_run(circuit)
+    held = _held(circuit)
+    copied = held.copy()
+    assert copied._support is not None and copied is not held
+    assert state_norm(held.copy()) == state_norm(dense)
+    for q in range(n):
+        assert z_expectation(held.copy(), q) == z_expectation(dense, q)
+    gate = random_gate(np.random.default_rng(seed), n)
+    assert np.array_equal(apply_gate(held.copy(), gate).amplitudes,
+                          apply_gate(dense.copy(), gate).amplitudes)
+    # the first read builds the dense array once and the state stays dense
+    amps = held.amplitudes
+    assert held._support is None and held.amplitudes is amps
+    assert np.array_equal(amps, dense.amplitudes)
+    assert np.array_equal(held.copy().amplitudes, amps)
+    assert np.array_equal(copied.amplitudes, amps)  # the copy is independent
+    copied.amplitudes[:] = 0.0
+    assert np.array_equal(held.amplitudes, dense.amplitudes)
+
+
+def test_state_vector_takes_amplitudes_or_support():
+    with pytest.raises(ValueError, match="either amplitudes or support"):
+        statevec.StateVector(1)
+    with pytest.raises(ValueError, match="either amplitudes or support"):
+        statevec.StateVector(1, np.ones(2, dtype=complex),
+                             support=(np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)))
+
+
+def test_h_light_24_qubit_report_never_builds_the_dense_state():
+    n = MAX_QUBITS
+    rng = np.random.default_rng(24)
+    gates = [h(q) for q in range(0, 20, 2)]
+    for _ in range(60):
+        a, b, c = (int(q) for q in rng.choice(n, size=3, replace=False))
+        angle = float(rng.uniform(-math.pi, math.pi))
+        gates += [cnot(a, b), ccx(a, b, c, NEGATED), p(angle, c), cp(angle, c, a), x(b)]
+    circuit = Circuit(n, gates)
+    assert sum(g.kind == "H" for g in circuit.gates) == 10
+
+    def no_dense_read(self):
+        raise AssertionError("the 2**n amplitude array was built")
+
+    with mock.patch.object(statevec.StateVector, "amplitudes", property(no_dense_read)), \
+            mock.patch.object(statevec, "apply_gate", wraps=apply_gate) as kernel:
+        tracemalloc.start()
+        try:
+            state = run_circuit(circuit)
+            probs = probabilities(state)
+            counts = sample_counts(state, 1024, DEFAULT_SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert kernel.call_count == 0
+    # the float64 |amplitude|**2 scatter that fixes the summation order is
+    # the largest array; a complex128 state would take twice its bytes
+    assert 8 << n <= peak < 16 << n
+    assert len(probs.entries) == 1 << 10
+    assert all(v == pytest.approx(2.0 ** -10) for v in probs.entries.values())
+    assert sum(counts.entries.values()) == 1024
+    assert set(counts.entries) <= set(probs.entries)
+
+
+def test_numpy_multinomial_skips_zero_categories():
+    # sample_counts relies on this: a category of p = 0 takes no draw from the
+    # generator, and the last category takes what the others leave
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        weights = rng.random(int(rng.integers(1, 12))) ** 8
+        last = 0.0 if rng.random() < 0.5 else float(rng.random())
+        dense = []
+        for w in weights:
+            dense += [0.0] * int(rng.integers(0, 4)) + [w]
+        dense = np.array(dense + [0.0] * int(rng.integers(0, 4)) + [last])
+        dense /= dense.sum()
+        keep = dense > 0
+        keep[-1] = True
+        for shots in (1, 1024, 100_000, MAX_SHOTS):
+            seed = int(rng.integers(2**32))
+            full, part = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(full.multinomial(shots, dense)[keep],
+                                  part.multinomial(shots, dense[keep]))
+            assert full.bit_generator.state == part.bit_generator.state
+
+
+@pytest.mark.parametrize("circuit", [
+    # 2**n - 1 is off the support, whose last entry is not zero
+    Circuit(5, [h(0), h(0), h(2), cnot(2, 4), x(0)]),
+    Circuit(3, [h(0), x(1), x(2)]),  # 2**n - 1 is on the support
+], ids=["sentinel", "last-on-support"])
+def test_sample_counts_draws_the_dense_categories_that_are_not_zero(circuit):
+    real = np.random.default_rng
+    drawn = []
+
+    class Recording:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def multinomial(self, shots, pvals):
+            drawn.append(pvals)
+            return self._rng.multinomial(shots, pvals)
+
+    with mock.patch.object(statevec.np.random, "default_rng", Recording):
+        sample_counts(_held(circuit), 100, 1)
+    probs = np.abs(_dense_run(circuit).amplitudes) ** 2
+    want = probs / probs.sum()
+    got = drawn[0]
+    assert got[-1] == want[-1]  # the last category is the last basis index
+    assert np.array_equal(got[:-1][got[:-1] > 0], want[:-1][want[:-1] > 0])
