@@ -80,6 +80,9 @@ class Gate:
         has_angle = self.angle is not None
         if has_angle != (self.kind in _ANGLED):
             raise ValueError(f"angle is required for {_ANGLED} and forbidden otherwise")
+        if has_angle and (isinstance(self.angle, bool)
+                          or not isinstance(self.angle, numbers.Real)):
+            raise ValueError(f"gate angle must be a real number, got {self.angle!r}")
         if has_angle and not math.isfinite(self.angle):
             raise ValueError("gate angle must be finite")
 

@@ -6,6 +6,13 @@ fields).  JSON is rendered canonically (sorted keys, two-space indent), so a
 rerun with the same arguments writes byte-identical output.  --pretty swaps
 stdout to a human rendering; --out always receives the canonical JSON.
 
+The canonical text is json.dumps(report, indent=2, sort_keys=True), which
+_indented renders directly.  Two kinds of top-level field take a faster
+encoder with the same bytes: a Distribution is laid out by
+dist.render_entries, and a list of scalar rows (truth-table rows, verify
+checks) is encoded a column at a time by _rows.  A Distribution nested deeper
+goes through _indented.
+
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 Every failure prints one "liarsim <subcommand>: <message>" line on stderr.
 """
@@ -20,6 +27,7 @@ import json
 import math
 import sys
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -98,10 +106,6 @@ def _strict_numbers(value):
     return value
 
 
-# A Distribution renders as a JSON object of its entries.
-_CONTAINERS = (dict, list, tuple, Distribution)
-
-
 def _indented(value, pad: str) -> str:
     """The reference rendering of value, for a line that starts with pad."""
     text = json.dumps(_strict_numbers(value), indent=2, sort_keys=True,
@@ -109,73 +113,63 @@ def _indented(value, pad: str) -> str:
     return text.replace("\n", "\n" + pad)  # JSON strings hold no raw newline
 
 
-def _has_containers(values) -> bool:
-    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
-
-
-def _scalar_items(scalars, sep: str) -> str:
-    """The items of a dict or list of scalars, joined by sep, from one call
-    of the C encoder."""
+def _scalar_texts(values: list) -> list[str] | None:
+    """The JSON text of each value, from one call of the C encoder, or None
+    if a value is a container.  Encoded scalars hold no raw newline, so
+    splitting on the "\n" separator gives one item per value, and an item
+    that starts with "[" or "{" is a container."""
     try:
-        text = json.dumps(scalars, sort_keys=True, allow_nan=False,
-                          default=_json_default, separators=(sep, ": "))
+        text = json.dumps(values, allow_nan=False, default=_json_default,
+                          separators=("\n", ": "))
     except ValueError:  # inf or nan: _strict_numbers spells them out
-        text = json.dumps(_strict_numbers(scalars), sort_keys=True,
-                          allow_nan=False, default=_json_default,
-                          separators=(sep, ": "))
-    return text[1:-1]
+        text = json.dumps(_strict_numbers(values), allow_nan=False,
+                          default=_json_default, separators=("\n", ": "))
+    if text[1] in "[{" or "\n[" in text or "\n{" in text:
+        return None
+    return text[1:-1].split("\n")
 
 
-def _is_object(value) -> bool:
-    """A non-empty dict with str keys: rendered one item per line."""
-    return isinstance(value, dict) and bool(value) and set(map(type, value)) == {str}
-
-
-def _object_items(value: dict, inner: str) -> list[str]:
-    """The rendered '"key": value' items of an _is_object dict, in key order,
-    for joining with ",\n" + inner.  A dict of scalars comes back as one
-    string that already holds every item."""
-    sep = ",\n" + inner
-    if not _has_containers(value.values()):
-        return [_scalar_items(value, sep)]
-    scalars = {k: v for k, v in value.items() if not isinstance(v, _CONTAINERS)}
-    items = dict(zip(sorted(scalars), _scalar_items(scalars, sep).split(sep)))
-    items.update((k, json.dumps(k) + ": " + _render(v, inner))
-                 for k, v in value.items() if k not in scalars)
-    return [items[k] for k in sorted(items)]
-
-
-def _render(value, pad: str) -> str:
-    """Same text as _indented(value, pad).  json.dumps with an indent runs
-    CPython's pure-Python encoder; here the scalars of each dict or list are
-    encoded together by the C encoder, the indentation carried in the item
-    separator, and only nested containers recurse.  sep never occurs inside
-    an encoded item, because JSON strings escape every newline."""
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, (list, tuple)) and value:
-        if _has_containers(value):
-            body = sep.join(_render(v, inner) for v in value)
-        else:
-            body = _scalar_items(value, sep)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if _is_object(value):
-        return "{\n" + inner + sep.join(_object_items(value, inner)) + "\n" + pad + "}"
-    if isinstance(value, Distribution) and len(value.indices):
-        chunks = list(render_entries(value, '"', '": ', sep))
-        chunks[-1] = chunks[-1][:-len(sep)]
-        return "".join(["{\n", inner, *chunks, "\n", pad, "}"])
-    return _indented(value, pad)
+def _rows(value, pad: str) -> str | None:
+    """_indented(value, pad) for a non-empty list of dicts that share one
+    non-empty set of str keys and hold only scalars, such as truth-table rows;
+    None for any other value.  Each key's column is encoded by one call of the
+    C encoder, then each row fills one template."""
+    if (not isinstance(value, (list, tuple)) or set(map(type, value)) != {dict}
+            or set(map(type, value[0])) != {str}
+            or set(map(len, value)) != {len(value[0])}):
+        return None
+    keys = sorted(value[0])
+    try:
+        columns = [_scalar_texts(list(map(itemgetter(key), value))) for key in keys]
+    except KeyError:  # a row with other keys
+        return None
+    if None in columns:
+        return None
+    inner, field = pad + "  ", pad + "    "
+    template = "{\n" + field + (",\n" + field).join(
+        json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + "\n" + inner + "}"
+    body = (",\n" + inner).join(map(template.__mod__, zip(*columns)))
+    return "[\n" + inner + body + "\n" + pad + "]"
 
 
 def _document(payload) -> list[str]:
     """canonical_json(payload) as pieces to write in turn: a report's
     top-level items stay apart, so no copy of the whole document is made."""
-    if not _is_object(payload):
-        return [_render(payload, "") + "\n"]
+    if not isinstance(payload, dict) or set(map(type, payload)) != {str}:
+        return [_indented(payload, "") + "\n"]
     pieces = ["{\n  "]
-    for item in _object_items(payload, "  "):
-        pieces += [item, ",\n  "]
+    for key in sorted(payload):
+        value = payload[key]
+        pieces.append(json.dumps(key) + ": ")
+        if isinstance(value, Distribution) and len(value.indices):
+            sep = ",\n    "
+            chunks = list(render_entries(value, '"', '": ', sep))
+            chunks[-1] = chunks[-1][:-len(sep)]
+            pieces += ["{\n    ", *chunks, "\n  }"]
+        else:
+            rows = _rows(value, "  ")
+            pieces.append(_indented(value, "  ") if rows is None else rows)
+        pieces.append(",\n  ")
     pieces[-1] = "\n}\n"
     return pieces
 

@@ -47,6 +47,11 @@ def test_gate_angle_rules():
         Gate("X", (0,), angle=1.0)
     with pytest.raises(ValueError, match="finite"):
         p(math.inf, 0)
+    # a JSON true is not 1 rad
+    for angle in (True, False, np.bool_(True), "1.0", 1j):
+        with pytest.raises(ValueError, match="gate angle must be a real number"):
+            Gate("P", (0,), angle=angle)
+    assert Gate("CP", (1,), (0,), (POSITIVE,), angle=np.float32(0.5)).angle == 0.5
 
 
 def test_gate_rejects_mistyped_fields():

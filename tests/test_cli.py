@@ -662,6 +662,58 @@ def test_canonical_json_matches_indented_reference(payload):
     assert stdout.getvalue() == reference
 
 
+_row_texts = st.text(max_size=6) | st.sampled_from(
+    ['"', 'a\nb', "\r\t", "é", " ", "😀", "%s", "%", "\\", "[", "{x}", ""])
+_row_scalars = _scalars | _row_texts | st.sampled_from(
+    [math.inf, -math.inf, math.nan, np.float64("nan"), np.float32("-inf"), 2**70])
+_ROW_MISSES = ("none", "extra key", "other key", "nested", "int keys", "empty dict",
+               "empty list")
+
+
+@st.composite
+def _row_lists(draw):
+    """(miss, rows): a list (or tuple) of dicts that share one set of str keys,
+    in any insertion order, and hold only scalars; unless miss is "none", one
+    row is then changed, or the list emptied, so that the column encoder must
+    decline it."""
+    miss = draw(st.sampled_from(_ROW_MISSES))
+    keys = draw(st.lists(_row_texts, min_size=1, max_size=5, unique=True))
+    # a lone row with other keys is a list of rows that share them
+    least = 2 if miss in ("extra key", "other key") else 1
+    rows = [{key: draw(_row_scalars) for key in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(least, 6)))]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if miss == "extra key":
+        row[max(keys, key=len) + "x"] = 0
+    elif miss == "other key":
+        row[max(keys, key=len) + "x"] = row.pop(keys[0])
+    elif miss == "nested":
+        row[draw(st.sampled_from(keys))] = draw(st.sampled_from(
+            [[], {}, (), [1], {"a": None}, Distribution(1, {"0": 1.0}, PROBABILITY)]))
+    elif miss == "int keys":  # a row whose keys are all ints, so they sort
+        values = list(row.values())
+        row.clear()
+        row.update(enumerate(values))
+    elif miss == "empty dict":
+        row.clear()
+    elif miss == "empty list":
+        rows = []
+    return miss, tuple(rows) if draw(st.booleans()) else rows
+
+
+@settings(max_examples=300)
+@given(_row_lists())
+@example(("none", [{"diverges": True, "flag_in": np.int64(1), "p": np.float32(0.5)}]))
+@example(("empty dict", [{}, {}]))
+def test_row_lists_render_as_the_indented_reference(case):
+    miss, rows = case
+    assert (cli._rows(rows, "  ") is None) == (miss != "none")
+    payload = {"n": None, "rows": rows}
+    reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
+                           allow_nan=False, default=_json_default) + "\n"
+    assert canonical_json(payload) == reference
+
+
 _SPECIAL_VALUES = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-12,
                    0.1, 0.5, 1.0 / 3.0, 1.0)
 
@@ -702,8 +754,9 @@ def test_distribution_renders_as_json_dumps_of_its_entries(dist, pad):
                for i, v in zip(dist.indices, dist.values)}
     reference = json.dumps(entries, indent=2, sort_keys=True).split("\n")
     # compared as lists of lines: pytest's diff of two long strings is slow
-    assert cli._render(dist, pad).split("\n" + pad) == reference
     assert _indented(dist, pad).split("\n" + pad) == reference
+    # the report writer renders a top-level distribution with render_entries
+    # and a nested one through _indented
     payload = {"counts": None, "probabilities": dist, "z": [dist]}
     assert canonical_json(payload).split("\n") == json.dumps(
         {"counts": None, "probabilities": entries, "z": [entries]},
@@ -852,7 +905,9 @@ def _with(payload, **changes):
     json.dumps(_with(GOOD_CIRCUIT, targets=[1.5])),
     json.dumps(_with(GOOD_CIRCUIT, roles=[1])),
     json.dumps(GOOD_CIRCUIT).replace('"num_qubits": 2', '"num_qubits": 1e400'),
-], ids=["float-target", "roles-list", "num-qubits-1e400"])
+    json.dumps(GOOD_CIRCUIT).replace('"kind": "X"', '"kind": "P"').replace(
+        '"angle": null', '"angle": true'),
+], ids=["float-target", "roles-list", "num-qubits-1e400", "boolean-angle"])
 def test_mistyped_circuit_file_is_parse_error(tmp_path, text):
     path = tmp_path / "circuit.json"
     path.write_text(text, encoding="utf-8")

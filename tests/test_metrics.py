@@ -1,5 +1,6 @@
 """Metric formulas, property checks, and the chi-squared oracle comparison."""
 
+import decimal
 import math
 
 import numpy as np
@@ -232,6 +233,32 @@ def test_gammaincc_matches_scipy_on_a_wide_grid():
     assert deviation[want >= 1e-30].max() <= 1e-12
     assert deviation[want >= 1e-300].max() <= 1e-10
     assert np.abs(got - want)[want < 1e-300].max() <= 1e-300
+
+
+def _exact_gammaincc(a: int, x: float) -> float:
+    """Q(a, x) = e^-x sum_{k<a} x^k / k! for integer a, summed in 50-digit
+    decimal arithmetic from the exact value of x."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = decimal.Decimal(x)
+        term = total = decimal.Decimal(1)
+        for k in range(1, a):
+            term = term * x / k
+            total += term
+        return float(total * (-x).exp())
+
+
+def test_gammaincc_matches_an_exact_sum_at_integer_a():
+    # a in 100..1200 and x / a in 1..2.2 is where SciPy's gammaincc drifts by
+    # about 8e-13, more than _gammaincc does here
+    points = [(a, a * r) for a in range(100, 1201, 50)
+              for r in np.linspace(1.0, 2.2, 25).tolist()]
+    want = np.array([_exact_gammaincc(a, x) for a, x in points])
+    got = np.array([_gammaincc(float(a), x) for a, x in points])
+    deviation = np.abs(got - want) / want
+    assert (want >= 1e-30).sum() > 250 and (want < 1e-30).sum() > 250
+    assert deviation[want >= 1e-30].max() <= 1e-13
+    assert deviation[want >= 1e-300].max() <= 5e-13
 
 
 def test_gammaincc_endpoints_and_closed_forms():
