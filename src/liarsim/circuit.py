@@ -83,8 +83,17 @@ class Gate:
         if has_angle and (isinstance(self.angle, bool)
                           or not isinstance(self.angle, numbers.Real)):
             raise ValueError(f"gate angle must be a real number, got {self.angle!r}")
-        if has_angle and not math.isfinite(self.angle):
-            raise ValueError("gate angle must be finite")
+        if has_angle:
+            try:
+                finite = math.isfinite(self.angle)
+            except OverflowError:  # an int past the float range
+                finite = False
+            if not finite:
+                raise ValueError("gate angle must be finite")
+            if type(self.angle) not in (int, float):
+                # a NumPy or other Real angle is stored as a Python float,
+                # which JSON can hold; a Python int is written back as read
+                object.__setattr__(self, "angle", float(self.angle))
 
     @property
     def qubits(self) -> tuple[int, ...]:

@@ -6,6 +6,15 @@ qubit; at measurement each readout bit flips independently.  All draws come
 from one counter-based Philox stream keyed by the seed, and every shot owns a
 fixed block of it at an offset set by its shot index, so results never depend
 on execution order or chunking and sharded runs merge exactly into serial ones.
+
+Shots without a gate fault draw from the ideal distribution.  Faulty shots
+take one of two paths, picked by the circuit alone.  Without an H gate every
+gate and Pauli maps a basis state to a basis state, so a faulty shot is one
+int64 basis index, its Pauli frame (Gidney, "Stim: a fast stabilizer circuit
+simulator", Quantum 5, 497 (2021), restricted to monomial circuits): all
+faulty shots of a chunk go through the gates together.  With an H, each
+distinct fault signature is simulated once on the dense kernel.  Both paths
+give the counts of the same draws.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ import numpy as np
 
 from .circuit import Circuit, expand_toffolis, gate_census
 from .dist import COUNTS, Distribution
-from .statevec import (DEFAULT_SEED, MAX_SHOTS, StateVector, apply_gate,
-                       apply_pauli, init_zero, run_circuit)
+from .statevec import (DEFAULT_SEED, MAX_SHOTS, StateVector, _born,
+                       _monomial_step, apply_gate, apply_pauli, init_zero,
+                       run_circuit)
 
 BUNDLED_GRAPH_NAME = "heavy_hex_example.txt"
 # Graphs hold per-node lists, so node counts and indices are checked against
@@ -266,14 +276,51 @@ def routing_estimate(circuit: Circuit, graph: CouplingGraph,
 _CHUNK_DRAWS = 1 << 16
 
 
-def _draw_outcomes(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cumulative, u, side="right")
-    return np.minimum(idx, len(cumulative) - 1)
+def _outcome_table(state: StateVector):
+    """The state's cumulative Born distribution, for inverse-CDF draws, and
+    the basis index of each entry (None when the entries are all 2**n
+    indices).  A support-held state is read without densifying it: its
+    cumulative runs over the support, normalized by _born's dense-order
+    total, and is closed by index 2**n - 1, so every draw lands on the index
+    the dense cumulative gives."""
+    index, probs, total = _born(state)
+    cumulative = np.cumsum(probs / total)
+    last = (1 << state.num_qubits) - 1
+    if index is not None and index[-1] != last:
+        # a draw at or above the support's last cumulative value is clamped
+        # to the last dense index; the sentinel catches exactly those draws
+        index = np.append(index, last)
+        cumulative = np.append(cumulative, cumulative[-1])
+    return cumulative, index
 
 
-def _cumulative(state) -> np.ndarray:
-    probs = np.abs(state.amplitudes) ** 2
-    return np.cumsum(probs / probs.sum())
+def _draw_outcomes(table, u: np.ndarray) -> np.ndarray:
+    cumulative, index = table
+    idx = np.minimum(np.searchsorted(cumulative, u, side="right"),
+                     len(cumulative) - 1)
+    return idx if index is None else index[idx]
+
+
+def _frame_outcomes(gates: list, fault: np.ndarray, qubit_slot: np.ndarray,
+                    pauli: np.ndarray) -> np.ndarray:
+    """Final basis index of each faulty shot of an H-free circuit; fault,
+    qubit_slot and pauli hold one row per shot and one column per gate.
+    Every gate and Pauli maps a basis state to one basis state times a phase,
+    so a shot from |0...0> stays on one basis index, its frame: X-type gates
+    step all frames at once, and an X or Y fault flips the faulted qubit's
+    bit.  Phases (P, CP, Z, and Y's factor of i) are dropped, as a one-state
+    support's outcome does not depend on them."""
+    # flip[k, s]: the bit of gate k's qubit at slot s (0 beyond its arity)
+    flip = np.zeros((len(gates), 3), dtype=np.int64)
+    for k, gate in enumerate(gates):
+        flip[k, :len(gate.qubits)] = np.int64(1) << np.array(gate.qubits)
+    flips = np.where(fault & (pauli < 2), flip[np.arange(len(gates)), qubit_slot], 0)
+    frame = np.zeros(len(fault), dtype=np.int64)
+    for k, gate in enumerate(gates):
+        if gate.kind not in ("P", "CP"):
+            _monomial_step(gate, frame, None)  # an X-type step reads no amplitude
+        frame ^= flips[:, k]
+    return frame
 
 
 def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
@@ -286,10 +333,15 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
     to a multiple of 4.  Shot s starts at counter s * block // 4, so
     noisy_sample(c, p, 1000) equals the merge of noisy_sample(c, p, 600) and
     noisy_sample(c, p, 400, first_shot=600).  Faultless shots draw from the
-    ideal distribution in bulk; faulty shots are grouped by fault signature
-    (gate index, qubit, Pauli) and each signature is simulated once.
+    ideal distribution in bulk.  Faulty shots of an H-free circuit are pushed
+    through the gates together as basis-index frames (_frame_outcomes); their
+    outcome draw goes unused, since a one-state distribution gives the same
+    index for every draw.  Faulty shots of a circuit with an H are grouped by
+    fault signature (gate index, qubit, Pauli), and each signature is
+    simulated once on the dense kernel.
     `ideal` is the circuit's output state from |0...0>, when the caller has
-    already run it; otherwise it is simulated here.
+    already run it; otherwise it is simulated here.  A support-held ideal is
+    read on its support.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
@@ -305,8 +357,9 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
     g = len(gates)
     block = -(-(3 * g + 1 + n) // 4) * 4
     outcome_col = 3 * g
+    monomial = all(gate.kind != "H" for gate in gates)
 
-    cum_ideal = _cumulative(ideal)
+    ideal_table = _outcome_table(ideal)
     gate_rates = np.array(
         [profile.p_1q if len(gt.qubits) == 1 else profile.p_2q for gt in gates]
     )
@@ -323,24 +376,28 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
 
         fault = u[:, :g] < gate_rates
         faulty = np.nonzero(fault.any(axis=1))[0]
-        outcomes = _draw_outcomes(cum_ideal, u[:, outcome_col])
+        outcomes = _draw_outcomes(ideal_table, u[:, outcome_col])
         if len(faulty):
-            # code 0: no fault; else 1 + 3 * (index into gate.qubits) + Pauli
             qubit_slot = (u[faulty, g:2 * g] * arity).astype(np.int64)
             pauli = (u[faulty, 2 * g:3 * g] * 3).astype(np.int64)
-            codes = np.where(fault[faulty], 1 + 3 * qubit_slot + pauli, 0)
-            signatures, group = np.unique(codes, axis=0, return_inverse=True)
-            group = group.reshape(-1)  # NumPy 2.0.0 returns it as a column
-            for sid, signature in enumerate(signatures):
-                state = init_zero(n)
-                for gate, code in zip(gates, signature.tolist()):
-                    apply_gate(state, gate)
-                    if code:
-                        slot, which = divmod(code - 1, 3)
-                        apply_pauli(state, "XYZ"[which], gate.qubits[slot])
-                rows = faulty[group == sid]
-                outcomes[rows] = _draw_outcomes(_cumulative(state),
-                                                u[rows, outcome_col])
+            if monomial:
+                outcomes[faulty] = _frame_outcomes(gates, fault[faulty],
+                                                   qubit_slot, pauli)
+            else:
+                # code 0: no fault; else 1 + 3 * (index into gate.qubits) + Pauli
+                codes = np.where(fault[faulty], 1 + 3 * qubit_slot + pauli, 0)
+                signatures, group = np.unique(codes, axis=0, return_inverse=True)
+                group = group.reshape(-1)  # NumPy 2.0.0 returns it as a column
+                for sid, signature in enumerate(signatures):
+                    state = init_zero(n)
+                    for gate, code in zip(gates, signature.tolist()):
+                        apply_gate(state, gate)
+                        if code:
+                            slot, which = divmod(code - 1, 3)
+                            apply_pauli(state, "XYZ"[which], gate.qubits[slot])
+                    rows = faulty[group == sid]
+                    outcomes[rows] = _draw_outcomes(_outcome_table(state),
+                                                    u[rows, outcome_col])
         if profile.p_readout > 0.0:
             flips = u[:, outcome_col + 1:outcome_col + 1 + n] < profile.p_readout
             outcomes ^= flips @ bit_weights

@@ -45,13 +45,18 @@ def test_gate_angle_rules():
         Gate("P", (0,))
     with pytest.raises(ValueError, match="angle"):
         Gate("X", (0,), angle=1.0)
-    with pytest.raises(ValueError, match="finite"):
-        p(math.inf, 0)
+    for angle in (math.inf, -math.inf, math.nan, 10**400):
+        with pytest.raises(ValueError, match="gate angle must be finite"):
+            Gate("P", (0,), angle=angle)
     # a JSON true is not 1 rad
     for angle in (True, False, np.bool_(True), "1.0", 1j):
         with pytest.raises(ValueError, match="gate angle must be a real number"):
             Gate("P", (0,), angle=angle)
-    assert Gate("CP", (1,), (0,), (POSITIVE,), angle=np.float32(0.5)).angle == 0.5
+    # NumPy angles are stored as Python floats; a Python int stays as read
+    for angle, stored in ((np.float32(0.5), 0.5), (np.float64(-2.5), -2.5),
+                          (np.int64(3), 3.0), (2, 2), (0.25, 0.25)):
+        got = Gate("CP", (1,), (0,), (POSITIVE,), angle=angle).angle
+        assert got == stored and type(got) is type(stored)
 
 
 def test_gate_rejects_mistyped_fields():
@@ -270,6 +275,18 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "circ.json"
     save_circuit(circ, path)
     assert load_circuit(path).gates == circ.gates
+
+
+def test_save_circuit_round_trips_numpy_angles(tmp_path):
+    angles = (np.float32(0.1), np.float64(-1.25), np.float32(3.0), np.float64(1e-300))
+    circ = Circuit(2, [p(0.5, 0)] + [
+        Gate(kind, (1,), controls, (POSITIVE,) * len(controls), angle=angle)
+        for angle, (kind, controls) in zip(angles, [("P", ()), ("CP", (0,))] * 2)])
+    path = tmp_path / "circ.json"
+    save_circuit(circ, path)
+    clone = load_circuit(path)
+    assert clone.gates == circ.gates
+    assert [g.angle for g in clone.gates[1:]] == [float(a) for a in angles]
 
 
 def _edited(**changes):

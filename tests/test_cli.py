@@ -641,6 +641,7 @@ _payloads = st.recursive(
           "nested": {"x": [{}, [], {"k": np.int64(3), "z": np.bool_(True)}]},
           "empty": {}})
 @example({"probabilities": {"00": 0.5, "11": np.float32(0.25)}, "n": None})
+@example({"report": {2: ["a", 1.5], 10: []}, "config": {"b": (), "a": [None]}})
 def test_canonical_json_matches_indented_reference(payload):
     reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
                            allow_nan=False, default=_json_default) + "\n"
@@ -712,6 +713,43 @@ def test_row_lists_render_as_the_indented_reference(case):
     reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
                            allow_nan=False, default=_json_default) + "\n"
     assert canonical_json(payload) == reference
+
+
+_LIST_MISSES = ("none", "empty", "nested")
+
+
+@st.composite
+def _scalar_lists(draw):
+    """(miss, items): a list (or tuple) of scalars, inf and nan among them;
+    unless miss is "none", the list is emptied or one item is replaced by a
+    container, so that the scalar-list encoder must decline it."""
+    miss = draw(st.sampled_from(_LIST_MISSES))
+    items = draw(st.lists(_row_scalars, min_size=1, max_size=8))
+    if miss == "empty":
+        items = []
+    elif miss == "nested":
+        items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(
+            [[], {}, (), [1], ["a", [2]], {"a": None},
+             Distribution(1, {"0": 1.0}, PROBABILITY)]))
+    return miss, tuple(items) if draw(st.booleans()) else items
+
+
+@settings(max_examples=300)
+@given(st.lists(_scalar_lists(), min_size=1, max_size=4),
+       st.dictionaries(_keys, _payloads, max_size=4))
+@example([("none", [f"{i:012b}" for i in range(1, 4096)])], {"d_tv": 0.5})
+@example([("none", [math.inf, np.float32("nan"), -math.inf, 1]), ("empty", ())], {})
+@example([("nested", [1, [math.nan]])], {"x": {"y": [1, 2]}})
+def test_report_fields_with_scalar_lists_render_as_the_indented_reference(lists, others):
+    # a top-level dict that holds a list is laid out an item at a time
+    for miss, items in lists:
+        assert (cli._scalar_list(items, "    ") is None) == (miss != "none")
+    report = {**others, **{f"list{i}": items for i, (_, items) in enumerate(lists)}}
+    payload = {"n": None, "report": report}
+    reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
+                           allow_nan=False, default=_json_default) + "\n"
+    # compared as lists of lines: pytest's diff of two long strings is slow
+    assert canonical_json(payload).split("\n") == reference.split("\n")
 
 
 _SPECIAL_VALUES = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-12,
@@ -907,7 +945,10 @@ def _with(payload, **changes):
     json.dumps(GOOD_CIRCUIT).replace('"num_qubits": 2', '"num_qubits": 1e400'),
     json.dumps(GOOD_CIRCUIT).replace('"kind": "X"', '"kind": "P"').replace(
         '"angle": null', '"angle": true'),
-], ids=["float-target", "roles-list", "num-qubits-1e400", "boolean-angle"])
+    json.dumps(GOOD_CIRCUIT).replace('"kind": "X"', '"kind": "P"').replace(
+        '"angle": null', '"angle": 1' + "0" * 400),
+], ids=["float-target", "roles-list", "num-qubits-1e400", "boolean-angle",
+        "integer-angle-1e400"])
 def test_mistyped_circuit_file_is_parse_error(tmp_path, text):
     path = tmp_path / "circuit.json"
     path.write_text(text, encoding="utf-8")

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liarsim import hardware_model
-from liarsim.circuit import (OR_ACCUMULATE, PARITY, Circuit, PairLayout,
-                             build_general, build_liar_reference, ccx, cnot,
-                             cp, h, p, x)
+from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE,
+                             Circuit, Gate, PairLayout, build_general,
+                             build_liar_reference, ccx, cnot, cp, h, p, x)
 from liarsim.dist import COUNTS
 from liarsim.hardware_model import (MAX_GRAPH_NODES, CostEstimate,
                                     CouplingGraph, NoiseProfile,
@@ -19,9 +19,10 @@ from liarsim.hardware_model import (MAX_GRAPH_NODES, CostEstimate,
                                     make_graph, noisy_sample, parse_graph_text,
                                     routing_estimate)
 from liarsim.metrics import chi_squared_gof, consistency_fidelity, tv_distance
-from liarsim.statevec import MAX_SHOTS, probabilities, run_circuit
+from liarsim.statevec import MAX_SHOTS, StateVector, probabilities, run_circuit
 
 from noise_oracle import noisy_distribution, noisy_probabilities, readout_matrix
+from sampler_oracle import signature_sample
 
 ORACLE_CIRCUITS = {
     "liar-reference": build_liar_reference(),
@@ -366,6 +367,95 @@ def test_noisy_sample_split_anywhere_merges_exactly(name, rates, seed, chunk_dra
     whole = noisy_sample(circuit, profile, head + tail)
     assert _merge(first, second) == whole.entries
     assert first.total_shots + second.total_shots == whole.total_shots
+
+
+def _same_counts(a, b) -> bool:
+    return (a.total_shots == b.total_shots and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.values, b.values))
+
+
+_RATES = st.sampled_from([0.0, 1e-3, 0.1, 0.5, 1.0]) | st.floats(0.0, 1.0)
+_CONTROLS = {"X": 0, "P": 0, "CNOT": 1, "CP": 1, "CCX": 2}
+
+
+@st.composite
+def _monomial_circuits(draw):
+    """An H-free circuit on 1-14 qubits: X, CNOT, CCX, P and CP gates, each
+    control positive or negated."""
+    n = draw(st.integers(1, 14))
+    kinds = [kind for kind, controls in _CONTROLS.items() if controls < n]
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        *controls, target = draw(st.permutations(range(n)))[:_CONTROLS[kind] + 1]
+        polarities = tuple(draw(st.sampled_from([POSITIVE, NEGATED])) for _ in controls)
+        angle = draw(st.floats(-4.0, 4.0)) if kind in ("P", "CP") else None
+        gates.append(Gate(kind, (target,), tuple(controls), polarities, angle))
+    return Circuit(n, gates)
+
+
+@given(circuit=_monomial_circuits(), p_1q=_RATES, p_2q=_RATES,
+       p_readout=st.sampled_from([0.0, 0.015, 0.5, 1.0]),
+       seed=st.integers(0, 2**40),
+       chunk_draws=st.sampled_from([1, 100, 250, hardware_model._CHUNK_DRAWS]),
+       head=st.integers(1, 150), tail=st.integers(1, 150))
+@settings(max_examples=80, deadline=None)
+def test_frame_path_matches_the_signature_sampler(circuit, p_1q, p_2q, p_readout,
+                                                 seed, chunk_draws, head, tail):
+    # faulty shots of an H-free circuit run as basis-index frames; the
+    # per-signature dense sampler they replaced must give the same counts,
+    # shard by shard, whatever the chunking
+    profile = NoiseProfile(p_1q, p_2q, p_readout, seed=seed)
+    with mock.patch.object(hardware_model, "_CHUNK_DRAWS", chunk_draws), \
+            mock.patch.object(hardware_model, "init_zero") as dense_start:
+        first = noisy_sample(circuit, profile, head)
+        second = noisy_sample(circuit, profile, tail, first_shot=head)
+    assert dense_start.call_count == 0  # no shot took the per-signature path
+    assert _same_counts(first, signature_sample(circuit, profile, head))
+    assert _same_counts(second, signature_sample(circuit, profile, tail, first_shot=head))
+    assert _merge(first, second) == noisy_sample(circuit, profile, head + tail).entries
+
+
+@pytest.mark.parametrize("circuit", [
+    build_general(PairLayout.default(3), OR_ACCUMULATE),
+    # 3 H on 13 qubits: the ideal ends on an 8-state support, with P phases
+    Circuit(13, [h(0), h(4), h(9), cnot(0, 1), ccx(1, 4, 12, NEGATED),
+                 p(0.7, 12), cp(1.3, 9, 2), x(5)]),
+], ids=["or3", "three-h"])
+@pytest.mark.parametrize("rates", [DEFAULT_RATES, HIGH_RATES], ids=["default", "10x"])
+def test_support_held_ideal_samples_as_its_dense_copy(circuit, rates):
+    ideal = run_circuit(circuit)
+    assert ideal._support is not None
+    dense = StateVector(circuit.num_qubits, ideal.copy().amplitudes)
+    profile = NoiseProfile(*rates, seed=5)
+    for shots in (1, 1024, 20_000):
+        got = noisy_sample(circuit, profile, shots, ideal=ideal)
+        assert ideal._support is not None  # read without densifying it
+        assert _same_counts(got, noisy_sample(circuit, profile, shots, ideal=dense))
+
+
+def test_support_ideal_closes_its_cumulative_with_the_last_index():
+    # a support whose cumulative tops out below 1.0: a dense draw above it
+    # is clamped to index 2**n - 1, and the support's draw must land there too
+    n = 12
+    for size in range(2, 64):  # equal weights on `size` states; rounding picks the top
+        index = np.arange(0, 7 * size, 7, dtype=np.int64)
+        amps = np.full(size, np.sqrt(1.0 / size), dtype=np.complex128)
+        support = StateVector(n, support=(index, amps))
+        table = hardware_model._outcome_table(support)
+        cumulative, closed = table
+        top = cumulative[-2]  # the support's last value
+        if top < 1.0:
+            break
+    else:
+        pytest.fail("every support summed to 1.0 or more")
+    assert closed.tolist() == index.tolist() + [(1 << n) - 1]
+    dense = StateVector(n, support.copy().amplitudes)
+    u = np.array([0.0, 0.3, 0.6, np.nextafter(top, 0.0), top, np.nextafter(1.0, 0.0)])
+    got = hardware_model._draw_outcomes(table, u)
+    assert got.tolist() == hardware_model._draw_outcomes(
+        hardware_model._outcome_table(dense), u).tolist()
+    assert got[-2:].tolist() == [(1 << n) - 1] * 2
 
 
 # ---------------------------------------------------------------------------
