@@ -73,7 +73,13 @@ class Gate:
             if pol not in (POSITIVE, NEGATED):
                 raise ValueError(f"bad control polarity {pol!r}")
         qubits = self.controls + self.targets
-        if not all(_is_int(q) and q >= 0 for q in qubits):
+        if not all(type(q) is int for q in qubits):
+            if not all(_is_int(q) for q in qubits):
+                raise ValueError(f"qubit indices must be nonnegative integers, got {qubits}")
+            # NumPy indices are stored as Python ints, which JSON can hold
+            object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
+            object.__setattr__(self, "controls", tuple(int(q) for q in self.controls))
+        if min(qubits) < 0:
             raise ValueError(f"qubit indices must be nonnegative integers, got {qubits}")
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"duplicate qubit index in {self.kind} gate: {qubits}")

@@ -19,15 +19,17 @@ give the counts of the same draws.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 
 import numpy as np
 
-from .circuit import Circuit, expand_toffolis, gate_census
+from .circuit import (NEGATED, POSITIVE, Circuit, _is_int, ccx,
+                      toffoli_decompose)
 from .dist import COUNTS, Distribution
 from .statevec import (DEFAULT_SEED, MAX_SHOTS, StateVector, _born,
                        _monomial_step, apply_gate, apply_pauli, init_zero,
@@ -167,8 +169,10 @@ def bundled_graph_bytes() -> bytes:
     return resources.files("liarsim").joinpath("data", BUNDLED_GRAPH_NAME).read_bytes()
 
 
+@functools.cache
 def load_bundled_graph() -> CouplingGraph:
-    """27-node heavy-hex style example topology (max degree 3)."""
+    """27-node heavy-hex style example topology (max degree 3), parsed once
+    per process; the graph is frozen, so every caller shares it."""
     return parse_graph_text(bundled_graph_bytes().decode("utf-8"),
                             f"bundled:{BUNDLED_GRAPH_NAME}")
 
@@ -214,19 +218,63 @@ class CostEstimate:
         }
 
 
+def _ccx_template(polarities) -> tuple[int, tuple, tuple]:
+    """toffoli_decompose of a CCX at these control polarities, with qubits a,
+    b, t as slots 0, 1, 2, reduced to what routing_estimate reads: the
+    one-qubit gate count, the CNOT slot pairs in gate order, and each output
+    slot j's depth paths (i, w), w being the most gates on a chain from slot
+    i's input to slot j's output.  ASAP layering is max-plus linear in the
+    incoming levels, so slot j leaves at level max(level_i + w)."""
+    slots = [gate.qubits for gate in toffoli_decompose(ccx(0, 1, 2, *polarities))]
+    reach = []
+    for source in range(3):
+        levels = [-math.inf] * 3
+        levels[source] = 0
+        for qubits in slots:
+            layer = 1 + max(levels[q] for q in qubits)
+            for q in qubits:
+                levels[q] = layer
+        reach.append(levels)
+    paths = tuple(tuple((i, int(reach[i][j])) for i in range(3) if reach[i][j] > -math.inf)
+                  for j in range(3))
+    return (sum(len(qubits) == 1 for qubits in slots),
+            tuple(qubits for qubits in slots if len(qubits) == 2), paths)
+
+
+_CCX_TEMPLATES = {polarities: _ccx_template(polarities)
+                  for polarities in product((POSITIVE, NEGATED), repeat=2)}
+
+
+def _closed_form_distance(graph: CouplingGraph):
+    """Distance function of the path 0-1-...-(N-1), or of that path closed
+    into a ring by the edge (0, N-1); None for any other graph.  The graph is
+    recognized from its normalized edge tuple only, so a relabeled path
+    takes the BFS."""
+    n = graph.num_nodes
+    chain = tuple(zip(range(n - 1), range(1, n)))
+    if graph.edges == chain:
+        return lambda u, v: abs(u - v)
+    if n >= 3 and graph.edges == ((0, 1), (0, n - 1)) + chain[1:]:
+        return lambda u, v: min(abs(u - v), n - abs(u - v))
+    return None
+
+
 def routing_estimate(circuit: Circuit, graph: CouplingGraph,
                      layout=None, profile: NoiseProfile | None = None) -> CostEstimate:
     """Cost of running the circuit on a coupling graph under a logical-to-
-    physical layout (identity by default).  CCX gates are expanded to their
-    CNOT decomposition before distances are measured."""
-    expanded = expand_toffolis(circuit)
-    census = gate_census(expanded)
-
+    physical layout (identity by default).  Every CCX counts as its
+    toffoli_decompose expansion, read from a template without building it, so
+    the result equals gate_census(expand_toffolis(circuit)) plus the
+    shortest-path distance of every expanded two-qubit interaction: closed
+    form on a path or ring, one BFS per distinct source on any other graph."""
     if layout is None:
         if circuit.num_qubits > graph.num_nodes:
             raise ValueError(f"circuit has {circuit.num_qubits} qubits but the "
                              f"graph has only {graph.num_nodes} nodes")
         layout = tuple(range(circuit.num_qubits))
+    for q in layout:
+        if not _is_int(q):
+            raise ValueError(f"layout entry {q!r} is not an integer")
     layout = tuple(int(q) for q in layout)
     if len(layout) != circuit.num_qubits:
         raise ValueError(
@@ -238,30 +286,61 @@ def routing_estimate(circuit: Circuit, graph: CouplingGraph,
         if not 0 <= node < graph.num_nodes:
             raise ValueError(f"layout node {node} outside the {graph.num_nodes}-node graph")
 
-    # one BFS per distinct source node, each dropped once its pairs are read
+    # one ASAP pass, as gate_census on the expanded circuit; pairs collects
+    # the physical nodes of every two-qubit interaction in gate order
+    count_1q = count_2q = 0
+    levels = [0] * circuit.num_qubits
     pairs = []
-    for gate in expanded.gates:
-        if len(gate.qubits) == 2:
-            a, b = sorted(gate.qubits)
+    for gate in circuit.gates:
+        qubits = gate.qubits
+        if gate.kind == "CCX":
+            ones, slot_pairs, slot_paths = _CCX_TEMPLATES[gate.polarities]
+            count_1q += ones
+            count_2q += len(slot_pairs)
+            for u, v in slot_pairs:
+                a, b = sorted((qubits[u], qubits[v]))
+                pairs.append((layout[a], layout[b]))
+            entry = [levels[q] for q in qubits]
+            for q, paths in zip(qubits, slot_paths):
+                levels[q] = max(entry[i] + w for i, w in paths)
+            continue
+        if len(qubits) == 1:
+            count_1q += 1
+        else:
+            count_2q += 1
+            a, b = sorted(qubits)
             pairs.append((layout[a], layout[b]))
-    found: dict[tuple[int, int], int] = {}
-    for src, keys in groupby(sorted(set(pairs)), key=itemgetter(0)):
-        row = graph._distances_from(src)
-        found.update((key, row[key[1]]) for key in keys)
-    distances = [found[key] for key in pairs]
-    for key, d in zip(pairs, distances):
-        if d < 0:
-            raise ValueError(f"nodes {key} are disconnected in the coupling graph")
+        layer = 1 + max(levels[q] for q in qubits)
+        for q in qubits:
+            levels[q] = layer
 
-    mean_distance = float(np.mean(distances)) if distances else 0.0
+    # the layout need not keep a pair's nodes in order, hence abs in the
+    # closed forms and any node of the pair as a BFS source
+    distance = _closed_form_distance(graph)
+    if distance is not None:
+        distances = [distance(u, v) for u, v in pairs]
+    else:
+        # one BFS per distinct source node, each dropped once its pairs are read
+        found: dict[tuple[int, int], int] = {}
+        for src, keys in groupby(sorted(set(pairs)), key=itemgetter(0)):
+            row = graph._distances_from(src)
+            found.update((key, row[key[1]]) for key in keys)
+        distances = [found[key] for key in pairs]
+        for key, d in zip(pairs, distances):
+            if d < 0:
+                raise ValueError(f"nodes {key} are disconnected in the coupling graph")
+
+    # exact, and equal to float(np.mean(distances)): the integer total stays
+    # far below 2**53, and int / int rounds the true quotient once
+    mean_distance = sum(distances) / len(distances) if distances else 0.0
     swap_overhead = 2 * sum((d - 1) * 3 for d in distances)
     if profile is None:
         profile = NoiseProfile()
-    fidelity = fidelity_estimate(census.count_2q, census.count_1q, profile)
+    fidelity = fidelity_estimate(count_2q, count_1q, profile)
     return CostEstimate(
-        g_1q=census.count_1q,
-        g_2q=census.count_2q,
-        depth=census.depth,
+        g_1q=count_1q,
+        g_2q=count_2q,
+        depth=max(levels),
         mean_distance=mean_distance,
         swap_overhead_cnots=swap_overhead,
         fidelity=fidelity,

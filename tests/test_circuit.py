@@ -320,3 +320,19 @@ def test_json_rejects_malformed_payload():
         circuit_from_json(json.dumps(
             {"num_qubits": 2, "gates": [{"kind": "Q", "targets": [0]}]}
         ))
+
+
+def test_save_circuit_round_trips_numpy_qubit_indices(tmp_path):
+    circ = Circuit(3, [
+        Gate("X", (np.int64(2),)),
+        Gate("CNOT", (np.int32(1),), (np.int64(0),), (POSITIVE,)),
+        Gate("CP", (np.uint8(2),), (1,), (NEGATED,), angle=0.25),
+        Gate("CCX", (0,), (np.int16(1), np.int64(2)), (POSITIVE, NEGATED)),
+    ])
+    for gate in circ.gates:
+        assert all(type(q) is int for q in gate.qubits)
+    path = tmp_path / "circ.json"
+    save_circuit(circ, path)
+    clone = load_circuit(path)
+    assert clone.gates == circ.gates
+    assert circuit_to_json(clone) == circuit_to_json(circ)

@@ -444,6 +444,48 @@ def test_estimate_names_a_graph_smaller_than_the_circuit(argv, message):
     assert (code, out, err) == (1, "", f"liarsim estimate: {message}\n")
 
 
+# The parity circuit of m pairs puts CCX(i, m + i -> 2m) at (positive,
+# negated) polarity for i < m, so each expands to 6 CNOTs and 9 + 2 one-qubit
+# gates.  Its CNOTs join (m + i, 2m) twice, (i, 2m) twice and (i, m + i)
+# twice: hop counts m - i, 2m - i and m on the (2m + 1)-node path.  On the
+# ring, 2m - i becomes min(2m - i, i + 1) = i + 1.  Summed over i:
+# path 6m^2 + 2m, ring 4m^2 + 2m, over 6m interactions.
+PAIRS_8000 = 4000
+
+
+@pytest.mark.parametrize("graph,total,swaps", [
+    ("linear", 6 * PAIRS_8000**2 + 2 * PAIRS_8000, 36 * PAIRS_8000**2 - 24 * PAIRS_8000),
+    ("ring", 4 * PAIRS_8000**2 + 2 * PAIRS_8000, 24 * PAIRS_8000**2 - 24 * PAIRS_8000),
+])
+def test_estimate_closed_forms_at_8000_statements(tmp_path, graph, total, swaps):
+    m = PAIRS_8000
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--n", str(2 * m), "--graph", graph, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["graph"]["num_nodes"] == 2 * m + 1
+    est = payload["estimate"]
+    assert (est["g_2q"], est["g_1q"]) == (6 * m, 11 * m)
+    assert est["mean_distance"] == total / (6 * m)
+    # each interaction at distance d costs 2 * 3 * (d - 1) CNOTs
+    assert est["swap_overhead_depth"] == swaps == 6 * (total - 6 * m)
+
+
+def test_estimate_at_8000_statements_is_byte_identical_across_hash_seeds(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    reports = []
+    for hash_seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = hash_seed
+        out = tmp_path / f"est-{hash_seed}.json"
+        subprocess.run([sys.executable, "-m", "liarsim.cli", "estimate", "--n", "8000",
+                        "--graph", "ring", "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["estimate"]["g_2q"] == 24000
+
+
 # ---------------------------------------------------------------------------
 # truthtable
 

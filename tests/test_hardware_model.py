@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liarsim import hardware_model
-from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE,
-                             Circuit, Gate, PairLayout, build_general,
-                             build_liar_reference, ccx, cnot, cp, h, p, x)
+from liarsim.circuit import (GATE_KINDS, NEGATED, OR_ACCUMULATE, PARITY,
+                             POSITIVE, Circuit, Gate, PairLayout,
+                             build_general, build_liar_reference, ccx, cnot,
+                             cp, expand_toffolis, gate_census, h, p, x)
 from liarsim.dist import COUNTS
 from liarsim.hardware_model import (MAX_GRAPH_NODES, CostEstimate,
                                     CouplingGraph, NoiseProfile,
@@ -214,6 +215,13 @@ def test_routing_layout_validation():
     with pytest.raises(ValueError, match="disconnected"):
         routing_estimate(circuit, CouplingGraph(4, ((0, 1), (2, 3))),
                          layout=(0, 2))
+    # an entry is a node index, never rounded or parsed
+    for entry in (1.7, 1.0, "1", True, None):
+        with pytest.raises(ValueError) as info:
+            routing_estimate(circuit, graph, layout=(0, entry))
+        assert str(info.value) == f"layout entry {entry!r} is not an integer"
+    est = routing_estimate(circuit, graph, layout=(np.int64(0), np.int32(3)))
+    assert est.swap_overhead_cnots == 2 * 2 * 3
 
 
 def test_routing_default_layout_needs_a_node_per_qubit():
@@ -271,6 +279,93 @@ def test_routing_matches_per_pair_distance(data, nodes, width, connected):
     est = routing_estimate(circuit, graph, layout=layout)
     assert est.mean_distance == float(np.mean(per_pair))
     assert est.swap_overhead_cnots == 2 * sum((d - 1) * 3 for d in per_pair)
+
+
+def _expanded_estimate(circuit, graph, layout, profile) -> CostEstimate:
+    """The estimate from the built Toffoli expansion: gate_census for the
+    counts and depth, CouplingGraph.distance for every two-qubit gate."""
+    expanded = expand_toffolis(circuit)
+    census = gate_census(expanded)
+    distances = [graph.distance(layout[min(gate.qubits)], layout[max(gate.qubits)])
+                 for gate in expanded.gates if len(gate.qubits) == 2]
+    return CostEstimate(
+        g_1q=census.count_1q, g_2q=census.count_2q, depth=census.depth,
+        mean_distance=float(np.mean(distances)) if distances else 0.0,
+        swap_overhead_cnots=2 * sum((d - 1) * 3 for d in distances),
+        fidelity=fidelity_estimate(census.count_2q, census.count_1q, profile))
+
+
+@st.composite
+def _routed_gates(draw, width):
+    """Gates of all six kinds over `width` qubits, controls at either polarity."""
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(GATE_KINDS), max_size=16)):
+        q = draw(st.permutations(range(width)))
+        pol = draw(st.lists(st.sampled_from((POSITIVE, NEGATED)), min_size=2, max_size=2))
+        if kind in ("H", "X"):
+            gates.append(Gate(kind, (q[0],)))
+        elif kind == "P":
+            gates.append(p(0.5, q[0]))
+        elif kind == "CNOT":
+            gates.append(cnot(q[0], q[1], pol[0]))
+        elif kind == "CP":
+            gates.append(cp(-0.25, q[0], q[1], pol[0]))
+        else:
+            gates.append(ccx(q[0], q[1], q[2], *pol))
+    return gates
+
+
+@st.composite
+def _routing_graphs(draw, width):
+    """Paths and rings on 0..N-1 (closed form), a relabeled path given as an
+    edge list, a random connected graph, or the bundled graph."""
+    kind = draw(st.sampled_from(("linear", "ring", "relabeled", "random", "bundled")))
+    nodes = width + draw(st.integers(0, 4))
+    if kind in ("linear", "ring"):
+        return make_graph(kind, size=max(nodes, 3))
+    if kind == "bundled":
+        return load_bundled_graph()
+    label = draw(st.permutations(range(nodes)))
+    if kind == "relabeled":
+        text = "".join(f"{label[i]} {label[i + 1]}\n" for i in range(nodes - 1))
+        return parse_graph_text(text)
+    # a random tree spans the nodes; extra edges add cycles
+    tree = [(label[i], label[draw(st.integers(0, i - 1))]) for i in range(1, nodes)]
+    extra = draw(st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=6))
+    return CouplingGraph(nodes, tuple(tree + extra))
+
+
+@settings(max_examples=300)
+@given(data=st.data(), width=st.integers(3, 8))
+def test_routing_matches_the_built_expansion(data, width):
+    gates = data.draw(_routed_gates(width))
+    graph = data.draw(_routing_graphs(width))
+    layout_kind = data.draw(st.sampled_from(("identity", "reversed", "random")))
+    if layout_kind == "identity":
+        layout = None
+    elif layout_kind == "reversed":
+        # physical pairs then run high to low
+        layout = tuple(range(graph.num_nodes - 1, graph.num_nodes - 1 - width, -1))
+    else:
+        layout = tuple(data.draw(st.permutations(range(graph.num_nodes)))[:width])
+    profile = NoiseProfile(p_1q=1e-3, p_2q=2e-2)
+    circuit = Circuit(width, gates)
+    est = routing_estimate(circuit, graph, layout=layout, profile=profile)
+    assert est == _expanded_estimate(circuit, graph, layout or tuple(range(width)),
+                                     profile)
+
+
+def test_routing_names_a_cut_toffoli_pair_low_qubit_first():
+    # node 2 is cut off; the expansion's second CNOT joins qubits 2 and 0
+    circuit = Circuit(3, [ccx(2, 1, 0, NEGATED, POSITIVE)])
+    graph = CouplingGraph(3, ((0, 1),))
+    cut = [gate.qubits for gate in expand_toffolis(circuit).gates
+           if len(gate.qubits) == 2 and 2 in gate.qubits][0]
+    assert cut == (2, 0)
+    with pytest.raises(ValueError) as info:
+        routing_estimate(circuit, graph)
+    assert str(info.value) == "nodes (0, 2) are disconnected in the coupling graph"
 
 
 # ---------------------------------------------------------------------------
