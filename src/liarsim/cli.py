@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -36,13 +37,13 @@ import numpy as np
 
 from .circuit import (OR_ACCUMULATE, PARITY, Circuit, PairLayout,
                       build_general, build_liar_literal, build_liar_reference,
-                      gate_census, load_circuit, save_circuit)
+                      circuit_from_json, gate_census, save_circuit)
 from .dist import (COUNTS, PROBABILITY, Distribution, bitstrings,
                    bundled_table_names, load_reference_table,
-                   read_distribution_csv, render_entries, write_counts_csv)
+                   parse_distribution_csv, render_entries, write_counts_csv)
 from .hardware_model import (MAX_GRAPH_NODES, CouplingGraph, NoiseProfile,
                              load_bundled_graph, make_graph, noisy_sample,
-                             routing_estimate)
+                             parse_graph_text, routing_estimate)
 from .logic_ops import _LABELS, MAX_PAIRS, _truth_columns, _verify
 from .metrics import MetricsConfig, full_report
 from .statevec import (DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS, probabilities,
@@ -207,14 +208,6 @@ def canonical_json(payload: dict) -> str:
     return "".join(_document(payload))
 
 
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _emit(args, config: dict, inputs: dict, fields: dict, pretty) -> None:
     """Write the report: the envelope (command, config, seed, inputs) plus the
     command's fields.  Canonical JSON goes to --out if given; stdout gets the
@@ -233,19 +226,28 @@ def _emit(args, config: dict, inputs: dict, fields: dict, pretty) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _read_input(source: str, load, inputs: dict, missing: str,
+def _text(data: bytes, newline: str | None = None) -> io.TextIOWrapper:
+    """data as a text stream that decodes and splits lines exactly as
+    open(path, encoding="utf-8", newline=newline) reads the file."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+
+
+def _read_input(source: str, parse, inputs: dict, missing: str,
                 unparsable: str) -> tuple:
-    """load(path) of the input file at source, and str(path); its sha256 goes
-    into inputs.  A missing file exits 3 with the message missing, and a
-    ValueError from load with "<unparsable>: <error>"."""
+    """parse(data, str(path)) of the bytes of the input file at source, and
+    str(path).  The file is read once, and the sha256 of the bytes parsed
+    goes into inputs.  A missing file exits 3 with the message missing, and
+    a ValueError from parse with "<unparsable>: <error>"."""
     path = Path(source)
     if not path.is_file():
         raise CliError(IO_EXIT, missing)
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        value = load(path)
+        value = parse(data, str(path))
     except ValueError as exc:
         raise CliError(IO_EXIT, f"{unparsable}: {exc}") from exc
-    inputs[str(path)] = _sha256_file(path)
+    inputs[str(path)] = hashlib.sha256(data).hexdigest()
     return value, str(path)
 
 
@@ -289,8 +291,9 @@ def _resolve_circuit(args, inputs: dict) -> tuple[Circuit, str]:
         circuit = build_general(PairLayout.default(args.pairs), mode,
                                 with_phase=args.with_phase)
         return circuit, f"general(pairs={args.pairs}, mode={args.mode})"
-    return _read_input(name, load_circuit, inputs,
-                       f"no such circuit: {name} (expected a named circuit "
+    return _read_input(name,
+                       lambda data, where: circuit_from_json(_text(data).read()),
+                       inputs, f"no such circuit: {name} (expected a named circuit "
                        f"or a circuit JSON file)",
                        f"cannot parse circuit file {name}")
 
@@ -400,7 +403,9 @@ def _resolve_distribution(source: str, column: str, inputs: dict) -> tuple[Distr
         return load_reference_table(arm, column=wanted), source
     if source in _LIARS:
         return probabilities(run_circuit(_LIARS[source]())), source
-    return _read_input(source, functools.partial(read_distribution_csv, column=column),
+    return _read_input(source,
+                       lambda data, where: parse_distribution_csv(
+                           _text(data, newline=""), where, column),
                        inputs, f"no such distribution file: {source}",
                        f"cannot parse {source}")
 
@@ -468,8 +473,10 @@ def _resolve_graph(source: str, size: int | None, needed: int,
     if source in ("linear", "ring"):
         node_count = size if size is not None else needed  # n + 1 >= 3 nodes
         return make_graph(source, size=node_count), f"{source}({node_count})"
-    return _read_input(source, lambda path: make_graph("from_file", path=path), inputs,
-                       f"no such graph file: {source}", f"cannot parse graph {source}")
+    return _read_input(source,
+                       lambda data, where: parse_graph_text(_text(data).read(), where),
+                       inputs, f"no such graph file: {source}",
+                       f"cannot parse graph {source}")
 
 
 def cmd_estimate(args) -> int:

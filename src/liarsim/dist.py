@@ -342,15 +342,21 @@ def _parse_rows(rows: list[list[str]], column: str, where: str) -> Distribution:
     return Distribution(width=width, entries=entries, kind=column)
 
 
+def parse_distribution_csv(stream, where: str, column: str = "auto",
+                           sum_tol: float = 1e-6) -> Distribution:
+    """The distribution in a CSV text stream opened with newline=""; where
+    names the stream in error messages."""
+    try:
+        rows = list(csv.reader(stream))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ValueError(f"{where}: {exc}") from exc
+    return _parse_rows(rows, column, where).validate(sum_tol)
+
+
 def read_distribution_csv(path, column: str = "auto",
                           sum_tol: float = 1e-6) -> Distribution:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            rows = list(csv.reader(fh))
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise ValueError(f"{path}: {exc}") from exc
-    dist = _parse_rows(rows, column, str(path))
-    return dist.validate(sum_tol)
+        return parse_distribution_csv(fh, str(path), column, sum_tol)
 
 
 def write_counts_csv(dist: Distribution, path) -> None:

@@ -358,10 +358,10 @@ _CHUNK_DRAWS = 1 << 16
 def _outcome_table(state: StateVector):
     """The state's cumulative Born distribution, for inverse-CDF draws, and
     the basis index of each entry (None when the entries are all 2**n
-    indices).  A support-held state is read without densifying it: its
-    cumulative runs over the support, normalized by _born's dense-order
-    total, and is closed by index 2**n - 1, so every draw lands on the index
-    the dense cumulative gives."""
+    indices).  A support-held state is read from its support alone, with no
+    array of 2**n: its cumulative runs over the support, normalized by
+    _born's total (the dense state's to the bit), and is closed by index
+    2**n - 1, so every draw lands on the index the dense cumulative gives."""
     index, probs, total = _born(state)
     cumulative = np.cumsum(probs / total)
     last = (1 << state.num_qubits) - 1

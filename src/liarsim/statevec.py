@@ -19,10 +19,12 @@ amplitudes.
 
 A run that ends on the support returns a support-held StateVector, which
 builds the dense array only when .amplitudes is read.  probabilities() and
-sample_counts() read the support alone, apart from one float64 array of 2**n
-|amplitude|**2 values, scattered only so that its sum() adds them in the
-dense order and the normalization matches the dense state's to the bit.
-NumPy's multinomial draws nothing for a category of p = 0 and gives the last
+sample_counts() read the support alone and allocate nothing of size 2**n,
+except a probabilities() asked to keep every outcome, zeros included.
+Their normalization is the total a dense state's sum() would give, to the
+bit: _dense_order_total adds the support's |amplitude|**2 values in NumPy's
+pairwise order, where the zeros off the support drop out exactly.  NumPy's
+multinomial draws nothing for a category of p = 0 and gives the last
 category what the others leave, so a draw over the support closed by the last
 basis index, 2**n - 1, makes exactly the dense draw.
 """
@@ -294,18 +296,39 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     return state
 
 
+def _dense_order_total(index: np.ndarray, probs: np.ndarray, num_qubits: int) -> float:
+    """The sum() of the 2**n float64 array that holds the non-negative probs
+    at the ascending int64 index and 0 elsewhere, to the bit, without that
+    array.
+
+    NumPy sums a contiguous array pairwise: fewer than 8 values one by one
+    from 0.0; otherwise blocks of 128 values, halved up a binary tree, each
+    block in 8 lanes (lane j adds values j, j+8, j+16, ... in order) combined
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)).  Adding +0.0 to a non-negative
+    double is exact, so the zeros off the support drop out: each lane is the
+    in-order sum of its support values, which bincount adds in input order,
+    and the lanes laid out block by block form one balanced tree.
+    """
+    shift = 3 if num_qubits >= 3 else 0  # under 8 values: one lane
+    lanes = np.bincount((index >> 7 << shift) | (index & ((1 << shift) - 1)),
+                        weights=probs,
+                        minlength=max(1, (1 << num_qubits) >> 7) << shift)
+    while lanes.size > 1:
+        lanes = lanes[0::2] + lanes[1::2]
+    return float(lanes[0])
+
+
 def _born(state: StateVector):
     """Born-rule probabilities of the state: the support's indices (None for a
     dense state, which lists every index), their |amplitude|**2, and the total
-    of those over all 2**n outcomes.  The total is summed over the scattered
-    2**n array, so that it adds in the dense order and equals a dense state's
-    total to the bit."""
+    of those over all 2**n outcomes.  A support-held state's total comes from
+    its support alone and equals a dense state's total to the bit."""
     if state._support is None:
         probs = np.abs(state.amplitudes) ** 2
         return None, probs, float(probs.sum())
     index, values = state._support
     probs = np.abs(values) ** 2
-    return index, probs, float(_scatter(index, probs, state.num_qubits).sum())
+    return index, probs, _dense_order_total(index, probs, state.num_qubits)
 
 
 def probabilities(state: StateVector, drop_below: float = 1e-12) -> Distribution:
@@ -340,9 +363,10 @@ def sample_counts(state: StateVector, shots: int, seed: int) -> Distribution:
 
     A support-held state is drawn over its support, in ascending index order,
     closed by a sentinel category for index 2**n - 1 when the support lacks
-    it, and normalized by the total of the dense summation order.  Categories
-    of p = 0 take no draw and the last one takes the remainder, so the counts
-    are those of the dense draw over all 2**n outcomes.
+    it, and normalized by _born's total, the dense state's to the bit.
+    Categories of p = 0 take no draw and the last one takes the remainder, so
+    the counts are those of the dense draw over all 2**n outcomes, and no
+    array of 2**n is built.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")

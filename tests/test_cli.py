@@ -21,12 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liarsim import cli, hardware_model, metrics, statevec
-from liarsim.circuit import GATE_KINDS, NEGATED, POSITIVE
+from liarsim.circuit import (GATE_KINDS, NEGATED, POSITIVE, circuit_from_dict,
+                             load_circuit)
 from liarsim.cli import (_emit, _indented, _json_default, _strict_numbers,
                          canonical_json, main)
 from liarsim.dist import (_CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY, Distribution,
                           read_distribution_csv)
-from liarsim.hardware_model import MAX_GRAPH_NODES
+from liarsim.hardware_model import MAX_GRAPH_NODES, make_graph
 from liarsim.logic_ops import CheckResult, fixed_point_report
 from liarsim.metrics import chi_squared_gof
 from liarsim.statevec import DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS
@@ -160,6 +161,58 @@ def test_simulate_rejects_too_many_shots_before_simulating(capsys, monkeypatch):
 def test_simulate_missing_circuit_file_is_io_error(capsys):
     assert main(["simulate", "/no/such/file.json"]) == 3
     assert "no such circuit" in capsys.readouterr().err
+
+
+def cli_env(hash_seed: str) -> dict:
+    """The environment of a `python -m liarsim.cli` subprocess that imports
+    this checkout's src/ under the given PYTHONHASHSEED."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
+def _cnot(control: int, target: int) -> dict:
+    return {"kind": "CNOT", "targets": [target], "controls": [control],
+            "polarities": ["positive"]}
+
+
+def _all_h_then_cascade(n: int) -> dict:
+    """H on every qubit, then a CNOT cascade: from 12 qubits up the run
+    leaves the support for the dense kernel mid-run."""
+    gates = [{"kind": "H", "targets": [q]} for q in range(n)]
+    return {"num_qubits": n, "gates": gates + [_cnot(q, q + 1) for q in range(n - 1)]}
+
+
+def _h_light_chain(n: int) -> dict:
+    """8 H, then CNOT, CCX and P down the register: the run ends on the
+    support, and the report is computed from it without the dense state."""
+    gates = [{"kind": "H", "targets": [q]} for q in range(0, 16, 2)]
+    for q in range(n - 2):
+        gates += [_cnot(q, q + 1),
+                  {"kind": "CCX", "targets": [q + 2], "controls": [q, q + 1],
+                   "polarities": ["positive", "negated"]},
+                  {"kind": "P", "targets": [q], "angle": 0.1 * (q + 1)}]
+    return {"num_qubits": n, "gates": gates}
+
+
+@pytest.mark.parametrize("payload, shots, held", [
+    (_all_h_then_cascade(13), 64, False),
+    (_h_light_chain(22), 1024, True),
+], ids=["mid-run-switch-13", "support-held-22"])
+def test_simulate_report_bytes_do_not_depend_on_the_hash_seed(tmp_path, payload,
+                                                              shots, held):
+    assert (statevec.run_circuit(circuit_from_dict(payload))._support is not None) == held
+    (tmp_path / "c.json").write_text(json.dumps(payload), encoding="utf-8")
+    reports = []
+    for hash_seed in ("0", "1"):
+        out = f"report{hash_seed}.json"
+        subprocess.run([sys.executable, "-m", "liarsim.cli", "simulate", "c.json",
+                        "--shots", str(shots), "--out", out],
+                       cwd=tmp_path, env=cli_env(hash_seed), capture_output=True,
+                       check=True)
+        reports.append((tmp_path / out).read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("extra", [[], ["--noise", "1e-4,1e-3,0.015"]])
@@ -471,16 +524,12 @@ def test_estimate_closed_forms_at_8000_statements(tmp_path, graph, total, swaps)
 
 
 def test_estimate_at_8000_statements_is_byte_identical_across_hash_seeds(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
     reports = []
     for hash_seed in ("0", "1"):
-        env["PYTHONHASHSEED"] = hash_seed
         out = tmp_path / f"est-{hash_seed}.json"
         subprocess.run([sys.executable, "-m", "liarsim.cli", "estimate", "--n", "8000",
                         "--graph", "ring", "--out", str(out)],
-                       env=env, capture_output=True, check=True)
+                       env=cli_env(hash_seed), capture_output=True, check=True)
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["estimate"]["g_2q"] == 24000
@@ -1016,6 +1065,58 @@ def test_oversized_csv_field_is_parse_error(tmp_path):
     code, _, err = call(["metrics", "--exp", str(path)])
     assert code == 3
     assert err.startswith(f"liarsim metrics: cannot parse {path}: ")
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["simulate", "c.json"], ["c.json"]),
+    (["metrics", "--exp", "exp.csv", "--ideal", "ideal.csv", "--consistent-set", "00"],
+     ["exp.csv", "ideal.csv"]),
+    (["estimate", "--n", "2", "--graph", "g.txt"], ["g.txt"]),
+], ids=["circuit", "distributions", "graph"])
+def test_each_input_file_is_opened_once_and_its_bytes_hashed(tmp_path, monkeypatch,
+                                                            argv, names):
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(json.dumps(_all_h_then_cascade(3)), encoding="utf-8")
+    Path("exp.csv").write_text("state,counts\r\n00,6\r\n11,4\r\n", encoding="utf-8")
+    Path("ideal.csv").write_text("state,probability\n00,0.5\n11,0.5\n", encoding="utf-8")
+    Path("g.txt").write_text("0 1\n1 2  # a comment\n2 3\n", encoding="utf-8")
+    real_open, opened = open, []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", recording_open), mock.patch("io.open", recording_open):
+        code, _, err = call(argv + ["--out", "r.json"])
+    assert code == 0, err
+    assert sorted(opened) == sorted(names + ["r.json"])
+    assert json.loads(Path("r.json").read_text(encoding="utf-8"))["inputs"] == {
+        name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
+
+
+_LATE_BAD_BYTE = (b"state,counts\n" + b"".join(b"%012d,1\n" % i for i in range(1200))
+                  + b"\xfe,1\n")
+
+
+@pytest.mark.parametrize("argv, data, load", [
+    (["simulate"], b'{"num_qubits": 2,\r\n "roles": {"0": "a\tb"}}\r\n', load_circuit),
+    (["simulate"], b'{"num_qubits": 1, "gates": []}\xff', load_circuit),
+    (["metrics", "--exp"], _LATE_BAD_BYTE, read_distribution_csv),
+    (["metrics", "--exp"], b"state,counts\r\n0\xff1,5\r\n", read_distribution_csv),
+    (["estimate", "--n", "2", "--graph"], b"0 1\r1 x\r",
+     lambda path: make_graph("from_file", path=path)),
+], ids=["crlf-control-character", "bad-utf8", "bad-utf8-past-the-first-chunk",
+        "crlf-bad-utf8", "cr-bad-node"])
+def test_input_errors_match_the_library_loaders(tmp_path, argv, data, load):
+    # the CLI parses the bytes it read and hashed; its text must decode and
+    # split lines as the loaders' own open() does, positions included
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as raised:
+        load(path)
+    code, _, err = call(argv + [str(path)])
+    assert code == 3
+    assert err.endswith(f": {raised.value}\n")
 
 
 def test_write_failures_exit_three_naming_the_path(tmp_path):
