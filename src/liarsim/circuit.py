@@ -305,6 +305,14 @@ def build_general(layout: PairLayout, mode: str = PARITY,
     return circ
 
 
+def general_width(num_pairs: int, mode: str = PARITY) -> int:
+    """Qubits of build_general(PairLayout.default(num_pairs), mode): the
+    layout's 2m + 1, plus in or_accumulate mode the m violation ancillas and
+    m - 1 AND-chain ancillas."""
+    width = 2 * num_pairs + 1
+    return width + 2 * num_pairs - 1 if mode == OR_ACCUMULATE else width
+
+
 # ---------------------------------------------------------------------------
 # Toffoli decomposition
 

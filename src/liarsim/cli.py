@@ -7,13 +7,17 @@ rerun with the same arguments writes byte-identical output.  --pretty swaps
 stdout to a human rendering; --out always receives the canonical JSON.
 
 The canonical text is json.dumps(report, indent=2, sort_keys=True), which
-_indented renders directly.  Three kinds of top-level field take a faster
-encoder with the same bytes: a Distribution is laid out by
-dist.render_entries, a list of scalar rows (truth-table rows, verify checks)
-is encoded a column at a time by _rows, and a dict that holds a list is laid
-out an item at a time by _fields, a list of scalars (a metrics report's
-paradox set) in one call of the C encoder.  Anything nested deeper goes
-through _indented.
+_indented renders directly.  Four kinds of top-level field take a faster
+encoder with the same bytes.  Two are laid out by dist._render_rows, which
+fills one row template from literal text, bitstring columns and coded
+columns (a few texts picked per row by an int code array), formatting each
+row in Python up to dist._FORMAT_EACH rows and as uint8 blocks above that: a
+Distribution, through dist.render_entries, and a _Table, a list of rows held
+by column, such as the truth table, whose --csv file is laid out from the
+same columns.  A list of other scalar rows (verify checks) is encoded a
+column at a time by _rows, and a dict that holds a list is laid out an item
+at a time by _fields, a list of scalars (a metrics report's paradox set) in
+one call of the C encoder.  Anything nested deeper goes through _indented.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 Every failure prints one "liarsim <subcommand>: <message>" line on stderr.
@@ -29,6 +33,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -37,9 +42,9 @@ import numpy as np
 
 from .circuit import (OR_ACCUMULATE, PARITY, Circuit, PairLayout,
                       build_general, build_liar_literal, build_liar_reference,
-                      circuit_from_json, gate_census, save_circuit)
-from .dist import (COUNTS, PROBABILITY, Distribution, bitstrings,
-                   bundled_table_names, load_reference_table,
+                      circuit_from_json, gate_census, general_width, save_circuit)
+from .dist import (COUNTS, PROBABILITY, Distribution, _Bits, _Coded, _render_rows,
+                   bitstrings, bundled_table_names, load_reference_table,
                    parse_distribution_csv, render_entries, write_counts_csv)
 from .hardware_model import (MAX_GRAPH_NODES, CouplingGraph, NoiseProfile,
                              load_bundled_graph, make_graph, noisy_sample,
@@ -80,6 +85,46 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # shared plumbing
 
+class _Table:
+    """A report field that is a list of `size` dicts sharing one set of str
+    keys, held by column.  `columns` maps each key to a scalar that every row
+    holds, a dist._Bits whose row i holds its i-th bitstring, or a dist._Coded
+    whose row i holds choices[codes[i]], choices being JSON scalars."""
+
+    __slots__ = ("size", "columns")
+
+    def __init__(self, size: int, columns: dict):
+        self.size, self.columns = size, columns
+
+    def rows(self) -> list[dict]:
+        """The field as the list of dicts it stands for."""
+        values = []
+        for column in self.columns.values():
+            if isinstance(column, _Bits):
+                values.append(bitstrings(column.indices, column.width))
+            elif isinstance(column, _Coded):
+                values.append([column.choices[c] for c in column.codes.tolist()])
+            else:
+                values.append(repeat(column, self.size))
+        return [dict(zip(self.columns, row)) for row in zip(*values)]
+
+    def row_parts(self, keys: Iterable[str], spell, quote: str, heads: Iterable[str],
+                  end: str) -> list:
+        """dist._render_rows parts for one row: each head in turn followed by
+        the column of the key beside it, its values spelled by spell() and a
+        bitstring between two quote texts; end closes the row."""
+        parts = []
+        for head, key in zip(heads, keys):
+            column = self.columns[key]
+            if isinstance(column, _Bits):
+                parts += [head + quote, column, quote]
+            elif isinstance(column, _Coded):
+                parts += [head, _Coded(tuple(map(spell, column.choices)), column.codes)]
+            else:
+                parts.append(head + spell(column))
+        return parts + [end]
+
+
 def _json_default(value):
     if isinstance(value, np.integer):
         return int(value)
@@ -91,6 +136,8 @@ def _json_default(value):
         if value.kind == COUNTS:
             return {k: int(v) for k, v in value.entries.items()}
         return dict(value.entries.items())
+    if isinstance(value, _Table):
+        return _strict_numbers(value.rows())
     raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
@@ -134,7 +181,7 @@ def _scalar_texts(values: list) -> list[str] | None:
 
 def _rows(value, pad: str) -> str | None:
     """_indented(value, pad) for a non-empty list of dicts that share one
-    non-empty set of str keys and hold only scalars, such as truth-table rows;
+    non-empty set of str keys and hold only scalars, such as verify checks;
     None for any other value.  Each key's column is encoded by one call of the
     C encoder, then each row fills one template."""
     if (not isinstance(value, (list, tuple)) or set(map(type, value)) != {dict}
@@ -178,6 +225,11 @@ def _fields(value: dict, pad: str) -> str:
     return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
 
 
+def _spell_json(value) -> str:
+    """The JSON text of a scalar, as _indented spells it."""
+    return json.dumps(_strict_numbers(value), allow_nan=False, default=_json_default)
+
+
 def _document(payload) -> list[str]:
     """canonical_json(payload) as pieces to write in turn: a report's
     top-level items stay apart, so no copy of the whole document is made."""
@@ -192,6 +244,15 @@ def _document(payload) -> list[str]:
             chunks = list(render_entries(value, '"', '": ', sep))
             chunks[-1] = chunks[-1][:-len(sep)]
             pieces += ["{\n    ", *chunks, "\n  }"]
+        elif isinstance(value, _Table) and value.size:
+            keys = sorted(value.columns)
+            heads = ["{\n      " + json.dumps(keys[0]) + ": "]
+            heads += [",\n      " + json.dumps(key) + ": " for key in keys[1:]]
+            sep = ",\n    "
+            parts = value.row_parts(keys, _spell_json, '"', heads, "\n    }" + sep)
+            chunks = list(_render_rows(parts, value.size))
+            chunks[-1] = chunks[-1][:-len(sep)]
+            pieces += ["[\n    ", *chunks, "\n  ]"]
         elif (isinstance(value, dict) and set(map(type, value)) == {str}
               and any(isinstance(v, (list, tuple)) for v in value.values())):
             pieces.append(_fields(value, "  "))
@@ -284,10 +345,12 @@ def _resolve_circuit(args, inputs: dict) -> tuple[Circuit, str]:
     if name in _LIARS:
         return _LIARS[name](), name
     if name == "general":
-        if not 1 <= args.pairs <= MAX_QUBITS:
-            raise CliError(USAGE_EXIT,
-                           f"--pairs must be in 1..{MAX_QUBITS}, got {args.pairs}")
         mode = PARITY if args.mode == "parity" else OR_ACCUMULATE
+        if not 1 <= args.pairs or general_width(args.pairs, mode) > MAX_QUBITS:
+            cap = max(m for m in range(1, MAX_QUBITS + 1)
+                      if general_width(m, mode) <= MAX_QUBITS)
+            raise CliError(USAGE_EXIT, f"--pairs must be in 1..{cap} for mode "
+                                       f"{args.mode}, got {args.pairs}")
         circuit = build_general(PairLayout.default(args.pairs), mode,
                                 with_phase=args.with_phase)
         return circuit, f"general(pairs={args.pairs}, mode={args.mode})"
@@ -536,40 +599,50 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 # truthtable
 
+def _truth_table(m: int, flag_in: int) -> _Table:
+    """The truthtable report's rows, one per pair assignment in index order,
+    each pair register half as a bitstring, highest pair index leftmost."""
+    inputs, rule_flags, labels, circuit_flags = _truth_columns(m, flag_in)
+    pairs = (1 << m) - 1
+    return _Table(len(inputs), {
+        "circuit_flag": _Coded((0, 1), circuit_flags),
+        "classification": _Coded(_LABELS, labels),
+        "contradictions": _Bits(inputs & pairs, m),
+        "diverges": _Coded((False, True), (rule_flags != circuit_flags).astype(np.int64)),
+        "flag_in": flag_in,
+        "resolutions": _Bits((inputs >> m) & pairs, m),
+        "rule_flag": _Coded((0, 1), rule_flags),
+    })
+
+
 def cmd_truthtable(args) -> int:
     if not 1 <= args.pairs <= TRUTHTABLE_MAX_PAIRS:
         raise CliError(USAGE_EXIT,
                        f"--pairs must be in 1..{TRUTHTABLE_MAX_PAIRS}, got {args.pairs}")
     m, flag_in = args.pairs, args.flag_in
-    inputs, rule_flags, labels, circuit_flags = _truth_columns(m, flag_in)
-    diverges = rule_flags != circuit_flags
-    divergent = int(diverges.sum())
-    # one tuple per assignment in _TRUTHTABLE_COLUMNS order; each pair
-    # register half as a bitstring, highest pair index leftmost
-    pairs = (1 << m) - 1
-    rows = list(zip(bitstrings(inputs & pairs, m), bitstrings((inputs >> m) & pairs, m),
-                    repeat(flag_in), rule_flags.tolist(),
-                    [_LABELS[label] for label in labels.tolist()],
-                    circuit_flags.tolist(), diverges.tolist()))
+    table = _truth_table(m, flag_in)
+    divergent = int(table.columns["diverges"].codes.sum())
 
     if args.csv:  # no field holds a comma, quote or line break: none is quoted
+        heads = ["", *repeat(",", len(_TRUTHTABLE_COLUMNS) - 1)]
+        parts = table.row_parts(_TRUTHTABLE_COLUMNS, str, "", heads, "\r\n")
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(_TRUTHTABLE_COLUMNS) + "\r\n")
-            fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+            fh.writelines(_render_rows(parts, table.size))
 
     def pretty():
         lines = [f"truth table, {m} pair(s), flag_in={flag_in}:",
                  f"{'c':>{m}} {'r':>{m}} flag_in rule circuit "
                  f"diverges classification"]
-        lines += [f"{c:>{m}} {r:>{m}} {flag:>7} {rule:>4} {circuit:>7} "
-                  f"{'yes' if diverge else '.':>8} {label}"
-                  for c, r, flag, rule, label, circuit, diverge in rows]
+        lines += [f"{row['contradictions']:>{m}} {row['resolutions']:>{m}} "
+                  f"{flag_in:>7} {row['rule_flag']:>4} {row['circuit_flag']:>7} "
+                  f"{'yes' if row['diverges'] else '.':>8} {row['classification']}"
+                  for row in table.rows()]
         lines.append(f"{divergent} divergent row(s)")
         return lines
 
     _emit(args, {"pairs": m, "flag_in": flag_in}, {},
-          {"rows": [dict(zip(_TRUTHTABLE_COLUMNS, row)) for row in rows],
-           "divergent_rows": divergent}, pretty)
+          {"rows": table, "divergent_rows": divergent}, pretty)
     return 0
 
 

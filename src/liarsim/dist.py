@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import csv
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from importlib import resources
-from itertools import repeat
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,12 +20,12 @@ REFERENCE_TABLE_SUM_TOL = 0.06
 
 # Outcomes are held as int64 basis indices.
 MAX_WIDTH = 63
-# Entries rendered per block by render_entries: large enough that NumPy's
+# Rows rendered per block by _render_rows: large enough that NumPy's
 # per-call cost is spread thin, small enough that a block stays in cache and
 # a 2**24-outcome report never holds a full-size temporary array.
 _CHUNK_ROWS = 4096
-# Up to this many entries render_entries formats each entry in Python, which
-# beats the block layout's fixed cost of about a dozen NumPy calls.
+# Up to this many rows _render_rows formats each row in Python, which beats
+# the block layout's fixed cost of about a dozen NumPy calls.
 _FORMAT_EACH = 128
 
 _BUNDLED_TABLES = {
@@ -257,38 +258,91 @@ class Distribution:
         return dict(self.entries.items())
 
 
+def _listed(ints):
+    """The ints of a column as a Python sequence, for the per-row path."""
+    return ints.tolist() if isinstance(ints, np.ndarray) else ints
+
+
+class _Bits(NamedTuple):
+    """A column whose row i is the width-bit bitstring of indices[i], highest
+    bit first; indices is an int array, or up to _FORMAT_EACH rows a list."""
+    indices: np.ndarray
+    width: int
+
+
+class _Coded(NamedTuple):
+    """A column whose row i is choices[codes[i]]; codes is an int array, or
+    up to _FORMAT_EACH rows a sequence of ints."""
+    choices: Sequence
+    codes: np.ndarray
+
+
+def _render_rows(parts: Sequence, count: int):
+    """Yield the text of count rows, each the concatenation of parts in
+    order, in chunks of _CHUNK_ROWS rows.  A part is a str, the same ASCII
+    text in every row; a _Bits column; or a _Coded column whose choices are
+    ASCII texts.  Up to _FORMAT_EACH rows are joined in Python.  Above that,
+    each chunk is laid out as one uint8 block, one row of bytes per
+    row, with each coded text NUL-padded to the longest; the padding bytes
+    are dropped only when the texts differ in length, so no text may hold a
+    NUL."""
+    if count <= _FORMAT_EACH:  # below NumPy's fixed cost per call
+        if count:
+            yield "".join(chain.from_iterable(zip(*[
+                repeat(part, count) if isinstance(part, str)
+                else map(format, _listed(part.indices), repeat(f"0{part.width}b"))
+                if isinstance(part, _Bits)
+                else map(part.choices.__getitem__, _listed(part.codes))
+                for part in parts])))
+        return
+    # one row of bytes with every column blank, and where each column goes
+    texts, slots, ragged = [], [], False
+    at = 0
+    for part in parts:
+        if isinstance(part, str):
+            text = part
+        elif isinstance(part, _Bits):
+            text = "0" * part.width
+            slots.append((at, at + part.width, part, None))
+        else:
+            table = np.array(part.choices, dtype=bytes)
+            table = table.view(np.uint8).reshape(len(part.choices), -1)
+            ragged |= min(map(len, part.choices)) < table.shape[1]
+            text = " " * table.shape[1]
+            slots.append((at, at + table.shape[1], part, table))
+        texts.append(text)
+        at += len(text)
+    row = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+    for first in range(0, count, _CHUNK_ROWS):
+        chunk = slice(first, first + _CHUNK_ROWS)
+        block = np.repeat(row[None, :], min(_CHUNK_ROWS, count - first), axis=0)
+        for start, end, part, table in slots:
+            if table is None:
+                block[:, start:end] = _bit_chars(part.indices[chunk], part.width)
+            else:
+                block[:, start:end] = table[part.codes[chunk]]
+        flat = block.ravel()
+        yield (flat[flat != 0] if ragged else flat).tobytes().decode("ascii")
+
+
 def render_entries(dist: Distribution, head: str, mid: str, tail: str):
     """Yield the text of every entry as head + bitstring + mid + value + tail,
     in ascending index (= sorted bitstring) order, in chunks of _CHUNK_ROWS
-    entries.  Values are spelled as json.dumps spells them: repr() for
-    probabilities, the integer for counts.  Up to _FORMAT_EACH entries are
-    formatted one by one.  Above that, each distinct value (by bit pattern)
-    is formatted once, and each chunk is laid out as one uint8 block whose
-    padding bytes are dropped; head, mid and tail must be ASCII without NUL."""
+    entries, through _render_rows; head, mid and tail must be ASCII without
+    NUL.  Values are spelled as json.dumps spells them: repr() for
+    probabilities, the integer for counts.  Above _FORMAT_EACH entries each
+    distinct value (by bit pattern) is spelled once."""
     spell = repr if dist.kind == PROBABILITY else (lambda v: str(int(v)))
-    width = dist.width
     if dist.indices.size <= _FORMAT_EACH:  # below NumPy's fixed cost per call
         pairs = sorted(zip(dist.indices.tolist(), dist.values.tolist()))
-        if pairs:
-            yield "".join([f"{head}{i:0{width}b}{mid}{spell(v)}{tail}" for i, v in pairs])
-        return
-    indices, values = dist.sorted_arrays()
-    patterns, which = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([spell(v) for v in patterns.view(np.float64).tolist()], dtype=bytes)
-    texts = texts.view(np.uint8).reshape(len(texts), -1)
-    # one row per entry: head, the bits, mid, the value NUL-padded, tail
-    bits_at = len(head)
-    value_at = bits_at + width + len(mid)
-    value_end = value_at + texts.shape[1]
-    row = np.frombuffer(f"{head}{'0' * width}{mid}{' ' * texts.shape[1]}{tail}"
-                        .encode("ascii"), dtype=np.uint8)
-    for first in range(0, indices.size, _CHUNK_ROWS):
-        chunk = slice(first, first + _CHUNK_ROWS)
-        block = np.repeat(row[None, :], len(indices[chunk]), axis=0)
-        block[:, bits_at:value_at - len(mid)] = _bit_chars(indices[chunk], width)
-        block[:, value_at:value_end] = texts[which[chunk]]
-        flat = block.ravel()
-        yield flat[flat != 0].tobytes().decode("ascii")
+        indices = [i for i, _ in pairs]
+        choices, codes = [spell(v) for _, v in pairs], range(len(pairs))
+    else:
+        indices, values = dist.sorted_arrays()
+        patterns, codes = np.unique(values.view(np.int64), return_inverse=True)
+        choices = [spell(v) for v in patterns.view(np.float64).tolist()]
+    return _render_rows([head, _Bits(indices, dist.width), mid,
+                         _Coded(choices, codes), tail], len(indices))
 
 
 # ---------------------------------------------------------------------------

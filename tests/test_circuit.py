@@ -11,8 +11,8 @@ from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE,
                              build_liar_literal, build_liar_reference, ccx,
                              circuit_from_dict, circuit_from_json,
                              circuit_to_dict, circuit_to_json, cnot, cp,
-                             expand_toffolis, gate_census, gate_inverse, h,
-                             load_circuit, p, save_circuit, toffoli_decompose,
+                             expand_toffolis, gate_census, gate_inverse,
+                             general_width, h, load_circuit, p, save_circuit, toffoli_decompose,
                              x)
 from liarsim.statevec import init_zero, probabilities, run_circuit
 
@@ -178,6 +178,13 @@ def _embed(index, num_qubits):
 def test_general_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode"):
         build_general(PairLayout.default(1), "xor")
+
+
+@pytest.mark.parametrize("mode", [PARITY, OR_ACCUMULATE])
+def test_general_width_is_the_built_circuit_width(mode):
+    for m in range(1, 13):
+        assert general_width(m, mode) == build_general(PairLayout.default(m),
+                                                       mode).num_qubits
 
 
 def test_literal_r_control_flips_resolution_polarity():

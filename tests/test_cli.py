@@ -26,9 +26,9 @@ from liarsim.circuit import (GATE_KINDS, NEGATED, POSITIVE, circuit_from_dict,
 from liarsim.cli import (_emit, _indented, _json_default, _strict_numbers,
                          canonical_json, main)
 from liarsim.dist import (_CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY, Distribution,
-                          read_distribution_csv)
+                          _Bits, _Coded, read_distribution_csv)
 from liarsim.hardware_model import MAX_GRAPH_NODES, make_graph
-from liarsim.logic_ops import CheckResult, fixed_point_report
+from liarsim.logic_ops import _LABELS, CheckResult, fixed_point_report, truth_table
 from liarsim.metrics import chi_squared_gof
 from liarsim.statevec import DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS
 
@@ -196,23 +196,58 @@ def _h_light_chain(n: int) -> dict:
     return {"num_qubits": n, "gates": gates}
 
 
-@pytest.mark.parametrize("payload, shots, held", [
-    (_all_h_then_cascade(13), 64, False),
-    (_h_light_chain(22), 1024, True),
-], ids=["mid-run-switch-13", "support-held-22"])
-def test_simulate_report_bytes_do_not_depend_on_the_hash_seed(tmp_path, payload,
-                                                              shots, held):
-    assert (statevec.run_circuit(circuit_from_dict(payload))._support is not None) == held
-    (tmp_path / "c.json").write_text(json.dumps(payload), encoding="utf-8")
+_NOISY = ("--noise", "1e-3,1e-2,0.15", "--shots", "4096")
+
+
+@pytest.mark.parametrize("payload, argv, path", [
+    (_all_h_then_cascade(13), ("c.json", "--shots", "64"), "dense"),
+    (_h_light_chain(22), ("c.json", "--shots", "1024"), "support"),
+    (None, ("general", "--pairs", "3", "--mode", "or", *_NOISY), "frames"),
+    (None, ("liar-reference", *_NOISY), "signatures"),
+], ids=["mid-run-switch-13", "support-held-22", "frame-path", "signature-path"])
+def test_simulate_report_bytes_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch,
+                                                              payload, argv, path):
+    if payload is not None:
+        (tmp_path / "c.json").write_text(json.dumps(payload), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    circuit, _ = cli._resolve_circuit(cli.build_parser().parse_args(["simulate", *argv]), {})
+    if path in ("dense", "support"):
+        held = statevec.run_circuit(circuit)._support is not None
+        assert held == (path == "support")
+    else:  # noisy_sample runs the faulty shots of an H-free circuit as frames
+        assert all(gate.kind != "H" for gate in circuit.gates) == (path == "frames")
     reports = []
     for hash_seed in ("0", "1"):
         out = f"report{hash_seed}.json"
-        subprocess.run([sys.executable, "-m", "liarsim.cli", "simulate", "c.json",
-                        "--shots", str(shots), "--out", out],
+        subprocess.run([sys.executable, "-m", "liarsim.cli", "simulate", *argv,
+                        "--out", out],
                        cwd=tmp_path, env=cli_env(hash_seed), capture_output=True,
                        check=True)
         reports.append((tmp_path / out).read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--pairs", "3"),
+    ("truthtable", "--pairs", "4"),
+    ("truthtable", "--pairs", "6", "--flag-in", "0"),
+    ("metrics", "--exp", "bundled:hardware"),
+    ("simulate", "general", "--pairs", "3", "--shots", "64"),
+], ids=" ".join)
+def test_report_bytes_are_the_canonical_encoding_of_their_content(tmp_path, argv):
+    subprocess.run([sys.executable, "-m", "liarsim.cli", *argv, "--out", "r.json"],
+                   cwd=tmp_path, env=cli_env("random"), capture_output=True, check=True)
+    text = (tmp_path / "r.json").read_bytes().decode("utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("mode, cap", [("parity", 11), ("or", 6)])
+def test_simulate_general_pair_cap_names_the_mode(capsys, mode, cap):
+    # the cap itself passes (test_largest_accepted_sizes_pass_the_caps)
+    for pairs in (0, cap + 1, 2 * cap):
+        assert main(["simulate", "general", "--pairs", str(pairs), "--mode", mode]) == 1
+        assert capsys.readouterr().err == (f"liarsim simulate: --pairs must be in "
+                                           f"1..{cap} for mode {mode}, got {pairs}\n")
 
 
 @pytest.mark.parametrize("extra", [[], ["--noise", "1e-4,1e-3,0.015"]])
@@ -892,6 +927,77 @@ def test_distribution_renders_as_json_dumps_of_its_entries(dist, pad):
         indent=2, sort_keys=True).split("\n") + [""]
 
 
+_TABLE_SIZES = (0, 1, 2, _FORMAT_EACH - 1, _FORMAT_EACH, _FORMAT_EACH + 1,
+                _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1)
+_TRUTH_CHOICES = ((0, 1), (False, True), _LABELS)
+
+
+@st.composite
+def _tables(draw):
+    """(table, rows): a cli._Table whose size sits at 0, 1, or either side of
+    the row renderer's thresholds, and the list of dicts it stands for, built
+    here without the table's code.  Its columns are bitstrings of 1-63 bits,
+    coded columns whose choices spell equally or unequally long, and scalars
+    that every row holds."""
+    size = draw(st.sampled_from(_TABLE_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, values = {}, {}
+    for key in draw(st.lists(_row_texts, min_size=1, max_size=5, unique=True)):
+        kind = draw(st.sampled_from(["bits", "equal", "unequal", "truth", "scalar"]))
+        if kind == "bits":
+            width = draw(st.integers(1, 63))
+            indices = rng.integers(0, 1 << width, size, dtype=np.int64, endpoint=False)
+            indices[:2] = ((1 << width) - 1, 0)[:size]  # both ends
+            columns[key] = _Bits(indices, width)
+            values[key] = [format(i, f"0{width}b") for i in indices.tolist()]
+            continue
+        if kind == "scalar":
+            columns[key] = draw(_row_scalars)
+            values[key] = [columns[key]] * size
+            continue
+        if kind == "equal":  # one spelled length: ints of one decade, or letters
+            digits = draw(st.integers(1, 18))
+            choices = draw(st.lists(st.integers(10 ** (digits - 1), 10 ** digits - 1)
+                                    | st.text("ab", min_size=digits, max_size=digits),
+                                    min_size=1, max_size=6))
+            choices = [c for c in choices if len(json.dumps(c)) == len(json.dumps(choices[0]))]
+        elif kind == "truth":
+            choices = draw(st.sampled_from(_TRUTH_CHOICES))
+        else:
+            choices = draw(st.lists(_row_scalars, min_size=1, max_size=6))
+        codes = rng.integers(0, len(choices), size)
+        columns[key] = _Coded(tuple(choices), codes)
+        values[key] = [choices[c] for c in codes.tolist()]
+    rows = [{key: values[key][i] for key in columns} for i in range(size)]
+    return cli._Table(size, columns), rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tables())
+def test_table_fields_render_as_json_dumps_of_their_rows(case):
+    table, rows = case
+    reference = json.dumps(_strict_numbers({"n": None, "rows": rows}), indent=2,
+                           sort_keys=True, allow_nan=False, default=_json_default)
+    # compared as lists of lines: pytest's diff of two long strings is slow
+    assert canonical_json({"n": None, "rows": table}).split("\n") == (
+        reference.split("\n") + [""])
+    # a table nested deeper goes to the reference encoder as its list of dicts
+    assert _json_default(table) == _strict_numbers(rows)
+
+
+@pytest.mark.parametrize("pairs", [1, 3, 4, 6, 7])
+@pytest.mark.parametrize("flag_in", [0, 1])
+def test_truth_table_field_renders_as_the_truth_table(pairs, flag_in):
+    rows = [{"circuit_flag": row.circuit_flag, "classification": row.label,
+             "contradictions": "".join(map(str, reversed(row.contradictions))),
+             "diverges": row.diverges, "flag_in": row.flag_in,
+             "resolutions": "".join(map(str, reversed(row.resolutions))),
+             "rule_flag": row.rule_flag}
+            for row in truth_table(pairs, flag_in)]
+    reference = json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
+    assert canonical_json({"rows": cli._truth_table(pairs, flag_in)}) == reference
+
+
 def test_emit_builds_pretty_text_only_under_pretty(tmp_path, capsys):
     def pretty():
         raise AssertionError("pretty text built without --pretty")
@@ -1166,6 +1272,8 @@ def peak_bytes(fn):
     (["estimate", "--n", "2", "--graph", "linear", "--graph-size", HUGE], 1),
     (["estimate", "--n", "2", "--graph", f"0 {MAX_GRAPH_NODES}"], 3),
     (["estimate", "--n", "2", "--graph", "0 99999999999"], 3),
+    (["simulate", "general", "--pairs", "12"], 1),
+    (["simulate", "general", "--pairs", "7", "--mode", "or"], 1),
 ])
 def test_size_caps_reject_before_allocating(tmp_path, argv, code):
     if argv[-1].startswith("0 "):  # an edge-list file holding that one line
@@ -1189,9 +1297,12 @@ def test_largest_accepted_sizes_pass_the_caps(tmp_path):
     code, _, err = call(["estimate", "--n", "2", "--graph", "ring",
                          "--graph-size", str(MAX_GRAPH_NODES)])
     assert code == 0, err
-    code, _, err = call(["simulate", "general", "--pairs", str(MAX_QUBITS)])
-    assert code == 1  # passes the --pairs cap, then hits the register cap
-    assert f"num_qubits must be in 1..{MAX_QUBITS}" in err
+    # the --pairs cap is the widest general circuit of the mode that fits
+    for mode, pairs, width in (("parity", 11, MAX_QUBITS - 1), ("or", 6, MAX_QUBITS)):
+        code, out, err = call(["simulate", "general", "--pairs", str(pairs),
+                               "--mode", mode])
+        assert code == 0, err
+        assert json.loads(out)["num_qubits"] == width
 
 
 @pytest.fixture(scope="module")
