@@ -141,8 +141,11 @@ class Circuit:
     roles: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not _is_int(self.num_qubits):
+            raise ValueError(f"num_qubits must be an integer, got {self.num_qubits!r}")
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
+        self.num_qubits = int(self.num_qubits)
         for gate in self.gates:
             self._check_gate(gate)
         for idx, role in self.roles.items():
@@ -383,14 +386,6 @@ def gate_census(circuit: Circuit) -> GateCensus:
             levels[q] = layer
         depth = max(depth, layer)
     return GateCensus(count_1q, count_2q, count_ccx, depth)
-
-
-def gate_inverse(gate: Gate) -> Gate:
-    """Inverse gate: phase angles negate, everything else is self-inverse."""
-    if gate.kind in _ANGLED:
-        return Gate(gate.kind, gate.targets, gate.controls, gate.polarities,
-                    -gate.angle)
-    return gate
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ Every failure prints one "liarsim <subcommand>: <message>" line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import io
@@ -414,7 +413,7 @@ def cmd_simulate(args) -> int:
     _emit(args, config, inputs, {
         "num_qubits": circuit.num_qubits,
         "gate_count": len(circuit.gates),
-        "census": dataclasses.asdict(census),
+        "census": dict(vars(census)),
         "probabilities": probs,
         "counts": counts,
     }, pretty)
@@ -443,9 +442,9 @@ def cmd_verify(args) -> int:
         return lines
 
     _emit(args, {"pairs": args.pairs}, {}, {
-        "checks": [dataclasses.asdict(c) for c in checks],
+        "checks": [dict(vars(c)) for c in checks],
         "all_passed": all_passed,
-        "fixed_points": dataclasses.asdict(fixed),
+        "fixed_points": dict(vars(fixed)),
     }, pretty)
     if not all_passed:
         raise CliError(VERIFY_EXIT, "verification failed")

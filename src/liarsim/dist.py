@@ -10,6 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .circuit import _is_int
+
 PROBABILITY = "probability"
 COUNTS = "counts"
 
@@ -143,8 +145,9 @@ class Distribution:
                  total_shots: int | None = None, *,
                  indices: np.ndarray | None = None,
                  values: np.ndarray | None = None):
-        if not 1 <= width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+        if not (_is_int(width) and 1 <= width <= MAX_WIDTH):
+            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width!r}")
+        width = int(width)
         if kind not in (PROBABILITY, COUNTS):
             raise ValueError(f"unknown distribution kind {kind!r}")
         if entries is not None:
@@ -179,12 +182,13 @@ class Distribution:
             if (values % 1).any():
                 self._reject(values % 1 != 0, "count for {state} is not an integer: {value}")
             observed = int(sum(values.tolist()))
-            if total_shots is None:
-                self.total_shots = observed
-            elif total_shots != observed:
+            if total_shots is not None and not _is_int(total_shots):
+                raise ValueError(f"total_shots must be an integer, got {total_shots!r}")
+            if total_shots is not None and total_shots != observed:
                 raise ValueError(
                     f"total_shots={total_shots} but entries sum to {observed}"
                 )
+            self.total_shots = observed
         elif total_shots is not None:
             raise ValueError("total_shots only applies to counts distributions")
 

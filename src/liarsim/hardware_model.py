@@ -73,9 +73,10 @@ class CouplingGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not 1 <= self.num_nodes <= MAX_GRAPH_NODES:
+        if not (_is_int(self.num_nodes) and 1 <= self.num_nodes <= MAX_GRAPH_NODES):
             raise ValueError(f"graph needs 1..{MAX_GRAPH_NODES} nodes, "
-                             f"got {self.num_nodes}")
+                             f"got {self.num_nodes!r}")
+        object.__setattr__(self, "num_nodes", int(self.num_nodes))
         normalized = set()
         for edge in self.edges:
             u, v = edge
@@ -149,19 +150,14 @@ def parse_graph_text(text: str, where: str = "<graph>") -> CouplingGraph:
     return CouplingGraph(top + 1, tuple(edges))
 
 
-def make_graph(kind: str, size: int | None = None, path=None) -> CouplingGraph:
+def make_graph(kind: str, size: int | None = None) -> CouplingGraph:
     if kind in ("linear", "ring"):
         floor = 2 if kind == "linear" else 3
-        if size is None or not floor <= size <= MAX_GRAPH_NODES:
+        if not (_is_int(size) and floor <= size <= MAX_GRAPH_NODES):
             raise ValueError(f"{kind} graph needs size in {floor}..{MAX_GRAPH_NODES}, "
                              f"got {size}")
         links = size - 1 if kind == "linear" else size  # a ring closes the chain
         return CouplingGraph(size, tuple((i, (i + 1) % size) for i in range(links)))
-    if kind == "from_file":
-        if path is None:
-            raise ValueError("from_file graph needs a path")
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_graph_text(fh.read(), str(path))
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
@@ -422,8 +418,8 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
     already run it; otherwise it is simulated here.  A support-held ideal is
     read on its support.
     """
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
+    if not (_is_int(shots) and 1 <= shots <= MAX_SHOTS):
+        raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots!r}")
     if first_shot < 0:
         raise ValueError("first_shot must be >= 0")
     n = circuit.num_qubits

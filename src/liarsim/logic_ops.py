@@ -6,8 +6,15 @@ when its contradiction bit is 1 and its resolution bit is 0.  Every operator
 of the logic is diagonal in the computational basis, so each is held as a
 length-4**m diagonal read off one vector of violated-pair bitmasks; entries
 are exact 0/1 (or integer) floats and the operator identities are checked
-elementwise to machine precision.  The public builders return the same
-diagonals as dense matrices, capped at dimension 1024 (5 pairs).
+elementwise to machine precision.
+
+Three dense builders return the same diagonals as 4**m x 4**m matrices, and
+taylor_exponential is the plain power series on such a matrix, capped at
+dimension 1024 (5 pairs).  Nothing in the package calls these four; they
+stay public because the benchmark's tracer (perfbench/tracing.py) wraps them
+by name.  The dense predicates and constructions the tests check them with
+(is_projector, reflection, projector_exponential) are the dense oracle in
+tests/basis_oracle.py.
 
 The flag circuits contain no H, so each maps a basis state to one basis
 state times a phase; _flag_map pushes every pair+flag basis input through
@@ -91,40 +98,7 @@ def logic_hamiltonian(num_pairs: int) -> np.ndarray:
     return np.diag(_diagonals(num_pairs)[2].astype(np.complex128))
 
 
-# ---------------------------------------------------------------------------
-# operator predicates and constructions
-
-def is_hermitian(op: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.abs(op - op.conj().T).max() <= tol)
-
-
-def is_unitary(op: np.ndarray, tol: float = 1e-12) -> bool:
-    eye = np.eye(op.shape[0])
-    return bool(np.abs(op @ op.conj().T - eye).max() <= tol)
-
-
-def is_projector(op: np.ndarray, tol: float = 1e-12) -> bool:
-    return is_hermitian(op, tol) and bool(np.abs(op @ op - op).max() <= tol)
-
-
-def reflection(projector: np.ndarray) -> np.ndarray:
-    """2P - I, the reflection through the image of P."""
-    if projector.shape[0] != projector.shape[1]:
-        raise ValueError("projector must be square")
-    if not is_projector(projector):
-        raise ValueError("reflection requires a projector (hermitian, idempotent)")
-    return 2.0 * projector - np.eye(projector.shape[0])
-
-
-def projector_exponential(projector: np.ndarray, theta: float) -> np.ndarray:
-    """Closed form e^{-i*theta*P} = I + (e^{-i*theta} - 1) P for projectors."""
-    if not is_projector(projector):
-        raise ValueError("projector_exponential requires a projector")
-    eye = np.eye(projector.shape[0])
-    return eye + (np.exp(-1j * theta) - 1.0) * projector
-
-
-def taylor_exponential(op: np.ndarray, terms: int = 48) -> np.ndarray:
+def taylor_exponential(op: np.ndarray, terms: int = _TAYLOR_TERMS) -> np.ndarray:
     """Independent oracle for e^{-iA}: plain truncated power series."""
     if op.shape[0] != op.shape[1]:
         raise ValueError("operator must be square")
@@ -278,57 +252,9 @@ class FixedPointReport:
     note: str
 
 
-def _cascade_fixed(out_index: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Mask over the pair+flag basis inputs of the parity circuit's
-    _flag_map: True where it maps the input exactly to itself (amplitude 1,
-    no phase)."""
-    return (out_index == np.arange(out_index.size)) & (np.abs(phase - 1.0) < 1e-12)
-
-
-def _fixed_point_report(m: int, hamiltonian: np.ndarray, unitary: np.ndarray,
-                        fixed: np.ndarray) -> FixedPointReport:
-    kernel = hamiltonian == 0.0
-    plus_one = unitary == 1.0
-
-    # the flag is the top bit, so pair+flag input x has the violation count
-    # of pair state x mod 4**m
-    counts = np.tile(hamiltonian, 2)
-    flag = np.arange(fixed.size) >= 4 ** m
-    assumed = (counts == 0) & flag
-    extra = fixed & ~assumed
-    missing = assumed & ~fixed
-    n_fixed, n_assumed = int(fixed.sum()), int(assumed.sum())
-    extra_f0 = int((extra & (counts == 0) & ~flag).sum())
-    extra_even = int((extra & (counts >= 2)).sum())
-
-    note = (
-        f"cascade on {m} pair(s): {n_fixed}/{fixed.size} basis states fixed "
-        f"(all inputs with an even violation count). The assumed fixed set "
-        f"(consistent states with flag 1, {n_assumed} states) is a strict "
-        f"subset: {extra_f0} consistent flag-0 state(s) and {extra_even} "
-        f"even-violation inconsistent state(s) are also fixed."
-    )
-    return FixedPointReport(
-        num_pairs=m,
-        plus_one_dim=int(plus_one.sum()),
-        kernel_dim=int(kernel.sum()),
-        algebra_match=bool(np.array_equal(kernel, plus_one)),
-        cascade_total=fixed.size,
-        cascade_fixed=n_fixed,
-        assumed_fixed=n_assumed,
-        assumed_set_is_exact=not (extra.any() or missing.any()),
-        extra_consistent_flag_zero=extra_f0,
-        extra_even_violation=extra_even,
-        missing_from_assumed=int(missing.sum()),
-        note=note,
-    )
-
-
 def fixed_point_report(num_pairs: int) -> FixedPointReport:
-    _check_pairs(num_pairs)
-    _, _, hamiltonian, unitary = _diagonals(num_pairs)
-    return _fixed_point_report(num_pairs, hamiltonian, unitary,
-                               _cascade_fixed(*_flag_map(PARITY, num_pairs)))
+    """The fixed-point comparison on num_pairs pairs, as verify reports it."""
+    return _verify(num_pairs)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +282,8 @@ def verification_suite(num_pairs: int) -> list[CheckResult]:
 
 def _verify(num_pairs: int) -> tuple[list[CheckResult], FixedPointReport]:
     """verification_suite and fixed_point_report of one register size, from
-    one build of the diagonals and of the parity circuit's map."""
+    one build of the diagonals and of the parity circuit's map; the two public
+    functions each return one half."""
     _check_pairs(num_pairs)
     m = num_pairs
     dim = 4 ** m
@@ -409,20 +336,50 @@ def _verify(num_pairs: int) -> tuple[list[CheckResult], FixedPointReport]:
         "Hamiltonian is diagonal with violated-pair counts as eigenvalues"))
 
     kernel = hamiltonian == 0.0
-    match = bool(np.array_equal(kernel, unitary == 1.0))
+    plus_one = unitary == 1.0
+    match = bool(np.array_equal(kernel, plus_one))
     checks.append(CheckResult(
         "kernel_equals_plus_one_space", match, 0.0 if match else 1.0,
         f"kernel of the Hamiltonian and +1 eigenspace of the reflection "
         f"coincide on all {dim} basis states (dimension {int(kernel.sum())})"))
 
+    # pair+flag inputs the parity circuit maps exactly to themselves
     parity_out, parity_phase = _flag_map(PARITY, m)
-    fixed = _cascade_fixed(parity_out, parity_phase)
-    report = _fixed_point_report(m, hamiltonian, unitary, fixed)
-    counts = np.tile(hamiltonian, 2)  # violation count of each pair+flag input
-    cascade_ok = bool(np.array_equal(fixed, counts % 2 == 0)) and report.algebra_match
+    fixed = (parity_out == np.arange(parity_out.size)) & (np.abs(parity_phase - 1.0) < 1e-12)
+    # the flag is the top bit, so pair+flag input x has the violation count
+    # of pair state x mod 4**m
+    counts = np.tile(hamiltonian, 2)
+    flag = np.arange(fixed.size) >= dim
+    assumed = (counts == 0) & flag
+    extra = fixed & ~assumed
+    missing = assumed & ~fixed
+    n_fixed, n_assumed = int(fixed.sum()), int(assumed.sum())
+    extra_f0 = int((extra & (counts == 0) & ~flag).sum())
+    extra_even = int((extra & (counts >= 2)).sum())
+    note = (
+        f"cascade on {m} pair(s): {n_fixed}/{fixed.size} basis states fixed "
+        f"(all inputs with an even violation count). The assumed fixed set "
+        f"(consistent states with flag 1, {n_assumed} states) is a strict "
+        f"subset: {extra_f0} consistent flag-0 state(s) and {extra_even} "
+        f"even-violation inconsistent state(s) are also fixed."
+    )
+    report = FixedPointReport(
+        num_pairs=m,
+        plus_one_dim=int(plus_one.sum()),
+        kernel_dim=int(kernel.sum()),
+        algebra_match=match,
+        cascade_total=fixed.size,
+        cascade_fixed=n_fixed,
+        assumed_fixed=n_assumed,
+        assumed_set_is_exact=not (extra.any() or missing.any()),
+        extra_consistent_flag_zero=extra_f0,
+        extra_even_violation=extra_even,
+        missing_from_assumed=int(missing.sum()),
+        note=note,
+    )
+    cascade_ok = bool(np.array_equal(fixed, counts % 2 == 0)) and match
     checks.append(CheckResult(
-        "cascade_fixed_points", cascade_ok, 0.0 if cascade_ok else 1.0,
-        report.note))
+        "cascade_fixed_points", cascade_ok, 0.0 if cascade_ok else 1.0, note))
 
     if m <= 3:
         or_flag = (_flag_map(OR_ACCUMULATE, m)[0] >> (2 * m)) & 1

@@ -31,9 +31,11 @@ basis index, 2**n - 1, makes exactly the dense draw.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .circuit import Circuit, Gate, NEGATED
+from .circuit import NEGATED, Circuit, Gate, _is_int
 from .dist import COUNTS, PROBABILITY, Distribution
 
 MAX_QUBITS = 24
@@ -89,21 +91,22 @@ def _scatter(index: np.ndarray, values: np.ndarray, num_qubits: int) -> np.ndarr
     return full
 
 
-def _check_size(num_qubits: int) -> None:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
+def _check_size(num_qubits: int) -> int:
+    if not (_is_int(num_qubits) and 1 <= num_qubits <= MAX_QUBITS):
+        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits!r}")
+    return int(num_qubits)
 
 
 def init_zero(num_qubits: int) -> StateVector:
     """|0...0> on the given register size."""
-    _check_size(num_qubits)
+    num_qubits = _check_size(num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
 
 
 def basis_state(index: int, num_qubits: int) -> StateVector:
-    _check_size(num_qubits)
+    num_qubits = _check_size(num_qubits)
     if not 0 <= index < (1 << num_qubits):
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -111,18 +114,9 @@ def basis_state(index: int, num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def state_norm(state: StateVector) -> float:
-    return float(np.linalg.norm(state.amplitudes))
-
-
 def bitstring(index: int, width: int) -> str:
     """Canonical rendering: highest qubit index leftmost."""
     return format(index, f"0{width}b")
-
-
-def bit_of(bits: str, qubit: int) -> int:
-    """Value of the given qubit in a canonical bitstring."""
-    return 1 if bits[len(bits) - 1 - qubit] == "1" else 0
 
 
 def _branches(amps: np.ndarray, num_qubits: int, qubits: tuple[int, ...]):
@@ -337,6 +331,8 @@ def probabilities(state: StateVector, drop_below: float = 1e-12) -> Distribution
     The norm is checked on the full array first, so a state spread thinly
     over many outcomes is not rejected for the mass its dropped entries held.
     """
+    if not isinstance(drop_below, numbers.Real) or drop_below != drop_below:  # NaN
+        raise ValueError(f"drop_below must be a real number, got {drop_below!r}")
     index, probs, total = _born(state)
     if not abs(total - 1.0) <= 1e-9:  # written so that a NaN total fails too
         raise ValueError(f"probabilities sum to {total:.6f}, outside 1 +- 1e-09")
@@ -346,15 +342,6 @@ def probabilities(state: StateVector, drop_below: float = 1e-12) -> Distribution
     return Distribution(state.num_qubits, None, PROBABILITY,
                         indices=kept if index is None else index[kept],
                         values=probs[kept])
-
-
-def z_expectation(state: StateVector, qubit: int) -> float:
-    """<Z> on one qubit: P(bit=0) - P(bit=1)."""
-    if qubit >= state.num_qubits or qubit < 0:
-        raise ValueError(f"qubit {qubit} out of range")
-    probs = np.abs(state.amplitudes) ** 2
-    p1 = float(_branches(probs, state.num_qubits, (qubit,))(1).sum())
-    return 1.0 - 2.0 * p1
 
 
 def sample_counts(state: StateVector, shots: int, seed: int) -> Distribution:
@@ -368,8 +355,8 @@ def sample_counts(state: StateVector, shots: int, seed: int) -> Distribution:
     the counts are those of the dense draw over all 2**n outcomes, and no
     array of 2**n is built.
     """
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
+    if not (_is_int(shots) and 1 <= shots <= MAX_SHOTS):
+        raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots!r}")
     rng = np.random.default_rng(seed)
     index, probs, total = _born(state)
     probs /= total

@@ -1,4 +1,5 @@
-"""Scalar oracles for the flag circuits and the classical rule.
+"""Scalar oracles for the flag circuits and the classical rule, and the
+dense operator oracle.
 
 The circuit oracles run one basis state at a time through
 `statevec.apply_gate`, a route that shares no code with the support run
@@ -6,7 +7,10 @@ The circuit oracles run one basis state at a time through
 `reference_rule` evaluates the classical rule one assignment at a time in
 plain Python, sharing no code with the bitmask core `logic_ops._rule`.  The
 exhaustive rule-vs-circuit tests therefore do not depend on the vectorized
-paths they are meant to check.
+paths they are meant to check.  The dense predicates and constructions
+(is_projector, reflection, projector_exponential, ...) act on 4**m x 4**m
+matrices by matrix products, where the verification suite checks the same
+laws elementwise on diagonals.
 """
 
 import numpy as np
@@ -70,3 +74,33 @@ def circuit_flag_on_basis(circuit, c_bits, r_bits, flag_in, layout) -> int:
     if abs(abs(state.amplitudes[out]) - 1.0) > 1e-12:
         raise AssertionError("basis input did not map to a basis output")
     return (out >> layout.flag) & 1
+
+
+def is_hermitian(op: np.ndarray, tol: float = 1e-12) -> bool:
+    return bool(np.abs(op - op.conj().T).max() <= tol)
+
+
+def is_unitary(op: np.ndarray, tol: float = 1e-12) -> bool:
+    eye = np.eye(op.shape[0])
+    return bool(np.abs(op @ op.conj().T - eye).max() <= tol)
+
+
+def is_projector(op: np.ndarray, tol: float = 1e-12) -> bool:
+    return is_hermitian(op, tol) and bool(np.abs(op @ op - op).max() <= tol)
+
+
+def reflection(projector: np.ndarray) -> np.ndarray:
+    """2P - I, the reflection through the image of P."""
+    if projector.shape[0] != projector.shape[1]:
+        raise ValueError("projector must be square")
+    if not is_projector(projector):
+        raise ValueError("reflection requires a projector (hermitian, idempotent)")
+    return 2.0 * projector - np.eye(projector.shape[0])
+
+
+def projector_exponential(projector: np.ndarray, theta: float) -> np.ndarray:
+    """Closed form e^{-i*theta*P} = I + (e^{-i*theta} - 1) P for projectors."""
+    if not is_projector(projector):
+        raise ValueError("projector_exponential requires a projector")
+    eye = np.eye(projector.shape[0])
+    return eye + (np.exp(-1j * theta) - 1.0) * projector

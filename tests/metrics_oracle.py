@@ -1,8 +1,8 @@
 """Dict-based reference for the coherence metrics.
 
 Each metric is computed over `Distribution.as_probabilities()` and `entries`
-dicts keyed by bitstring, one state at a time, with the flag bit read by
-`statevec.bit_of`: a route that shares no arithmetic with the array metrics
+dicts keyed by bitstring, one state at a time, with the flag bit read off the
+string by `bit_of`: a route that shares no arithmetic with the array metrics
 of `liarsim.metrics`.  Every sum runs in the order the array metrics
 document, so the two must agree exactly, not to a tolerance.  Only the
 chi-squared p-value takes the library's own `_gammaincc`; the SciPy grid test
@@ -13,7 +13,12 @@ import math
 
 from liarsim.dist import COUNTS
 from liarsim.metrics import _MIN_EXPECTED, Chi2Result, MetricsReport, _gammaincc
-from liarsim.statevec import bit_of
+
+
+def bit_of(bits: str, qubit: int) -> int:
+    """Value of the given qubit in a canonical bitstring (highest qubit
+    leftmost)."""
+    return 1 if bits[len(bits) - 1 - qubit] == "1" else 0
 
 
 def consistency_fidelity(dist, states):

@@ -5,16 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE,
                              Circuit, Gate, PairLayout, build_general,
                              build_liar_literal, build_liar_reference, ccx,
                              circuit_from_dict, circuit_from_json,
                              circuit_to_dict, circuit_to_json, cnot, cp,
-                             expand_toffolis, gate_census, gate_inverse,
-                             general_width, h, load_circuit, p, save_circuit, toffoli_decompose,
+                             expand_toffolis, gate_census, general_width, h,
+                             load_circuit, p, save_circuit, toffoli_decompose,
                              x)
-from liarsim.statevec import init_zero, probabilities, run_circuit
+from liarsim.dist import COUNTS, PROBABILITY, Distribution
+from liarsim.hardware_model import (CouplingGraph, NoiseProfile, make_graph,
+                                    noisy_sample)
+from liarsim.statevec import init_zero, probabilities, run_circuit, sample_counts
 
 from basis_oracle import circuit_unitary
 
@@ -255,23 +260,6 @@ def test_census_decompose_mode_has_no_ccx():
     assert census.count_1q == 44  # 9 core 1q gates + 2 X wraps, per pair
 
 
-def test_gate_inverse_round_trip():
-    rng = np.random.default_rng(13)
-    gates = [h(0), x(1), p(0.4, 2), cnot(0, 2, NEGATED), cp(-1.1, 1, 0),
-             ccx(0, 1, 2, NEGATED, POSITIVE)]
-    circ = Circuit(3, gates)
-    undo = Circuit(3, [gate_inverse(g) for g in reversed(gates)])
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    state = init_zero(3)
-    state.amplitudes[:] = amps
-    out = run_circuit(undo, run_circuit(circ, state))
-    np.testing.assert_allclose(out.amplitudes, amps, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
 def test_json_round_trip(tmp_path):
     circ = build_general(PairLayout.default(2), OR_ACCUMULATE, with_phase=True)
     clone = circuit_from_json(circuit_to_json(circ))
@@ -343,3 +331,48 @@ def test_save_circuit_round_trips_numpy_qubit_indices(tmp_path):
     clone = load_circuit(path)
     assert clone.gates == circ.gates
     assert circuit_to_json(clone) == circuit_to_json(circ)
+
+
+# ---------------------------------------------------------------------------
+# size arguments
+
+# entry point -> (the argument's name in its message, valid sizes, a call
+# that passes the size and returns it as stored)
+_SIZED = {
+    "Circuit": ("num_qubits", (1, 2, 3), lambda n: Circuit(n, [h(0)]).num_qubits),
+    "init_zero": ("num_qubits", (1, 2, 3), lambda n: init_zero(n).num_qubits),
+    "Distribution.width": ("width", (3,), lambda n: Distribution(
+        n, {"000": 1.0}, PROBABILITY).width),
+    "Distribution.total_shots": ("total_shots", (3,), lambda n: Distribution(
+        3, {"000": 1.0, "001": 2.0}, COUNTS, n).total_shots),
+    "sample_counts": ("shots", (1, 2, 3), lambda n: sample_counts(
+        run_circuit(build_liar_reference()), n, 7).total_shots),
+    "noisy_sample": ("shots", (1, 2, 3), lambda n: noisy_sample(
+        build_liar_reference(), NoiseProfile(), n).total_shots),
+    "make_graph": ("size", (2, 3), lambda n: make_graph("linear", n).num_nodes),
+    "CouplingGraph": ("nodes", (2, 3), lambda n: CouplingGraph(n, ((0, 1),)).num_nodes),
+}
+_INT_TYPES = (int, np.int64, np.int32, np.uint8)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_size_arguments_take_integers_only(data):
+    # a float, bool or string size is refused by name, even when it equals a
+    # valid int; a NumPy int is stored as a Python int
+    name, sizes, call = _SIZED[data.draw(st.sampled_from(sorted(_SIZED)))]
+    size = data.draw(st.sampled_from(sizes))
+    spelling = data.draw(st.sampled_from([*_INT_TYPES, float, np.float64, bool, str]))
+    if spelling in _INT_TYPES:
+        stored = call(spelling(size))
+        assert stored == size and type(stored) is int
+    else:
+        with pytest.raises(ValueError, match=name):
+            call(spelling(size))
+
+
+def test_probabilities_rejects_a_threshold_that_is_not_a_number():
+    state = run_circuit(build_liar_reference())
+    for drop_below in (math.nan, np.float64("nan"), "1e-12", None):
+        with pytest.raises(ValueError, match="drop_below"):
+            probabilities(state, drop_below)

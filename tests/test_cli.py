@@ -27,7 +27,7 @@ from liarsim.cli import (_emit, _indented, _json_default, _strict_numbers,
                          canonical_json, main)
 from liarsim.dist import (_CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY, Distribution,
                           _Bits, _Coded, read_distribution_csv)
-from liarsim.hardware_model import MAX_GRAPH_NODES, make_graph
+from liarsim.hardware_model import MAX_GRAPH_NODES, parse_graph_text
 from liarsim.logic_ops import _LABELS, CheckResult, fixed_point_report, truth_table
 from liarsim.metrics import chi_squared_gof
 from liarsim.statevec import DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS
@@ -239,6 +239,33 @@ def test_report_bytes_are_the_canonical_encoding_of_their_content(tmp_path, argv
                    cwd=tmp_path, env=cli_env("random"), capture_output=True, check=True)
     text = (tmp_path / "r.json").read_bytes().decode("utf-8")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("simulate", "no-such-circuit.json"), 3),
+    (("metrics", "--exp", "no-such-counts.csv"), 3),
+    (("estimate", "--n", "2", "--graph", "no-such-graph.txt"), 3),
+    (("verify", "--no-such-flag"), 1),
+], ids=["missing-circuit", "missing-counts", "missing-graph", "bad-flag"])
+def test_process_exit_codes(tmp_path, argv, code):
+    # 3 for a missing input file, 1 for a bad flag, as the process exits
+    result = subprocess.run([sys.executable, "-m", "liarsim.cli", *argv],
+                            cwd=tmp_path, env=cli_env("0"), capture_output=True)
+    assert result.returncode == code
+    assert result.stdout == b"" and result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "liar-reference"), ("verify", "--pairs", "1"),
+    ("metrics", "--exp", "bundled:hardware"), ("estimate", "--n", "2"),
+    ("truthtable",),
+], ids=" ".join)
+def test_pretty_prints_text_for_every_subcommand(tmp_path, argv):
+    result = subprocess.run([sys.executable, "-m", "liarsim.cli", *argv, "--pretty"],
+                            cwd=tmp_path, env=cli_env("0"), capture_output=True,
+                            check=True)
+    assert result.stdout.strip() and not result.stdout.startswith(b"{")
+    assert result.stderr == b""
 
 
 @pytest.mark.parametrize("mode, cap", [("parity", 11), ("or", 6)])
@@ -1210,7 +1237,7 @@ _LATE_BAD_BYTE = (b"state,counts\n" + b"".join(b"%012d,1\n" % i for i in range(1
     (["metrics", "--exp"], _LATE_BAD_BYTE, read_distribution_csv),
     (["metrics", "--exp"], b"state,counts\r\n0\xff1,5\r\n", read_distribution_csv),
     (["estimate", "--n", "2", "--graph"], b"0 1\r1 x\r",
-     lambda path: make_graph("from_file", path=path)),
+     lambda path: parse_graph_text(path.read_text(encoding="utf-8"), str(path))),
 ], ids=["crlf-control-character", "bad-utf8", "bad-utf8-past-the-first-chunk",
         "crlf-bad-utf8", "cr-bad-node"])
 def test_input_errors_match_the_library_loaders(tmp_path, argv, data, load):

@@ -125,10 +125,10 @@ def test_graph_node_cap(nodes):
 def test_graph_from_file(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 2\n")
-    graph = make_graph("from_file", path=path)
+    graph = parse_graph_text(path.read_text(), str(path))
     assert graph.num_nodes == 3
-    with pytest.raises(ValueError):
-        make_graph("from_file")
+    with pytest.raises(ValueError, match="unknown graph kind 'from_file'"):
+        make_graph("from_file", 3)
 
 
 def test_bundled_graph_is_heavy_hex_like():

@@ -14,13 +14,13 @@ from liarsim.logic_ops import (_flag_map, _verify, FULLY_CONSISTENT, FULLY_INCON
                                INCONSISTENCY_DETECTED, LOCALLY_RESOLVED,
                                MAX_PAIRS, classical_rule,
                                contradiction_projector, fixed_point_report,
-                               global_consistency_projector, is_hermitian,
-                               is_projector, is_unitary, logic_hamiltonian,
-                               projector_exponential, reflection,
+                               global_consistency_projector, logic_hamiltonian,
                                TruthTableRow, taylor_exponential, truth_table,
                                verification_suite, violation_count)
 
-from basis_oracle import circuit_flag_on_basis, reference_rule
+from basis_oracle import (circuit_flag_on_basis, is_hermitian, is_projector,
+                          is_unitary, projector_exponential, reference_rule,
+                          reflection)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +362,8 @@ def test_verification_suite_all_pass(pairs):
 
 @pytest.mark.parametrize("pairs", range(1, MAX_PAIRS + 1))
 def test_one_verify_pass_equals_the_public_wrappers(pairs):
-    # verify takes both results from one pass; the report must be the one
-    # fixed_point_report builds on its own
+    # verify takes both results from one pass, and each public function
+    # returns one half of it
     assert _verify(pairs) == (verification_suite(pairs), fixed_point_report(pairs))
 
 
