@@ -7,20 +7,20 @@ rerun with the same arguments writes byte-identical output.  --pretty swaps
 stdout to a human rendering; --out always receives the canonical JSON.
 
 The canonical text is json.dumps(report, indent=2, sort_keys=True), which
-_indented renders directly.  Four kinds of top-level field take a faster
-encoder with the same bytes.  Two are laid out by dist._render_rows, which
-fills one row template from literal text, bitstring columns and coded
-columns (a few texts picked per row by an int code array), formatting each
-row in Python up to dist._FORMAT_EACH rows and as uint8 blocks above that: a
-Distribution, through dist.render_entries, and a _Table, a list of rows held
-by column, such as the truth table, whose --csv file is laid out from the
-same columns.  A list of other scalar rows (verify checks) is encoded a
-column at a time by _rows, and a dict that holds a list is laid out an item
-at a time by _fields, a list of scalars (a metrics report's paradox set) in
-one call of the C encoder.  Anything nested deeper goes through _indented.
+_indented renders directly and the tests hold every report to.  Reports are
+written by _render, one recursive walk that spells each scalar itself and
+hands two kinds of value to a faster encoder with the same bytes: a list of
+scalars (a metrics report's paradox set) to one call of the C encoder, and a
+Distribution or a _Table (a list of rows held by column, such as the truth
+table, whose --csv file is laid out from the same columns) to
+dist._render_rows.  That fills one row template from literal text, bitstring
+columns and coded columns (a few texts picked per row by an int code array),
+formatting each row in Python up to dist._FORMAT_EACH rows and as uint8
+blocks above that.  Only a dict whose keys are not all str goes to _indented.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
-Every failure prints one "liarsim <subcommand>: <message>" line on stderr.
+Every failure prints one "liarsim <subcommand>: <message>" line on stderr, or
+"liarsim: <message>" when the arguments name no subcommand.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 import sys
 from collections.abc import Iterable
 from itertools import repeat
-from operator import itemgetter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -73,12 +73,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad flags; this tool reserves 2 for
-    verification failures, so usage problems exit 1 instead."""
+    """argparse prints its usage text and exits 2 on bad flags; this tool
+    reserves 2 for verification failures, and main() reports a usage error
+    in one line and exits 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+        raise CliError(USAGE_EXIT, message)
 
 
 # ---------------------------------------------------------------------------
@@ -162,104 +162,87 @@ def _indented(value, pad: str) -> str:
     return text.replace("\n", "\n" + pad)  # JSON strings hold no raw newline
 
 
-def _scalar_texts(values: list) -> list[str] | None:
-    """The JSON text of each value, from one call of the C encoder, or None
-    if a value is a container.  Encoded scalars hold no raw newline, so
-    splitting on the "\n" separator gives one item per value, and an item
-    that starts with "[" or "{" is a container."""
+def _scalar_texts(values) -> list[str]:
+    """The JSON text of each scalar in values, from one call of the C
+    encoder; an encoded scalar holds no raw newline to split on."""
     try:
         text = json.dumps(values, allow_nan=False, default=_json_default,
                           separators=("\n", ": "))
     except ValueError:  # inf or nan: _strict_numbers spells them out
         text = json.dumps(_strict_numbers(values), allow_nan=False,
                           default=_json_default, separators=("\n", ": "))
-    if text[1] in "[{" or "\n[" in text or "\n{" in text:
-        return None
     return text[1:-1].split("\n")
 
 
-def _rows(value, pad: str) -> str | None:
-    """_indented(value, pad) for a non-empty list of dicts that share one
-    non-empty set of str keys and hold only scalars, such as verify checks;
-    None for any other value.  Each key's column is encoded by one call of the
-    C encoder, then each row fills one template."""
-    if (not isinstance(value, (list, tuple)) or set(map(type, value)) != {dict}
-            or set(map(type, value[0])) != {str}
-            or set(map(len, value)) != {len(value[0])}):
-        return None
-    keys = sorted(value[0])
-    try:
-        columns = [_scalar_texts(list(map(itemgetter(key), value))) for key in keys]
-    except KeyError:  # a row with other keys
-        return None
-    if None in columns:
-        return None
-    inner, field = pad + "  ", pad + "    "
-    template = "{\n" + field + (",\n" + field).join(
-        json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + "\n" + inner + "}"
-    body = (",\n" + inner).join(map(template.__mod__, zip(*columns)))
-    return "[\n" + inner + body + "\n" + pad + "]"
-
-
-def _scalar_list(value, pad: str) -> str | None:
-    """_indented(value, pad) for a non-empty list of scalars, such as a
-    metrics report's paradox set, from one call of the C encoder; None for
-    any other value."""
-    if not isinstance(value, (list, tuple)) or not value:
-        return None
-    texts = _scalar_texts(list(value))
-    if texts is None:
-        return None
-    inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
-
-
-def _fields(value: dict, pad: str) -> str:
-    """_indented(value, pad) for a non-empty dict with str keys, one item at
-    a time, so that an item that is a list of scalars takes _scalar_list."""
-    inner = pad + "  "
-    items = [json.dumps(key) + ": " + (_scalar_list(value[key], inner)
-                                       or _indented(value[key], inner))
-             for key in sorted(value)]
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-
-
-def _spell_json(value) -> str:
+def _spell(value) -> str:
     """The JSON text of a scalar, as _indented spells it."""
-    return json.dumps(_strict_numbers(value), allow_nan=False, default=_json_default)
+    if isinstance(value, (float, np.floating)):
+        value = _strict_numbers(float(value))  # inf and nan become strings
+        if isinstance(value, float):
+            return repr(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, (bool, np.bool_)):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
+    return _json_default(value)  # not JSON: raises TypeError
+
+
+_CONTAINERS = (dict, list, tuple, Distribution, _Table)
+
+
+def _render(value, pad: str, out: list) -> None:
+    """Append the pieces of _indented(value, pad) to out.  A dict with str
+    keys is walked in sorted-key order and a list or tuple that holds a
+    container item by item, each scalar spelled by _spell.  Any other list is
+    encoded by one _scalar_texts call, and a Distribution or a _Table laid
+    out by dist._render_rows.  Only a dict with other keys, which json.dumps
+    coerces to str and sorts as they were, goes to _indented."""
+    if isinstance(value, dict) and not all(type(key) is str for key in value):
+        out.append(_indented(value, pad))
+        return
+    if not isinstance(value, _CONTAINERS):
+        out.append(_spell(value))
+        return
+    inner, sep = pad + "  ", ",\n" + pad + "  "
+    brackets = "{}" if isinstance(value, (dict, Distribution)) else "[]"
+    out.append(brackets[0] + "\n" + inner)
+    start = len(out)
+    if isinstance(value, Distribution):
+        out += render_entries(value, '"', '": ', sep)
+    elif isinstance(value, _Table):
+        keys, field = sorted(value.columns), "\n" + inner + "  "
+        heads = [("," if i else "{") + field + _spell(key) + ": "
+                 for i, key in enumerate(keys)]
+        out += _render_rows(value.row_parts(keys, _spell, '"', heads,
+                                            "\n" + inner + "}" + sep), value.size)
+    elif isinstance(value, dict) or any(issubclass(kind, _CONTAINERS)
+                                        for kind in set(map(type, value))):
+        items = (((_spell(key) + ": ", value[key]) for key in sorted(value))
+                 if isinstance(value, dict) else zip(repeat(""), value))
+        for label, item in items:
+            if isinstance(item, _CONTAINERS):
+                out.append(label)
+                _render(item, inner, out)
+                out.append(sep)
+            else:
+                out.append(label + _spell(item) + sep)
+    elif value:
+        out.append(sep.join(_scalar_texts(value)) + sep)
+    if len(out) == start:  # empty
+        out[-1] = brackets
+    else:
+        out[-1] = out[-1][:-len(sep)]
+        out.append("\n" + pad + brackets[1])
 
 
 def _document(payload) -> list[str]:
-    """canonical_json(payload) as pieces to write in turn: a report's
-    top-level items stay apart, so no copy of the whole document is made."""
-    if not isinstance(payload, dict) or set(map(type, payload)) != {str}:
-        return [_indented(payload, "") + "\n"]
-    pieces = ["{\n  "]
-    for key in sorted(payload):
-        value = payload[key]
-        pieces.append(json.dumps(key) + ": ")
-        if isinstance(value, Distribution) and len(value.indices):
-            sep = ",\n    "
-            chunks = list(render_entries(value, '"', '": ', sep))
-            chunks[-1] = chunks[-1][:-len(sep)]
-            pieces += ["{\n    ", *chunks, "\n  }"]
-        elif isinstance(value, _Table) and value.size:
-            keys = sorted(value.columns)
-            heads = ["{\n      " + json.dumps(keys[0]) + ": "]
-            heads += [",\n      " + json.dumps(key) + ": " for key in keys[1:]]
-            sep = ",\n    "
-            parts = value.row_parts(keys, _spell_json, '"', heads, "\n    }" + sep)
-            chunks = list(_render_rows(parts, value.size))
-            chunks[-1] = chunks[-1][:-len(sep)]
-            pieces += ["[\n    ", *chunks, "\n  ]"]
-        elif (isinstance(value, dict) and set(map(type, value)) == {str}
-              and any(isinstance(v, (list, tuple)) for v in value.values())):
-            pieces.append(_fields(value, "  "))
-        else:
-            pieces.append(_rows(value, "  ") or _indented(value, "  "))
-        pieces.append(",\n  ")
-    pieces[-1] = "\n}\n"
-    return pieces
+    """canonical_json(payload) as pieces to write in turn, so no copy of the
+    whole document is made."""
+    out: list[str] = []
+    _render(payload, "", out)
+    return out + ["\n"]
 
 
 def canonical_json(payload: dict) -> str:
@@ -740,8 +723,12 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    # argparse sets the subcommand here as soon as it reads it, so that a
+    # usage error in the arguments after it can name it
+    args, parsed = argparse.Namespace(subcommand=None), False
     try:
+        _shared_parser().parse_args(argv, args)
+        parsed = True
         if args.seed < 0:
             raise CliError(USAGE_EXIT, f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
@@ -751,7 +738,10 @@ def main(argv=None) -> int:
         error, code = exc, USAGE_EXIT
     except OSError as exc:  # its text names the path
         error, code = exc, IO_EXIT
-    print(f"liarsim {args.subcommand}: {error}", file=sys.stderr)
+    where = f"liarsim {args.subcommand}" if args.subcommand else "liarsim"
+    print(f"{where}: {error}", file=sys.stderr)
+    if not parsed:  # a usage error ends the process, as argparse errors do
+        sys.exit(code)
     return code
 
 

@@ -31,8 +31,8 @@ import numpy as np
 from .circuit import (NEGATED, POSITIVE, Circuit, _is_int, ccx,
                       toffoli_decompose)
 from .dist import COUNTS, Distribution
-from .statevec import (DEFAULT_SEED, MAX_SHOTS, StateVector, _born,
-                       _monomial_step, apply_gate, apply_pauli, init_zero,
+from .statevec import (DEFAULT_SEED, MAX_SHOTS, StateVector, _monomial_step,
+                       _sampling_table, apply_gate, apply_pauli, init_zero,
                        run_circuit)
 
 BUNDLED_GRAPH_NAME = "heavy_hex_example.txt"
@@ -57,8 +57,11 @@ class NoiseProfile:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     def zero_noise(self) -> "NoiseProfile":
         return NoiseProfile(0.0, 0.0, 0.0, self.seed)
@@ -353,20 +356,13 @@ _CHUNK_DRAWS = 1 << 16
 
 def _outcome_table(state: StateVector):
     """The state's cumulative Born distribution, for inverse-CDF draws, and
-    the basis index of each entry (None when the entries are all 2**n
-    indices).  A support-held state is read from its support alone, with no
-    array of 2**n: its cumulative runs over the support, normalized by
-    _born's total (the dense state's to the bit), and is closed by index
-    2**n - 1, so every draw lands on the index the dense cumulative gives."""
-    index, probs, total = _born(state)
-    cumulative = np.cumsum(probs / total)
-    last = (1 << state.num_qubits) - 1
-    if index is not None and index[-1] != last:
-        # a draw at or above the support's last cumulative value is clamped
-        # to the last dense index; the sentinel catches exactly those draws
-        index = np.append(index, last)
-        cumulative = np.append(cumulative, cumulative[-1])
-    return cumulative, index
+    the basis index of each entry, from statevec._sampling_table: a
+    support-held state is read from its support alone, with no array of
+    2**n.  A draw at or above the support's last cumulative value is clamped
+    to the last entry, the sentinel 2**n - 1 that the dense cumulative gives
+    for exactly those draws."""
+    index, probs = _sampling_table(state)
+    return np.cumsum(probs), index
 
 
 def _draw_outcomes(table, u: np.ndarray) -> np.ndarray:
@@ -420,8 +416,9 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
     """
     if not (_is_int(shots) and 1 <= shots <= MAX_SHOTS):
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots!r}")
-    if first_shot < 0:
-        raise ValueError("first_shot must be >= 0")
+    if not (_is_int(first_shot) and first_shot >= 0):
+        raise ValueError(f"first_shot must be an integer >= 0, got {first_shot!r}")
+    first_shot = int(first_shot)
     n = circuit.num_qubits
     if ideal is None:
         ideal = run_circuit(circuit)

@@ -344,26 +344,36 @@ def probabilities(state: StateVector, drop_below: float = 1e-12) -> Distribution
                         values=probs[kept])
 
 
-def sample_counts(state: StateVector, shots: int, seed: int) -> Distribution:
-    """Multinomial sample of measurement outcomes.  The same seed always
-    yields the same counts.
-
-    A support-held state is drawn over its support, in ascending index order,
-    closed by a sentinel category for index 2**n - 1 when the support lacks
-    it, and normalized by _born's total, the dense state's to the bit.
-    Categories of p = 0 take no draw and the last one takes the remainder, so
-    the counts are those of the dense draw over all 2**n outcomes, and no
-    array of 2**n is built.
-    """
-    if not (_is_int(shots) and 1 <= shots <= MAX_SHOTS):
-        raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots!r}")
-    rng = np.random.default_rng(seed)
+def _sampling_table(state: StateVector):
+    """The state's outcome categories for a draw: their basis indices (None
+    when they are all 2**n indices in order) and their probabilities, _born's
+    normalized by its total, the dense state's to the bit.  A support-held
+    state's support is closed by index 2**n - 1, with probability 0.0, when
+    it lacks it, so a draw whose dense outcome falls past the support lands
+    on the index the dense draw gives."""
     index, probs, total = _born(state)
     probs /= total
     last = (1 << state.num_qubits) - 1
     if index is not None and index[-1] != last:
-        index = np.append(index, last)
-        probs = np.append(probs, 0.0)
+        index, probs = np.append(index, last), np.append(probs, 0.0)
+    return index, probs
+
+
+def sample_counts(state: StateVector, shots: int, seed: int) -> Distribution:
+    """Multinomial sample of measurement outcomes.  The same seed always
+    yields the same counts.
+
+    A support-held state is drawn over its support, as _sampling_table closes
+    it.  Categories of p = 0 take no draw and the last one takes the
+    remainder, so the counts are those of the dense draw over all 2**n
+    outcomes, and no array of 2**n is built.
+    """
+    if not (_is_int(shots) and 1 <= shots <= MAX_SHOTS):
+        raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    rng = np.random.default_rng(seed)
+    index, probs = _sampling_table(state)
     counts = rng.multinomial(shots, probs)
     seen = np.flatnonzero(counts)
     return Distribution(state.num_qubits, None, COUNTS, shots,

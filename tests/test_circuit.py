@@ -337,7 +337,8 @@ def test_save_circuit_round_trips_numpy_qubit_indices(tmp_path):
 # size arguments
 
 # entry point -> (the argument's name in its message, valid sizes, a call
-# that passes the size and returns it as stored)
+# that passes the size and returns it as stored, or the Distribution it
+# returns when the size is only used)
 _SIZED = {
     "Circuit": ("num_qubits", (1, 2, 3), lambda n: Circuit(n, [h(0)]).num_qubits),
     "init_zero": ("num_qubits", (1, 2, 3), lambda n: init_zero(n).num_qubits),
@@ -347,8 +348,13 @@ _SIZED = {
         3, {"000": 1.0, "001": 2.0}, COUNTS, n).total_shots),
     "sample_counts": ("shots", (1, 2, 3), lambda n: sample_counts(
         run_circuit(build_liar_reference()), n, 7).total_shots),
+    "sample_counts.seed": ("seed", (0, 1, 7), lambda n: sample_counts(
+        run_circuit(build_liar_reference()), 10, n)),
     "noisy_sample": ("shots", (1, 2, 3), lambda n: noisy_sample(
         build_liar_reference(), NoiseProfile(), n).total_shots),
+    "noisy_sample.first_shot": ("first_shot", (0, 1, 3), lambda n: noisy_sample(
+        build_liar_reference(), NoiseProfile(p_readout=0.5), 10, first_shot=n)),
+    "NoiseProfile.seed": ("seed", (0, 1, 7), lambda n: NoiseProfile(seed=n).seed),
     "make_graph": ("size", (2, 3), lambda n: make_graph("linear", n).num_nodes),
     "CouplingGraph": ("nodes", (2, 3), lambda n: CouplingGraph(n, ((0, 1),)).num_nodes),
 }
@@ -365,7 +371,10 @@ def test_size_arguments_take_integers_only(data):
     spelling = data.draw(st.sampled_from([*_INT_TYPES, float, np.float64, bool, str]))
     if spelling in _INT_TYPES:
         stored = call(spelling(size))
-        assert stored == size and type(stored) is int
+        if isinstance(stored, Distribution):  # the Python int's result
+            assert stored.entries == call(size).entries
+        else:
+            assert stored == size and type(stored) is int
     else:
         with pytest.raises(ValueError, match=name):
             call(spelling(size))

@@ -227,18 +227,69 @@ def test_simulate_report_bytes_do_not_depend_on_the_hash_seed(tmp_path, monkeypa
     assert reports[0] == reports[1]
 
 
+_NOISY_OR = ("simulate", "general", "--pairs", "3", "--mode", "or", *_NOISY)
+
+
+def write_noisy_counts(where: Path) -> None:
+    """exp.csv and ideal.csv under where: the 12-qubit counts of two noisy OR
+    m=3 runs, seeds 5 and 6."""
+    for seed, name in (("5", "exp.csv"), ("6", "ideal.csv")):
+        assert main([*_NOISY_OR, "--seed", seed, "--csv", str(where / name),
+                     "--out", str(where / "s.json")]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--pairs", "3"),
     ("truthtable", "--pairs", "4"),
     ("truthtable", "--pairs", "6", "--flag-in", "0"),
     ("metrics", "--exp", "bundled:hardware"),
+    ("metrics", "--exp", "exp.csv", "--ideal", "ideal.csv",
+     "--consistent-set", "000000000000"),
+    ("estimate", "--n", "8", "--graph", "ring", "--layout", "0,1,2,3,4,5,6,7,8"),
     ("simulate", "general", "--pairs", "3", "--shots", "64"),
+    _NOISY_OR,
 ], ids=" ".join)
 def test_report_bytes_are_the_canonical_encoding_of_their_content(tmp_path, argv):
+    if "exp.csv" in argv:
+        write_noisy_counts(tmp_path)
     subprocess.run([sys.executable, "-m", "liarsim.cli", *argv, "--out", "r.json"],
                    cwd=tmp_path, env=cli_env("random"), capture_output=True, check=True)
     text = (tmp_path / "r.json").read_bytes().decode("utf-8")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_reports_never_reach_the_reference_encoder(tmp_path, monkeypatch):
+    # _indented is the oracle the walker is held to; no report needs it
+    def refuse(value, pad):
+        raise AssertionError(f"_indented called on {type(value).__name__}")
+
+    write_noisy_counts(tmp_path)
+    monkeypatch.setattr(cli, "_indented", refuse)
+    monkeypatch.chdir(tmp_path)
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\n1 2\n2 3\n", encoding="utf-8")
+    for argv in (["simulate", "liar-reference"],
+                 ["simulate", "liar-literal", "--shots", "64"],
+                 [*_NOISY_OR],
+                 ["simulate", "general", "--pairs", "2", "--with-phase", "--shots", "8"],
+                 ["verify", "--pairs", "1"],
+                 ["verify", "--pairs", "3"],
+                 ["metrics", "--exp", "bundled:hardware"],
+                 ["metrics", "--exp", "bundled:hardware", "--ideal", "bundled:simulation",
+                  "--column", "counts"],
+                 ["metrics", "--exp", "exp.csv", "--ideal", "ideal.csv",
+                  "--consistent-set", "000000000000"],
+                 ["metrics", "--exp", "exp.csv", "--ideal", "exp.csv", "--consistent-set",
+                  "000000000001", "--paradox-set", "000000000000", "--flag-index", "3"],
+                 ["estimate", "--n", "2"],
+                 ["estimate", "--n", "2", "--graph", str(graph)],
+                 ["estimate", "--n", "8", "--graph", "ring", "--layout", "0,1,2,3,4,5,6,7,8"],
+                 ["estimate", "--n", "8", "--graph", "bundled:heavy-hex", "--noise", "0,0,0"],
+                 ["truthtable"],
+                 ["truthtable", "--pairs", "5", "--flag-in", "0"]):
+        assert main([*argv, "--out", "r.json"]) == 0, argv
+        text = (tmp_path / "r.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -684,6 +735,26 @@ def test_missing_subcommand_exits_one():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "--pairs", "1", "--bogus"], "liarsim verify: unrecognized arguments: --bogus"),
+    (["verify", "--pairs", "x"], "liarsim verify: argument --pairs: invalid int value: 'x'"),
+    ([], "liarsim: the following arguments are required: subcommand"),
+    (["bogus"], "liarsim: argument subcommand: invalid choice: 'bogus'"),
+    (["simulate"], "liarsim simulate: the following arguments are required: circuit"),
+], ids=["unknown-flag", "bad-int", "no-subcommand", "unknown-subcommand", "no-circuit"])
+def test_usage_errors_print_one_line(argv, line):
+    # one line, naming the subcommand when argparse has read one
+    code, out, err = call(argv)
+    assert code == ("exit", 1) and out == ""
+    assert err.startswith(line) and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_help_prints_argparse_text_and_exits_zero():
+    for argv in (["-h"], ["verify", "-h"], ["simulate", "--help"]):
+        code, out, err = call(argv)
+        assert code == ("exit", 0) and out.startswith("usage: liarsim") and err == ""
+
+
 def test_every_report_carries_the_envelope(capsys, tmp_path):
     circuit = Path(write_circuit(tmp_path / "c.json", GOOD_CIRCUIT))
     counts = tmp_path / "counts.csv"
@@ -828,8 +899,8 @@ _ROW_MISSES = ("none", "extra key", "other key", "nested", "int keys", "empty di
 def _row_lists(draw):
     """(miss, rows): a list (or tuple) of dicts that share one set of str keys,
     in any insertion order, and hold only scalars; unless miss is "none", one
-    row is then changed, or the list emptied, so that the column encoder must
-    decline it."""
+    row is then changed, or the list emptied, into a near miss of that
+    shape."""
     miss = draw(st.sampled_from(_ROW_MISSES))
     keys = draw(st.lists(_row_texts, min_size=1, max_size=5, unique=True))
     # a lone row with other keys is a list of rows that share them
@@ -860,8 +931,7 @@ def _row_lists(draw):
 @example(("none", [{"diverges": True, "flag_in": np.int64(1), "p": np.float32(0.5)}]))
 @example(("empty dict", [{}, {}]))
 def test_row_lists_render_as_the_indented_reference(case):
-    miss, rows = case
-    assert (cli._rows(rows, "  ") is None) == (miss != "none")
+    _, rows = case
     payload = {"n": None, "rows": rows}
     reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
                            allow_nan=False, default=_json_default) + "\n"
@@ -875,7 +945,7 @@ _LIST_MISSES = ("none", "empty", "nested")
 def _scalar_lists(draw):
     """(miss, items): a list (or tuple) of scalars, inf and nan among them;
     unless miss is "none", the list is emptied or one item is replaced by a
-    container, so that the scalar-list encoder must decline it."""
+    container, so that the report walker must walk it item by item."""
     miss = draw(st.sampled_from(_LIST_MISSES))
     items = draw(st.lists(_row_scalars, min_size=1, max_size=8))
     if miss == "empty":
@@ -894,9 +964,6 @@ def _scalar_lists(draw):
 @example([("none", [math.inf, np.float32("nan"), -math.inf, 1]), ("empty", ())], {})
 @example([("nested", [1, [math.nan]])], {"x": {"y": [1, 2]}})
 def test_report_fields_with_scalar_lists_render_as_the_indented_reference(lists, others):
-    # a top-level dict that holds a list is laid out an item at a time
-    for miss, items in lists:
-        assert (cli._scalar_list(items, "    ") is None) == (miss != "none")
     report = {**others, **{f"list{i}": items for i, (_, items) in enumerate(lists)}}
     payload = {"n": None, "report": report}
     reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
@@ -1135,11 +1202,13 @@ def call(argv):
 
 
 def check_outcome(argv, code, err):
-    """The CLI contract: exit 0-3 (argparse: 0 or 1), and a non-zero return
+    """The CLI contract: exit 0-3 (argparse: 0 or 1), and a non-zero exit
     prints exactly one "liarsim <subcommand>: " line on stderr."""
     if isinstance(code, tuple):
         assert code[1] in (0, 1), (argv, code)
-        return
+        if code[1] == 0:
+            return
+        code = code[1]
     assert code in (0, 1, 2, 3), (argv, code)
     if code == 0:
         assert err == "", (argv, err)
