@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # CouplingGraph.distance and MetricsConfig.resolve.  They stay public because
 # the benchmark's tracer, perfbench/tracing.py, looks each one up by name.
 from .circuit import (GATE_KINDS, NEGATED, OR_ACCUMULATE, PARITY, POSITIVE,
-                      Circuit, Gate, GateCensus, PairLayout, build_general,
+                      Circuit, Gate, GateCensus, build_general,
                       build_liar_literal, build_liar_reference, ccx, cnot, cp,
                       expand_toffolis, gate_census, h, load_circuit, p,
                       save_circuit, toffoli_decompose, x)
@@ -38,5 +38,5 @@ from .metrics import (Chi2Result, MetricsConfig, MetricsReport,
                       chi_squared_gof, consistency_fidelity, full_report,
                       interference_suppression, tv_distance, z_flag)
 from .statevec import (DEFAULT_SEED, MAX_QUBITS, StateVector, apply_gate,
-                       apply_pauli, basis_state, bitstring, init_zero,
-                       probabilities, run_circuit, sample_counts)
+                       apply_pauli, basis_state, init_zero, probabilities,
+                       run_circuit, sample_counts)

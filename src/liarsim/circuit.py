@@ -149,8 +149,8 @@ class Circuit:
         for gate in self.gates:
             self._check_gate(gate)
         for idx, role in self.roles.items():
-            if not 0 <= idx < self.num_qubits:
-                raise ValueError(f"role index {idx} outside register of {self.num_qubits}")
+            if not (_is_int(idx) and 0 <= idx < self.num_qubits):
+                raise ValueError(f"role index {idx!r} outside register of {self.num_qubits}")
             if role not in ROLE_TAGS:
                 raise ValueError(f"unknown role tag {role!r}")
 
@@ -197,56 +197,21 @@ def build_liar_reference() -> Circuit:
     return circ
 
 
-@dataclass(frozen=True)
-class PairLayout:
-    """Register layout for N/2 contradiction/resolution pairs plus one flag."""
-
-    contradictions: tuple[int, ...]
-    resolutions: tuple[int, ...]
-    flag: int
-
-    def __post_init__(self):
-        if len(self.contradictions) < 1:
-            raise ValueError("at least one pair is required")
-        if len(self.contradictions) != len(self.resolutions):
-            raise ValueError("contradiction and resolution index lists must pair up")
-        indices = (*self.contradictions, *self.resolutions, self.flag)
-        if any(q < 0 for q in indices):
-            raise ValueError("negative qubit index in layout")
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"layout indices overlap: {indices}")
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.contradictions)
-
-    @property
-    def width(self) -> int:
-        return max(*self.contradictions, *self.resolutions, self.flag) + 1
-
-    @classmethod
-    def default(cls, num_pairs: int) -> "PairLayout":
-        """Contradictions at 0..m-1, resolutions at m..2m-1, flag at 2m."""
-        if num_pairs < 1:
-            raise ValueError("num_pairs must be >= 1")
-        m = num_pairs
-        return cls(tuple(range(m)), tuple(range(m, 2 * m)), 2 * m)
-
-
 PARITY = "parity"
 OR_ACCUMULATE = "or_accumulate"
 
 
-def build_general(layout: PairLayout, mode: str = PARITY,
-                  with_phase: bool = False,
-                  literal_r_control: bool = False) -> Circuit:
-    """Coherence-flag circuit over contradiction/resolution pairs.
+def build_general(num_pairs: int, mode: str = PARITY,
+                  with_phase: bool = False) -> Circuit:
+    """Coherence-flag circuit over num_pairs = m contradiction/resolution pairs.
 
-    Each pair contributes a doubly controlled flip of the flag: positive
-    control on the contradiction qubit and negated control on the resolution
-    qubit, so the flip fires exactly on an unresolved contradiction
-    (``literal_r_control=True`` switches the resolution control to positive).
-    ``with_phase`` appends a CP(pi) between flag and resolution qubit per pair.
+    The register holds contradiction i on qubit i, resolution i on qubit
+    m + i and the flag on qubit 2m; or_accumulate mode adds its ancillas
+    above the flag.  Each pair contributes a doubly controlled flip of the
+    flag: positive control on the contradiction qubit and negated control on
+    the resolution qubit, so the flip fires exactly on an unresolved
+    contradiction.  ``with_phase`` appends a CP(pi) between flag and
+    resolution qubit per pair.
 
     parity mode chains the flips directly, so the flag records the parity of
     the number of violated pairs.  or_accumulate mode computes each pair's
@@ -254,64 +219,46 @@ def build_general(layout: PairLayout, mode: str = PARITY,
     negated-control Toffolis, touches the flag exactly once with the OR of all
     violations, then uncomputes every ancilla back to |0>.
     """
-    m = layout.num_pairs
-    rpol = POSITIVE if literal_r_control else NEGATED
-    roles = {q: "contradiction" for q in layout.contradictions}
-    roles.update({q: "resolution" for q in layout.resolutions})
-    roles[layout.flag] = "flag"
+    if not (_is_int(num_pairs) and num_pairs >= 1):
+        raise ValueError(f"num_pairs must be an integer >= 1, got {num_pairs!r}")
+    if mode not in (PARITY, OR_ACCUMULATE):
+        raise ValueError(f"unknown mode {mode!r}, expected {PARITY!r} or {OR_ACCUMULATE!r}")
+    m = int(num_pairs)
+    flag = 2 * m
+    roles = {q: "contradiction" for q in range(m)}
+    roles.update({m + i: "resolution" for i in range(m)})
+    roles[flag] = "flag"
+    roles.update({q: "ancilla" for q in range(flag + 1, general_width(m, mode))})
+    circ = Circuit(general_width(m, mode), roles=roles)
+    phase = [cp(math.pi, flag, m + i) for i in range(m)] if with_phase else []
 
     if mode == PARITY:
-        circ = Circuit(layout.width, roles=roles)
         for i in range(m):
-            circ.add(ccx(layout.contradictions[i], layout.resolutions[i],
-                         layout.flag, POSITIVE, rpol))
+            circ.add(ccx(i, m + i, flag, POSITIVE, NEGATED))
             if with_phase:
-                circ.add(cp(math.pi, layout.flag, layout.resolutions[i]))
+                circ.add(phase[i])
         return circ
 
-    if mode != OR_ACCUMULATE:
-        raise ValueError(f"unknown mode {mode!r}, expected {PARITY!r} or {OR_ACCUMULATE!r}")
-
-    base = layout.width
-    viol = tuple(base + i for i in range(m))          # one violation bit per pair
-    chain = tuple(base + m + j for j in range(m - 1))  # running AND of negations
-    roles.update({q: "ancilla" for q in (*viol, *chain)})
-    circ = Circuit(base + len(viol) + len(chain), roles=roles)
-
-    compute = []
-    for i in range(m):
-        compute.append(ccx(layout.contradictions[i], layout.resolutions[i],
-                           viol[i], POSITIVE, rpol))
+    viol = range(flag + 1, flag + 1 + m)           # one violation bit per pair
+    chain = range(flag + 1 + m, flag + 2 * m)      # running AND of negations
+    compute = [ccx(i, m + i, viol[i], POSITIVE, NEGATED) for i in range(m)]
     fold = []
     if m >= 2:
         fold.append(ccx(viol[0], viol[1], chain[0], NEGATED, NEGATED))
         for j in range(2, m):
             fold.append(ccx(chain[j - 2], viol[j], chain[j - 1], POSITIVE, NEGATED))
-
-    for gate in compute:
-        circ.add(gate)
-    for gate in fold:
-        circ.add(gate)
-    if m == 1:
-        # single pair: the violation bit is already the OR
-        circ.add(cnot(viol[0], layout.flag))
-    else:
-        # chain end holds AND of negated violations; flip on its negation = OR
-        circ.add(cnot(chain[-1], layout.flag, NEGATED))
-    if with_phase:
-        for i in range(m):
-            circ.add(cp(math.pi, layout.flag, layout.resolutions[i]))
-    for gate in reversed(fold):
-        circ.add(gate)
-    for gate in reversed(compute):
+    # a single pair's violation bit is already the OR; otherwise the chain
+    # end holds the AND of negated violations, and its negation is the OR
+    touch = cnot(viol[0], flag) if m == 1 else cnot(chain[-1], flag, NEGATED)
+    for gate in [*compute, *fold, touch, *phase, *reversed(fold), *reversed(compute)]:
         circ.add(gate)
     return circ
 
 
 def general_width(num_pairs: int, mode: str = PARITY) -> int:
-    """Qubits of build_general(PairLayout.default(num_pairs), mode): the
-    layout's 2m + 1, plus in or_accumulate mode the m violation ancillas and
-    m - 1 AND-chain ancillas."""
+    """Qubits of build_general(num_pairs, mode): 2m + 1, plus in
+    or_accumulate mode the m violation ancillas and m - 1 AND-chain
+    ancillas."""
     width = 2 * num_pairs + 1
     return width + 2 * num_pairs - 1 if mode == OR_ACCUMULATE else width
 

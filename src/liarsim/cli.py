@@ -39,9 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import (OR_ACCUMULATE, PARITY, Circuit, PairLayout,
-                      build_general, build_liar_literal, build_liar_reference,
-                      circuit_from_json, gate_census, general_width, save_circuit)
+from .circuit import (OR_ACCUMULATE, PARITY, Circuit, build_general,
+                      build_liar_literal, build_liar_reference, circuit_from_json,
+                      gate_census, general_width, save_circuit)
 from .dist import (COUNTS, PROBABILITY, Distribution, _Bits, _Coded, _render_rows,
                    bitstrings, bundled_table_names, load_reference_table,
                    parse_distribution_csv, render_entries, write_counts_csv)
@@ -333,8 +333,7 @@ def _resolve_circuit(args, inputs: dict) -> tuple[Circuit, str]:
                       if general_width(m, mode) <= MAX_QUBITS)
             raise CliError(USAGE_EXIT, f"--pairs must be in 1..{cap} for mode "
                                        f"{args.mode}, got {args.pairs}")
-        circuit = build_general(PairLayout.default(args.pairs), mode,
-                                with_phase=args.with_phase)
+        circuit = build_general(args.pairs, mode, with_phase=args.with_phase)
         return circuit, f"general(pairs={args.pairs}, mode={args.mode})"
     return _read_input(name,
                        lambda data, where: circuit_from_json(_text(data).read()),
@@ -530,7 +529,7 @@ def cmd_estimate(args) -> int:
         raise CliError(USAGE_EXIT, f"--n must be an even integer in "
                                    f"2..{MAX_GRAPH_NODES - 2}, got {args.n}")
     pairs = args.n // 2
-    circuit = build_general(PairLayout.default(pairs), PARITY)
+    circuit = build_general(pairs, PARITY)
 
     inputs: dict = {}
     graph, graph_source = _resolve_graph(args.graph, args.graph_size,

@@ -252,15 +252,6 @@ class Distribution:
         """The values summed left to right in entry order."""
         return float(sum(self.values.tolist()))
 
-    def as_probabilities(self) -> dict[str, float]:
-        """Counts are normalized by total_shots; probability entries are
-        returned exactly as stored (no silent renormalization)."""
-        if self.kind == COUNTS:
-            if not self.total_shots:
-                raise ValueError("cannot normalize an empty counts distribution")
-            return {s: v / self.total_shots for s, v in self.entries.items()}
-        return dict(self.entries.items())
-
 
 def _listed(ints):
     """The ints of a column as a Python sequence, for the per-row path."""
@@ -400,21 +391,19 @@ def _parse_rows(rows: list[list[str]], column: str, where: str) -> Distribution:
     return Distribution(width=width, entries=entries, kind=column)
 
 
-def parse_distribution_csv(stream, where: str, column: str = "auto",
-                           sum_tol: float = 1e-6) -> Distribution:
+def parse_distribution_csv(stream, where: str, column: str = "auto") -> Distribution:
     """The distribution in a CSV text stream opened with newline=""; where
     names the stream in error messages."""
     try:
         rows = list(csv.reader(stream))
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ValueError(f"{where}: {exc}") from exc
-    return _parse_rows(rows, column, where).validate(sum_tol)
+    return _parse_rows(rows, column, where).validate()
 
 
-def read_distribution_csv(path, column: str = "auto",
-                          sum_tol: float = 1e-6) -> Distribution:
+def read_distribution_csv(path, column: str = "auto") -> Distribution:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_distribution_csv(fh, str(path), column, sum_tol)
+        return parse_distribution_csv(fh, str(path), column)
 
 
 def write_counts_csv(dist: Distribution, path) -> None:

@@ -63,9 +63,6 @@ class NoiseProfile:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
 
-    def zero_noise(self) -> "NoiseProfile":
-        return NoiseProfile(0.0, 0.0, 0.0, self.seed)
-
 
 # ---------------------------------------------------------------------------
 # coupling graphs
@@ -85,9 +82,10 @@ class CouplingGraph:
             u, v = edge
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                raise ValueError(f"edge {edge} outside 0..{self.num_nodes - 1}")
-            normalized.add((min(u, v), max(u, v)))
+            if not all(_is_int(q) and 0 <= q < self.num_nodes for q in edge):
+                raise ValueError(f"edge {edge} has a node outside the integers "
+                                 f"0..{self.num_nodes - 1}")
+            normalized.add((int(min(u, v)), int(max(u, v))))
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
         adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
         for u, v in self.edges:
@@ -113,8 +111,8 @@ class CouplingGraph:
 
     def distance(self, start: int, goal: int) -> int:
         """BFS shortest-path length in edges; -1 if unreachable."""
-        if not (0 <= start < self.num_nodes and 0 <= goal < self.num_nodes):
-            raise ValueError(f"node out of range: {start}, {goal}")
+        if not all(_is_int(q) and 0 <= q < self.num_nodes for q in (start, goal)):
+            raise ValueError(f"node out of range: {start!r}, {goal!r}")
         return self._distances_from(start)[goal]
 
     def is_connected(self) -> bool:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevec
-from .circuit import OR_ACCUMULATE, PARITY, PairLayout, build_general
+from .circuit import OR_ACCUMULATE, PARITY, _is_int, build_general
 
 MAX_PAIRS = 5
 _MAX_DENSE_QUBITS = 10  # dim 1024
@@ -46,14 +46,17 @@ INCONSISTENCY_DETECTED = "inconsistency detected"
 FULLY_INCONSISTENT = "fully inconsistent"
 
 
-def _check_pairs(num_pairs: int) -> None:
-    if not 1 <= num_pairs <= MAX_PAIRS:
-        raise ValueError(f"num_pairs must be in 1..{MAX_PAIRS}, got {num_pairs}")
+def _check_pairs(num_pairs: int) -> int:
+    if not (_is_int(num_pairs) and 1 <= num_pairs <= MAX_PAIRS):
+        raise ValueError(f"num_pairs must be in 1..{MAX_PAIRS}, got {num_pairs!r}")
+    return int(num_pairs)
 
 
 def violation_count(index, num_pairs: int):
     """Number of violated pairs in a pair-register basis state, or in each
     of an integer array of them."""
+    if not (_is_int(num_pairs) and num_pairs >= 1):
+        raise ValueError(f"num_pairs must be an integer >= 1, got {num_pairs!r}")
     return sum(((index >> i) & 1) & (~(index >> (num_pairs + i)) & 1)
                for i in range(num_pairs))
 
@@ -77,9 +80,9 @@ def _diagonals(num_pairs: int):
 
 def contradiction_projector(num_pairs: int, pair: int) -> np.ndarray:
     """Projector onto basis states where the given pair is violated."""
-    _check_pairs(num_pairs)
-    if not 0 <= pair < num_pairs:
-        raise ValueError(f"pair index {pair} out of range for {num_pairs} pairs")
+    num_pairs = _check_pairs(num_pairs)
+    if not (_is_int(pair) and 0 <= pair < num_pairs):
+        raise ValueError(f"pair index {pair!r} out of range for {num_pairs} pairs")
     return np.diag(_diagonals(num_pairs)[0][pair].astype(np.complex128))
 
 
@@ -104,8 +107,8 @@ def taylor_exponential(op: np.ndarray, terms: int = _TAYLOR_TERMS) -> np.ndarray
         raise ValueError("operator must be square")
     if op.shape[0] > 2 ** _MAX_DENSE_QUBITS:
         raise ValueError(f"dimension {op.shape[0]} exceeds the dense cap")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    if not (_is_int(terms) and terms >= 1):
+        raise ValueError(f"terms must be an integer >= 1, got {terms!r}")
     acc = np.eye(op.shape[0], dtype=np.complex128)
     term = np.eye(op.shape[0], dtype=np.complex128)
     for k in range(1, terms):
@@ -116,12 +119,12 @@ def taylor_exponential(op: np.ndarray, terms: int = _TAYLOR_TERMS) -> np.ndarray
 
 def _flag_map(mode: str, num_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """Image of each of the 2**(2m+1) pair-register-plus-flag basis inputs,
-    ancillas at 0, under the mode's circuit: its output index and phase.  The
-    default layout holds the pair register in bits 0..2m-1 and the flag in
-    bit 2m, so input a | f << 2m is assignment a with flag f, and bit 2m of
-    its output is the flag out."""
+    ancillas at 0, under the mode's circuit: its output index and phase.
+    build_general holds the pair register in bits 0..2m-1, as this module
+    does, and the flag in bit 2m, so input a | f << 2m is assignment a with
+    flag f, and bit 2m of its output is the flag out."""
     size = 1 << (2 * num_pairs + 1)
-    return statevec._run_support(build_general(PairLayout.default(num_pairs), mode),
+    return statevec._run_support(build_general(num_pairs, mode),
                                  np.arange(size, dtype=np.int64),
                                  np.ones(size, dtype=np.complex128))[:2]
 
@@ -162,15 +165,17 @@ def classical_rule(contradictions, resolutions, flag_in: int) -> RuleResult:
     inconsistent" when every pair of a multi-pair register is violated, and
     "inconsistency detected" otherwise.
     """
-    c = tuple(int(b) for b in contradictions)
-    r = tuple(int(b) for b in resolutions)
+    c, r = tuple(contradictions), tuple(resolutions)
     if len(c) != len(r) or not c:
         raise ValueError("need equal, nonempty contradiction/resolution lists")
-    if any(b not in (0, 1) for b in c + r) or flag_in not in (0, 1):
-        raise ValueError("assignments must be 0/1 bits")
+    for name, bits in (("contradictions", c), ("resolutions", r)):
+        if not all(_is_int(b) and b in (0, 1) for b in bits):
+            raise ValueError(f"{name} must be 0/1 integer bits, got {bits!r}")
+    if not (_is_int(flag_in) and flag_in in (0, 1)):
+        raise ValueError(f"flag_in must be 0 or 1, got {flag_in!r}")
 
     m = len(c)
-    index = sum(b << i for i, b in enumerate(c + r)) | flag_in << (2 * m)
+    index = sum(int(b) << i for i, b in enumerate(c + r)) | int(flag_in) << (2 * m)
     flag_out, label = _rule(m, index)
     viol = _violations(m, index)
     violated = tuple(i for i in range(m) if (viol >> i) & 1)
@@ -192,12 +197,12 @@ def _truth_columns(num_pairs: int, flag_in: int):
     """The truth table as int64 arrays over the 4**m assignments in index
     order: the pair+flag basis inputs, the rule's flag output, the _LABELS
     index and the parity circuit's flag output."""
-    if num_pairs < 1:
-        raise ValueError(f"need num_pairs >= 1, got {num_pairs}")
+    if not (_is_int(num_pairs) and num_pairs >= 1):
+        raise ValueError(f"need an integer num_pairs >= 1, got {num_pairs!r}")
     if 2 * num_pairs + 1 > statevec.MAX_QUBITS:
         raise ValueError(f"{num_pairs} pairs exceeds the simulator width cap")
-    if flag_in not in (0, 1):
-        raise ValueError(f"flag_in must be 0 or 1, got {flag_in}")
+    if not (_is_int(flag_in) and flag_in in (0, 1)):
+        raise ValueError(f"flag_in must be 0 or 1, got {flag_in!r}")
     m = num_pairs
     inputs = np.arange(4 ** m) | flag_in << (2 * m)
     rule_flags, labels = _rule(m, inputs)
@@ -284,8 +289,7 @@ def _verify(num_pairs: int) -> tuple[list[CheckResult], FixedPointReport]:
     """verification_suite and fixed_point_report of one register size, from
     one build of the diagonals and of the parity circuit's map; the two public
     functions each return one half."""
-    _check_pairs(num_pairs)
-    m = num_pairs
+    m = _check_pairs(num_pairs)
     dim = 4 ** m
     checks: list[CheckResult] = []
 

@@ -16,6 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .circuit import _is_int
 from .dist import COUNTS, Distribution, bitstrings
 
 DEFAULT_CONSISTENT = ("1001", "1010")
@@ -98,8 +99,8 @@ def _suppression(experimental: Distribution, ideal: Distribution,
 
 def z_flag(dist: Distribution, flag_index: int) -> float:
     """Flag polarization P(flag=0) - P(flag=1), normalized by total mass."""
-    if not 0 <= flag_index < dist.width:
-        raise ValueError(f"flag index {flag_index} out of range for width {dist.width}")
+    if not (_is_int(flag_index) and 0 <= flag_index < dist.width):
+        raise ValueError(f"flag index {flag_index!r} out of range for width {dist.width}")
     probs = _probabilities(dist)
     total = sum(probs.tolist())
     if total <= 0.0:
@@ -286,9 +287,9 @@ class MetricsConfig:
         else:
             paradox, paradox_idx = _check_states(self.paradox_set, width, "paradox_set")
         flag = self.flag_index if self.flag_index is not None else width - 1
-        if not 0 <= flag < width:
-            raise ValueError(f"flag index {flag} out of range for width {width}")
-        return consistent, paradox, flag, consistent_idx, paradox_idx
+        if not (_is_int(flag) and 0 <= flag < width):
+            raise ValueError(f"flag index {flag!r} out of range for width {width}")
+        return consistent, paradox, int(flag), consistent_idx, paradox_idx
 
 
 @dataclass(frozen=True)

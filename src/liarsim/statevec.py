@@ -17,10 +17,10 @@ dense array and runs the remaining gates on the dense kernel.  The support
 run's arithmetic is the dense kernel's, in the same order, so both give equal
 amplitudes.
 
-A run that ends on the support returns a support-held StateVector, which
-builds the dense array only when .amplitudes is read.  probabilities() and
-sample_counts() read the support alone and allocate nothing of size 2**n,
-except a probabilities() asked to keep every outcome, zeros included.
+Every run starts from |0...0>.  A run that ends on the support returns a
+support-held StateVector, which builds the dense array only when .amplitudes
+is read.  probabilities() and sample_counts() read the support alone and
+allocate nothing of size 2**n.
 Their normalization is the total a dense state's sum() would give, to the
 bit: _dense_order_total adds the support's |amplitude|**2 values in NumPy's
 pairwise order, where the zeros off the support drop out exactly.  NumPy's
@@ -30,8 +30,6 @@ basis index, 2**n - 1, makes exactly the dense draw.
 """
 
 from __future__ import annotations
-
-import numbers
 
 import numpy as np
 
@@ -77,12 +75,6 @@ class StateVector:
             self._support = None
         return self._dense
 
-    def copy(self) -> "StateVector":
-        if self._support is None:
-            return StateVector(self.num_qubits, self._dense.copy())
-        index, values = self._support
-        return StateVector(self.num_qubits, support=(index.copy(), values.copy()))
-
 
 def _scatter(index: np.ndarray, values: np.ndarray, num_qubits: int) -> np.ndarray:
     """The 2**n array that holds values at index and 0 everywhere else."""
@@ -107,16 +99,11 @@ def init_zero(num_qubits: int) -> StateVector:
 
 def basis_state(index: int, num_qubits: int) -> StateVector:
     num_qubits = _check_size(num_qubits)
-    if not 0 <= index < (1 << num_qubits):
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
+    if not (_is_int(index) and 0 <= index < (1 << num_qubits)):
+        raise ValueError(f"basis index {index!r} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)
-
-
-def bitstring(index: int, width: int) -> str:
-    """Canonical rendering: highest qubit index leftmost."""
-    return format(index, f"0{width}b")
 
 
 def _branches(amps: np.ndarray, num_qubits: int, qubits: tuple[int, ...]):
@@ -239,8 +226,8 @@ def _run_support(circuit: Circuit, index: np.ndarray, amps: np.ndarray,
 def apply_pauli(state: StateVector, pauli: str, qubit: int) -> StateVector:
     """In-place X, Y, or Z on one qubit.  Used by the noise channel; Pauli Y
     and Z are not part of the circuit gate set."""
-    if qubit >= state.num_qubits or qubit < 0:
-        raise ValueError(f"qubit {qubit} out of range")
+    if not (_is_int(qubit) and 0 <= qubit < state.num_qubits):
+        raise ValueError(f"qubit {qubit!r} out of range")
     pick = _branches(state.amplitudes, state.num_qubits, (qubit,))
     lo, hi = pick(0), pick(1)
     if pauli == "X":
@@ -258,33 +245,23 @@ def apply_pauli(state: StateVector, pauli: str, qubit: int) -> StateVector:
     return state
 
 
-def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Apply the circuit's gates in listed order.
-
-    Starts from |0...0> when no initial state is given, on the support while
-    it stays small, and returns a support-held state when the whole circuit
-    ran there; a supplied initial state is copied, never mutated, and always
-    runs on the dense kernel.
-    """
-    n = circuit.num_qubits
+def run_circuit(circuit: Circuit) -> StateVector:
+    """Apply the circuit's gates in listed order to |0...0>: on the support
+    while it stays small, returning a support-held state when the whole
+    circuit ran there, and on the dense kernel from then on."""
+    n = _check_size(circuit.num_qubits)
     gates = circuit.gates
-    if initial is None:
-        _check_size(n)
-        if n < _SPARSE_MIN_QUBITS:
-            state = init_zero(n)
-        else:
-            index, amps, done = _run_support(
-                circuit, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128),
-                (1 << n) >> _SPARSE_HEADROOM)
-            if done == len(gates):
-                order = np.argsort(index)
-                return StateVector(n, support=(index[order], amps[order]))
-            state = StateVector(n, _scatter(index, amps, n))
-            gates = gates[done:]
+    if n < _SPARSE_MIN_QUBITS:
+        state = init_zero(n)
     else:
-        if initial.num_qubits != n:
-            raise ValueError(f"circuit has {n} qubits, state has {initial.num_qubits}")
-        state = initial.copy()
+        index, amps, done = _run_support(
+            circuit, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128),
+            (1 << n) >> _SPARSE_HEADROOM)
+        if done == len(gates):
+            order = np.argsort(index)
+            return StateVector(n, support=(index[order], amps[order]))
+        state = StateVector(n, _scatter(index, amps, n))
+        gates = gates[done:]
     for gate in gates:
         apply_gate(state, gate)
     return state
@@ -325,20 +302,16 @@ def _born(state: StateVector):
     return index, probs, _dense_order_total(index, probs, state.num_qubits)
 
 
-def probabilities(state: StateVector, drop_below: float = 1e-12) -> Distribution:
-    """Born-rule outcome distribution; entries below drop_below are omitted.
+def probabilities(state: StateVector) -> Distribution:
+    """Born-rule outcome distribution; entries below 1e-12 are omitted.
 
     The norm is checked on the full array first, so a state spread thinly
     over many outcomes is not rejected for the mass its dropped entries held.
     """
-    if not isinstance(drop_below, numbers.Real) or drop_below != drop_below:  # NaN
-        raise ValueError(f"drop_below must be a real number, got {drop_below!r}")
     index, probs, total = _born(state)
     if not abs(total - 1.0) <= 1e-9:  # written so that a NaN total fails too
         raise ValueError(f"probabilities sum to {total:.6f}, outside 1 +- 1e-09")
-    if index is not None and not drop_below > 0.0:  # keep the zeros off it too
-        index, probs = None, _scatter(index, probs, state.num_qubits)
-    kept = np.flatnonzero(probs >= drop_below)
+    kept = np.flatnonzero(probs >= 1e-12)
     return Distribution(state.num_qubits, None, PROBABILITY,
                         indices=kept if index is None else index[kept],
                         values=probs[kept])

@@ -59,21 +59,23 @@ def reference_rule(c, r, flag_in) -> RuleResult:
     return RuleResult(flag_out, label, violated)
 
 
-def circuit_flag_on_basis(circuit, c_bits, r_bits, flag_in, layout) -> int:
-    """Flag bit after running the circuit on a basis input (ancillas at 0)."""
+def circuit_flag_on_basis(circuit, c_bits, r_bits, flag_in) -> int:
+    """Flag bit after running a build_general circuit on a basis input
+    (ancillas at 0): contradiction i on qubit i, resolution i on m + i and
+    the flag on 2m."""
     n = circuit.num_qubits
-    index = flag_in << layout.flag
-    for q, b in zip(layout.contradictions, c_bits):
-        index |= b << q
-    for q, b in zip(layout.resolutions, r_bits):
-        index |= b << q
+    m = len(c_bits)
+    flag = 2 * m
+    index = flag_in << flag
+    for i, (c, r) in enumerate(zip(c_bits, r_bits)):
+        index |= c << i | r << (m + i)
     state = statevec.basis_state(index, n)
     for gate in circuit.gates:
         statevec.apply_gate(state, gate)
     out = int(np.argmax(np.abs(state.amplitudes)))
     if abs(abs(state.amplitudes[out]) - 1.0) > 1e-12:
         raise AssertionError("basis input did not map to a basis output")
-    return (out >> layout.flag) & 1
+    return (out >> flag) & 1
 
 
 def is_hermitian(op: np.ndarray, tol: float = 1e-12) -> bool:

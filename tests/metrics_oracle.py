@@ -1,6 +1,6 @@
 """Dict-based reference for the coherence metrics.
 
-Each metric is computed over `Distribution.as_probabilities()` and `entries`
+Each metric is computed over `as_probabilities(dist)` and `entries`
 dicts keyed by bitstring, one state at a time, with the flag bit read off the
 string by `bit_of`: a route that shares no arithmetic with the array metrics
 of `liarsim.metrics`.  Every sum runs in the order the array metrics
@@ -15,6 +15,16 @@ from liarsim.dist import COUNTS
 from liarsim.metrics import _MIN_EXPECTED, Chi2Result, MetricsReport, _gammaincc
 
 
+def as_probabilities(dist) -> dict[str, float]:
+    """Counts are normalized by total_shots; probability entries are
+    returned exactly as stored (no silent renormalization)."""
+    if dist.kind == COUNTS:
+        if not dist.total_shots:
+            raise ValueError("cannot normalize an empty counts distribution")
+        return {s: v / dist.total_shots for s, v in dist.entries.items()}
+    return dict(dist.entries.items())
+
+
 def bit_of(bits: str, qubit: int) -> int:
     """Value of the given qubit in a canonical bitstring (highest qubit
     leftmost)."""
@@ -22,20 +32,20 @@ def bit_of(bits: str, qubit: int) -> int:
 
 
 def consistency_fidelity(dist, states):
-    probs = dist.as_probabilities()
+    probs = as_probabilities(dist)
     return float(sum(probs.get(s, 0.0) for s in states))
 
 
 def tv_distance(p, q):
-    a = p.as_probabilities()
-    b = q.as_probabilities()
+    a = as_probabilities(p)
+    b = as_probabilities(q)
     return 0.5 * float(sum(abs(a.get(k, 0.0) - b.get(k, 0.0))
                            for k in sorted(a.keys() | b.keys())))
 
 
 def interference_suppression(experimental, ideal, states):
-    exp_p = experimental.as_probabilities()
-    ideal_p = ideal.as_probabilities()
+    exp_p = as_probabilities(experimental)
+    ideal_p = as_probabilities(ideal)
     denom = sum(ideal_p.get(s, 0.0) for s in states)
     if denom < 1e-12:
         raise ValueError(
@@ -47,7 +57,7 @@ def interference_suppression(experimental, ideal, states):
 
 
 def z_flag(dist, flag_index):
-    probs = dist.as_probabilities()
+    probs = as_probabilities(dist)
     total = sum(probs.values())
     if total <= 0.0:
         raise ValueError("empty distribution has no flag marginal")
@@ -62,7 +72,7 @@ def chi_squared_gof(observed, expected):
     if not shots:
         raise ValueError("observed distribution has zero shots")
 
-    shape = expected.as_probabilities()
+    shape = as_probabilities(expected)
     shape_total = sum(shape.values())
     if shape_total <= 0.0:
         raise ValueError("expected distribution has no mass")

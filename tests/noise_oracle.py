@@ -16,7 +16,6 @@ import numpy as np
 
 from liarsim.circuit import NEGATED
 from liarsim.dist import PROBABILITY, Distribution
-from liarsim.statevec import bitstring
 
 MAX_ORACLE_QUBITS = 10
 
@@ -100,5 +99,5 @@ def noisy_distribution(circuit, profile) -> Distribution:
     probs = noisy_probabilities(circuit, profile)
     n = circuit.num_qubits
     return Distribution(width=n, kind=PROBABILITY,
-                        entries={bitstring(i, n): float(v)
+                        entries={format(i, f"0{n}b"): float(v)
                                  for i, v in enumerate(probs) if v > 0.0})

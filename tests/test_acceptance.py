@@ -6,6 +6,7 @@ Each test also prints a CRITERION summary (visible with -s or on failure).
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE, Circuit,
-                             PairLayout, build_general, build_liar_literal,
+                             build_general, build_liar_literal,
                              build_liar_reference, ccx, expand_toffolis,
                              gate_census, toffoli_decompose)
 from liarsim.cli import main
@@ -87,9 +88,8 @@ def test_criterion_03_operator_identity_suite_to_four_pairs():
 def test_criterion_04_rule_circuit_equivalence_and_divergence():
     start = time.perf_counter()
     for m in (1, 2, 3):
-        layout = PairLayout.default(m)
-        or_circuit = build_general(layout, OR_ACCUMULATE)
-        parity_circuit = build_general(layout, PARITY)
+        or_circuit = build_general(m, OR_ACCUMULATE)
+        parity_circuit = build_general(m, PARITY)
         divergent = set()
         for assignment in range(4 ** m):
             c = tuple((assignment >> i) & 1 for i in range(m))
@@ -97,9 +97,8 @@ def test_criterion_04_rule_circuit_equivalence_and_divergence():
             violations = sum(ci and not ri for ci, ri in zip(c, r))
             for flag_in in (0, 1):
                 want = classical_rule(c, r, flag_in).flag_out
-                got_or = circuit_flag_on_basis(or_circuit, c, r, flag_in, layout)
-                got_parity = circuit_flag_on_basis(parity_circuit, c, r,
-                                                   flag_in, layout)
+                got_or = circuit_flag_on_basis(or_circuit, c, r, flag_in)
+                got_parity = circuit_flag_on_basis(parity_circuit, c, r, flag_in)
                 assert got_or == want, ("or", m, c, r, flag_in)
                 if violations <= 1:
                     assert got_parity == want, ("parity", m, c, r, flag_in)
@@ -214,7 +213,7 @@ def test_criterion_07_cost_model_gate_budget():
 
     for n in (2, 4, 8, 16):
         pairs = n // 2
-        circuit = build_general(PairLayout.default(pairs), PARITY)
+        circuit = build_general(pairs, PARITY)
         census = gate_census(expand_toffolis(circuit))
         assert census.count_2q == 3 * n
         assert census.count_ccx == 0
@@ -308,3 +307,13 @@ def test_criterion_09_byte_identical_reruns(tmp_path, capsys):
     announce(9, "every command's --out and --csv files are byte-identical "
                 "across reruns with the same seed, and metrics reports across "
                 "hash seeds")
+
+
+def test_readme_python_examples_run():
+    # every python block of the README runs as written, so a name the docs
+    # use cannot leave the package unnoticed
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE,
-                             Circuit, Gate, PairLayout, build_general,
+                             Circuit, Gate, build_general,
                              build_liar_literal, build_liar_reference, ccx,
                              circuit_from_dict, circuit_from_json,
                              circuit_to_dict, circuit_to_json, cnot, cp,
@@ -19,7 +19,12 @@ from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE,
 from liarsim.dist import COUNTS, PROBABILITY, Distribution
 from liarsim.hardware_model import (CouplingGraph, NoiseProfile, make_graph,
                                     noisy_sample)
-from liarsim.statevec import init_zero, probabilities, run_circuit, sample_counts
+from liarsim.logic_ops import (classical_rule, contradiction_projector,
+                               fixed_point_report, taylor_exponential,
+                               truth_table, verification_suite, violation_count)
+from liarsim.metrics import MetricsConfig, z_flag
+from liarsim.statevec import (apply_gate, apply_pauli, basis_state, init_zero,
+                              probabilities, run_circuit, sample_counts)
 
 from basis_oracle import circuit_unitary
 
@@ -115,26 +120,20 @@ def test_liar_roles():
 
 
 # ---------------------------------------------------------------------------
-# pair layout and the general builder
+# the general builder
 
 def test_pair_layout_default():
-    layout = PairLayout.default(3)
-    assert layout.contradictions == (0, 1, 2)
-    assert layout.resolutions == (3, 4, 5)
-    assert layout.flag == 6
-    assert layout.width == 7
-    assert layout.num_pairs == 3
-
-
-def test_pair_layout_rejects_overlap():
-    with pytest.raises(ValueError, match="overlap"):
-        PairLayout((0,), (0,), 1)
-    with pytest.raises(ValueError, match="pair up"):
-        PairLayout((0, 1), (2,), 3)
+    # contradiction i on qubit i, resolution i on m + i, flag on 2m
+    for mode in (PARITY, OR_ACCUMULATE):
+        roles = build_general(3, mode).roles
+        assert [q for q in sorted(roles) if roles[q] == "contradiction"] == [0, 1, 2]
+        assert [q for q in sorted(roles) if roles[q] == "resolution"] == [3, 4, 5]
+        assert [q for q in sorted(roles) if roles[q] == "flag"] == [6]
+    assert build_general(3, PARITY).num_qubits == 7
 
 
 def test_general_parity_structure():
-    circ = build_general(PairLayout.default(3), PARITY)
+    circ = build_general(3, PARITY)
     assert circ.num_qubits == 7
     assert [g.kind for g in circ.gates] == ["CCX"] * 3
     for i, gate in enumerate(circ.gates):
@@ -144,7 +143,7 @@ def test_general_parity_structure():
 
 
 def test_general_with_phase_appends_cp_per_pair():
-    circ = build_general(PairLayout.default(2), PARITY, with_phase=True)
+    circ = build_general(2, PARITY, with_phase=True)
     kinds = [g.kind for g in circ.gates]
     assert kinds == ["CCX", "CP", "CCX", "CP"]
 
@@ -152,7 +151,7 @@ def test_general_with_phase_appends_cp_per_pair():
 def test_general_or_structure_and_ancilla_count():
     # m pairs need m violation bits plus m-1 chain bits
     for m in (1, 2, 4):
-        circ = build_general(PairLayout.default(m), OR_ACCUMULATE)
+        circ = build_general(m, OR_ACCUMULATE)
         expected_ancillas = m + (m - 1) if m >= 2 else 1
         assert circ.num_qubits == 2 * m + 1 + expected_ancillas
         ancillas = [q for q, r in circ.roles.items() if r == "ancilla"]
@@ -162,39 +161,28 @@ def test_general_or_structure_and_ancilla_count():
 def test_general_or_restores_ancillas():
     rng = np.random.default_rng(5)
     for m in (1, 2, 3):
-        circ = build_general(PairLayout.default(m), OR_ACCUMULATE)
+        circ = build_general(m, OR_ACCUMULATE)
         base = 2 * m + 1
         for _ in range(10):
             index = int(rng.integers(0, 1 << base))
-            state = run_circuit(circ, _embed(index, circ.num_qubits))
+            state = basis_state(index, circ.num_qubits)
+            for gate in circ.gates:
+                apply_gate(state, gate)
             amps = np.abs(state.amplitudes) ** 2
             out = int(np.argmax(amps))
             assert amps[out] == pytest.approx(1.0, abs=1e-12)
             assert out >> base == 0  # every ancilla back to |0>
 
 
-def _embed(index, num_qubits):
-    state = init_zero(num_qubits)
-    state.amplitudes[0] = 0.0
-    state.amplitudes[index] = 1.0
-    return state
-
-
 def test_general_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode"):
-        build_general(PairLayout.default(1), "xor")
+        build_general(1, "xor")
 
 
 @pytest.mark.parametrize("mode", [PARITY, OR_ACCUMULATE])
 def test_general_width_is_the_built_circuit_width(mode):
     for m in range(1, 13):
-        assert general_width(m, mode) == build_general(PairLayout.default(m),
-                                                       mode).num_qubits
-
-
-def test_literal_r_control_flips_resolution_polarity():
-    circ = build_general(PairLayout.default(1), PARITY, literal_r_control=True)
-    assert circ.gates[0].polarities == (POSITIVE, POSITIVE)
+        assert general_width(m, mode) == build_general(m, mode).num_qubits
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +241,7 @@ def test_census_counts_and_depth():
 
 
 def test_census_decompose_mode_has_no_ccx():
-    circ = build_general(PairLayout.default(4), PARITY)
+    circ = build_general(4, PARITY)
     census = gate_census(expand_toffolis(circ))
     assert census.count_ccx == 0
     assert census.count_2q == 24  # 6 CNOTs per pair
@@ -261,7 +249,7 @@ def test_census_decompose_mode_has_no_ccx():
 
 
 def test_json_round_trip(tmp_path):
-    circ = build_general(PairLayout.default(2), OR_ACCUMULATE, with_phase=True)
+    circ = build_general(2, OR_ACCUMULATE, with_phase=True)
     clone = circuit_from_json(circuit_to_json(circ))
     assert clone.num_qubits == circ.num_qubits
     assert clone.gates == circ.gates
@@ -334,11 +322,13 @@ def test_save_circuit_round_trips_numpy_qubit_indices(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# size arguments
+# size, count, bit and index arguments
 
-# entry point -> (the argument's name in its message, valid sizes, a call
-# that passes the size and returns it as stored, or the Distribution it
-# returns when the size is only used)
+_LIAR = probabilities(run_circuit(build_liar_reference()))
+
+# entry point -> (the argument's name in its message, valid values, a call
+# that passes the value and returns it as stored, or else what it returns,
+# which must equal the result for the value as a Python int)
 _SIZED = {
     "Circuit": ("num_qubits", (1, 2, 3), lambda n: Circuit(n, [h(0)]).num_qubits),
     "init_zero": ("num_qubits", (1, 2, 3), lambda n: init_zero(n).num_qubits),
@@ -357,31 +347,51 @@ _SIZED = {
     "NoiseProfile.seed": ("seed", (0, 1, 7), lambda n: NoiseProfile(seed=n).seed),
     "make_graph": ("size", (2, 3), lambda n: make_graph("linear", n).num_nodes),
     "CouplingGraph": ("nodes", (2, 3), lambda n: CouplingGraph(n, ((0, 1),)).num_nodes),
+    "CouplingGraph.edges": ("edge", (1, 2), lambda n: CouplingGraph(3, ((0, n),)).edges[0][1]),
+    "CouplingGraph.distance": ("node", (0, 2), lambda n: make_graph("linear", 3).distance(0, n)),
+    "Circuit.roles": ("role index", (0, 1), lambda n: circuit_to_json(
+        Circuit(2, roles={n: "flag"}))),
+    "taylor_exponential": ("terms", (1, 2), lambda n: taylor_exponential(np.eye(2), n)),
+    "basis_state": ("basis index", (0, 5), lambda n: basis_state(n, 3).amplitudes),
+    "apply_pauli": ("qubit", (0, 1), lambda n: apply_pauli(init_zero(2), "X", n).amplitudes),
+    "build_general": ("num_pairs", (1, 2), lambda n: circuit_to_json(build_general(n))),
+    "violation_count": ("num_pairs", (1, 2), lambda n: violation_count(np.arange(16), n)),
+    "verification_suite": ("num_pairs", (1, 2), verification_suite),
+    "fixed_point_report": ("num_pairs", (1, 2), lambda n: fixed_point_report(n).num_pairs),
+    "contradiction_projector": ("num_pairs", (1, 2), lambda n: contradiction_projector(n, 0)),
+    "contradiction_projector.pair": ("pair index", (0, 1),
+                                     lambda n: contradiction_projector(2, n)),
+    "truth_table": ("num_pairs", (1, 2), truth_table),
+    "truth_table.flag_in": ("flag_in", (0, 1), lambda n: truth_table(2, n)),
+    "classical_rule.contradictions": ("contradictions", (0, 1),
+                                      lambda n: classical_rule([n], [0], 1)),
+    "classical_rule.resolutions": ("resolutions", (0, 1), lambda n: classical_rule([1], [n], 1)),
+    "classical_rule.flag_in": ("flag_in", (0, 1), lambda n: classical_rule([1], [0], n)),
+    "z_flag": ("flag index", (0, 3), lambda n: z_flag(_LIAR, n)),
+    "MetricsConfig.flag_index": ("flag index", (0, 3),
+                                 lambda n: MetricsConfig(flag_index=n).resolve(4)[2]),
 }
 _INT_TYPES = (int, np.int64, np.int32, np.uint8)
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(data=st.data())
 def test_size_arguments_take_integers_only(data):
-    # a float, bool or string size is refused by name, even when it equals a
+    # a float, bool or string value is refused by name, even when it equals a
     # valid int; a NumPy int is stored as a Python int
     name, sizes, call = _SIZED[data.draw(st.sampled_from(sorted(_SIZED)))]
     size = data.draw(st.sampled_from(sizes))
     spelling = data.draw(st.sampled_from([*_INT_TYPES, float, np.float64, bool, str]))
     if spelling in _INT_TYPES:
-        stored = call(spelling(size))
-        if isinstance(stored, Distribution):  # the Python int's result
-            assert stored.entries == call(size).entries
+        got, want = call(spelling(size)), call(size)
+        if isinstance(want, Distribution):
+            assert got.entries == want.entries
+        elif isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
         else:
-            assert stored == size and type(stored) is int
+            assert got == want and type(got) is type(want)
+            assert type(want) is not int or want == size  # a stored value
     else:
         with pytest.raises(ValueError, match=name):
             call(spelling(size))
 
-
-def test_probabilities_rejects_a_threshold_that_is_not_a_number():
-    state = run_circuit(build_liar_reference())
-    for drop_below in (math.nan, np.float64("nan"), "1e-12", None):
-        with pytest.raises(ValueError, match="drop_below"):
-            probabilities(state, drop_below)

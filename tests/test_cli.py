@@ -111,9 +111,9 @@ def _sha256(path) -> str:
 def test_simulate_noise_runs_the_ideal_circuit_once(tmp_path, monkeypatch):
     runs = []
 
-    def counting_run(circuit, initial=None):
+    def counting_run(circuit):
         runs.append(circuit)
-        return statevec.run_circuit(circuit, initial)
+        return statevec.run_circuit(circuit)
 
     monkeypatch.setattr(cli, "run_circuit", counting_run)
     monkeypatch.setattr(hardware_model, "run_circuit", counting_run)
@@ -1538,3 +1538,136 @@ def test_fuzzed_circuit_files_never_traceback(tmp_path_factory, payload, shots):
     code, _, err = call(argv)
     assert code in (0, 1, 3), (payload, err)
     check_outcome(argv, code, err)
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract under fuzzing: drawn input files, intact or damaged, and
+# drawn flags; every run keeps the exit-code and stderr contract, and a run
+# that succeeds writes the same bytes when it is run again
+
+_ARITY = {"H": 1, "X": 1, "P": 1, "CNOT": 2, "CP": 2, "CCX": 3}
+
+
+@st.composite
+def _circuit_text(draw):
+    """A valid circuit JSON file of at most 6 qubits."""
+    n = draw(st.integers(1, 6))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(GATE_KINDS), max_size=6)):
+        qubits = draw(st.permutations(range(n)))[:_ARITY[kind]]
+        if len(qubits) < _ARITY[kind]:
+            continue
+        gates.append({"kind": kind, "controls": qubits[:-1], "targets": qubits[-1:],
+                      "polarities": [draw(st.sampled_from([POSITIVE, NEGATED]))
+                                     for _ in qubits[:-1]],
+                      "angle": draw(st.floats(-4, 4)) if kind in ("P", "CP") else None})
+    return json.dumps({"num_qubits": n, "gates": gates, "roles": {"0": "flag"}})
+
+
+@st.composite
+def _csv_text(draw):
+    """A valid distribution CSV of 1 to 6 qubits, most often 4, the width of
+    the default consistent set, with counts and probabilities."""
+    width = draw(st.sampled_from([4, 4, 1, 6]))
+    states = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1,
+                           max_size=8, unique=True))
+    counts = [draw(st.integers(1, 500)) for _ in states]
+    rows = [f"{s:0{width}b},{c},{c / sum(counts)!r}" for s, c in zip(states, counts)]
+    return "state,counts,probability\n" + "\n".join(rows) + "\n"
+
+
+@st.composite
+def _graph_text(draw):
+    """A valid edge-list file: a path through 3 to 8 nodes in drawn order,
+    plus a few drawn edges."""
+    nodes = draw(st.permutations(range(draw(st.integers(3, 8)))))
+    edges = list(zip(nodes, nodes[1:])) + draw(st.lists(st.tuples(
+        st.integers(0, 7), st.integers(0, 7)).filter(lambda e: e[0] != e[1]), max_size=3))
+    return "# drawn graph\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def _damaged(text):
+    """The text's UTF-8 bytes, intact in about half the draws, else cut
+    short or with bytes overwritten (possibly by bytes that are not UTF-8)."""
+    def damage(case):
+        data, how, at, junk = case
+        data, at = data.encode("utf-8"), at % max(1, len(data))
+        if how == "truncated":
+            return data[:at]
+        return data[:at] + junk + data[at + len(junk):] if how == "corrupted" else data
+    return st.tuples(text, st.sampled_from(["intact", "intact", "truncated", "corrupted"]),
+                     st.integers(0, 1 << 16), st.binary(min_size=1, max_size=3)).map(damage)
+
+
+def _contract_argv(files):
+    """An argv strategy per subcommand over the drawn files, with valid,
+    boundary and junk flag values; the accepted sizes stay small."""
+    out = [files["out"], files["unwritable"]]
+    noise = ["1e-4,1e-3,0.015", "0,0,0", "1,1,1", "1,2", "-1,0,0", "nan,0,0"]
+    common = [_flag("--seed", ["0", "7", "-1", HUGE]), _flag("--out", out, junk=()),
+              _flag("--pretty", [None], junk=())]
+
+    def command(name, *parts):
+        return st.tuples(st.just([name]), *parts, *common).map(
+            lambda chunks: [arg for chunk in chunks for arg in chunk])
+
+    return dict(
+        simulate=command("simulate",
+                st.sampled_from([files["circuit"], "general", "liar-reference",
+                                 files["missing"]]).map(lambda c: [c]),
+                _flag("--pairs", ["0", "1", "3", "6", "7", "11", "12"]),
+                _flag("--mode", ["parity", "or", "xor"]),
+                _flag("--with-phase", [None], junk=()),
+                _flag("--shots", ["0", "1", "64", "4096", str(MAX_SHOTS + 1)]),
+                _flag("--noise", noise),
+                _flag("--csv", [files["csv_out"], files["unwritable"]], junk=()),
+                _flag("--circuit-out", [files["circuit_out"]], junk=())),
+        verify=command("verify", _flag("--pairs", ["0", "1", "3", "5", "6"])),
+        metrics=command("metrics",
+                _flag("--exp", [files["csv"], "bundled:hardware", "liar-reference"],
+                      required=True),
+                _flag("--ideal", [files["csv"], "bundled:simulation", "liar-literal"]),
+                _flag("--column", ["auto", "counts", "probability", "bogus"]),
+                _flag("--consistent-set", ["1001,1010", "0000", "0", "01,10", "",
+                                           "1001,1001"]),
+                _flag("--paradox-set", ["0000", "1", "0,1", "abc"]),
+                _flag("--flag-index", ["-1", "0", "3", "6", HUGE])),
+        estimate=command("estimate",
+                _flag("--n", ["2", "2", "4", "0", "3", str(MAX_GRAPH_NODES)],
+                      required=True),
+                _flag("--graph", [files["graph"], "linear", "ring", "bundled:heavy-hex"]),
+                _flag("--graph-size", ["3", "9", "40", "2", str(MAX_GRAPH_NODES + 1)]),
+                _flag("--layout", ["0,1,2", "2,1,0", "0,0,1", "0,1,x"]),
+                _flag("--noise", noise)),
+        truthtable=command("truthtable", _flag("--pairs", ["0", "1", "4", "6", "7"]),
+                _flag("--flag-in", ["0", "1", "2"]),
+                _flag("--csv", [files["csv_out"], files["unwritable"]], junk=())),
+    )
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "verify", "metrics", "estimate",
+                                        "truthtable"])
+@settings(max_examples=60)
+@given(data=st.data(), circuit=_damaged(_circuit_text()), table=_damaged(_csv_text()),
+       graph=_damaged(_graph_text()))
+def test_fuzzed_runs_keep_the_cli_contract(tmp_path_factory, subcommand, data, circuit,
+                                           table, graph):
+    root = tmp_path_factory.getbasetemp() / "contract"
+    root.mkdir(exist_ok=True)
+    files = {name: str(root / name) for name in (
+        "circuit", "csv", "graph", "missing", "out", "csv_out", "circuit_out")}
+    files["unwritable"] = str(root / "no-such-dir" / "out")
+    for name, content in (("circuit", circuit), ("csv", table), ("graph", graph)):
+        Path(files[name]).write_bytes(content)
+    written = [Path(files[name]) for name in ("out", "csv_out", "circuit_out")]
+    for path in written:
+        path.unlink(missing_ok=True)
+    argv = data.draw(_contract_argv(files)[subcommand])
+    code, out, err = call(argv)
+    check_outcome(argv, code, err)
+    if code == 0:
+        first = [out] + [path.read_bytes() if path.exists() else None for path in written]
+        code, out, err = call(argv)
+        assert code == 0, err
+        assert [out] + [path.read_bytes() if path.exists() else None
+                        for path in written] == first, argv

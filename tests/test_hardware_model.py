@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from liarsim import hardware_model
 from liarsim.circuit import (GATE_KINDS, NEGATED, OR_ACCUMULATE, PARITY,
-                             POSITIVE, Circuit, Gate, PairLayout,
-                             build_general, build_liar_reference, ccx, cnot,
-                             cp, expand_toffolis, gate_census, h, p, x)
+                             POSITIVE, Circuit, Gate, build_general,
+                             build_liar_reference, ccx, cnot, cp,
+                             expand_toffolis, gate_census, h, p, x)
 from liarsim.dist import COUNTS
 from liarsim.hardware_model import (MAX_GRAPH_NODES, CostEstimate,
                                     CouplingGraph, NoiseProfile,
@@ -27,8 +27,8 @@ from sampler_oracle import signature_sample
 
 ORACLE_CIRCUITS = {
     "liar-reference": build_liar_reference(),
-    "parity2-phase": build_general(PairLayout.default(2), PARITY, with_phase=True),
-    "or2": build_general(PairLayout.default(2), OR_ACCUMULATE),
+    "parity2-phase": build_general(2, PARITY, with_phase=True),
+    "or2": build_general(2, OR_ACCUMULATE),
     # faults between the two H layers interfere, so X, Y and Z faults on
     # qubits 0 and 1 leave different fingerprints on the outcome
     "interferometer": Circuit(3, [h(0), h(1), p(0.6, 0), cnot(0, 2),
@@ -52,7 +52,6 @@ def test_noise_profile_defaults_and_validation():
         NoiseProfile(p_2q=1.5)
     with pytest.raises(ValueError, match="p_readout"):
         NoiseProfile(p_readout=-0.1)
-    assert profile.zero_noise().p_readout == 0.0
     with pytest.raises(ValueError, match="seed must be >= 0"):
         NoiseProfile(seed=-1)
 
@@ -182,7 +181,7 @@ def test_routing_distance_three_costs_twelve():
 
 
 def test_routing_expands_toffolis_and_reports_census():
-    circuit = build_general(PairLayout.default(4))
+    circuit = build_general(4)
     est = routing_estimate(circuit, make_graph("linear", size=9),
                            profile=NoiseProfile(p_1q=0.0, p_2q=1e-3))
     assert est.g_2q == 24  # 6 CNOTs per pair, 4 pairs
@@ -195,7 +194,7 @@ def test_routing_expands_toffolis_and_reports_census():
 
 def test_routing_overhead_zero_on_matching_topology():
     # interactions all touch the flag; a star graph hosts them at distance 1
-    circuit = build_general(PairLayout.default(2))
+    circuit = build_general(2)
     expanded_pairs = {(0, 4), (2, 4), (0, 2), (1, 3), (1, 4), (3, 4)}
     star_edges = tuple((u, v) for u, v in expanded_pairs)
     graph = CouplingGraph(5, star_edges)
@@ -512,7 +511,7 @@ def test_frame_path_matches_the_signature_sampler(circuit, p_1q, p_2q, p_readout
 
 
 @pytest.mark.parametrize("circuit", [
-    build_general(PairLayout.default(3), OR_ACCUMULATE),
+    build_general(3, OR_ACCUMULATE),
     # 3 H on 13 qubits: the ideal ends on an 8-state support, with P phases
     Circuit(13, [h(0), h(4), h(9), cnot(0, 1), ccx(1, 4, 12, NEGATED),
                  p(0.7, 12), cp(1.3, 9, 2), x(5)]),
@@ -521,7 +520,7 @@ def test_frame_path_matches_the_signature_sampler(circuit, p_1q, p_2q, p_readout
 def test_support_held_ideal_samples_as_its_dense_copy(circuit, rates):
     ideal = run_circuit(circuit)
     assert ideal._support is not None
-    dense = StateVector(circuit.num_qubits, ideal.copy().amplitudes)
+    dense = StateVector(circuit.num_qubits, run_circuit(circuit).amplitudes)
     profile = NoiseProfile(*rates, seed=5)
     for shots in (1, 1024, 20_000):
         got = noisy_sample(circuit, profile, shots, ideal=ideal)
@@ -545,7 +544,7 @@ def test_support_ideal_closes_its_cumulative_with_the_last_index():
     else:
         pytest.fail("every support summed to 1.0 or more")
     assert closed.tolist() == index.tolist() + [(1 << n) - 1]
-    dense = StateVector(n, support.copy().amplitudes)
+    dense = StateVector(n, StateVector(n, support=(index, amps)).amplitudes)
     u = np.array([0.0, 0.3, 0.6, np.nextafter(top, 0.0), top, np.nextafter(1.0, 0.0)])
     got = hardware_model._draw_outcomes(table, u)
     assert got.tolist() == hardware_model._draw_outcomes(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from liarsim import statevec
 from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE, Circuit,
-                             PairLayout, build_general, ccx, cnot, cp, p, x)
+                             build_general, ccx, cnot, cp, p, x)
 from liarsim.logic_ops import (_flag_map, _verify, FULLY_CONSISTENT, FULLY_INCONSISTENT,
                                INCONSISTENCY_DETECTED, LOCALLY_RESOLVED,
                                MAX_PAIRS, classical_rule,
@@ -172,7 +172,7 @@ def test_basis_map_matches_statevector(circuit):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_flag_map_is_the_full_map_on_pair_and_flag_inputs(mode, m):
     # the full 2**n map sliced to its first 2**(2m+1) inputs, as the oracle
-    out_index, phase = _all_inputs_map(build_general(PairLayout.default(m), mode))
+    out_index, phase = _all_inputs_map(build_general(m, mode))
     size = 1 << (2 * m + 1)
     got_index, got_phase = _flag_map(mode, m)
     assert np.array_equal(got_index, out_index[:size])
@@ -370,12 +370,11 @@ def test_one_verify_pass_equals_the_public_wrappers(pairs):
 def test_or_circuit_flag_equals_rule_exhaustively():
     # direct cross-check, independent of the suite's own bookkeeping
     for m in (1, 2, 3):
-        layout = PairLayout.default(m)
-        circuit = build_general(layout, OR_ACCUMULATE)
+        circuit = build_general(m, OR_ACCUMULATE)
         for assignment in range(4 ** m):
             c = tuple((assignment >> i) & 1 for i in range(m))
             r = tuple((assignment >> (m + i)) & 1 for i in range(m))
             for flag_in in (0, 1):
                 want = classical_rule(c, r, flag_in).flag_out
-                got = circuit_flag_on_basis(circuit, c, r, flag_in, layout)
+                got = circuit_flag_on_basis(circuit, c, r, flag_in)
                 assert got == want, (m, c, r, flag_in)

@@ -10,13 +10,12 @@ PUBLIC_NAMES = [
     "CouplingGraph", "DEFAULT_SEED", "Distribution", "FixedPointReport",
     "GATE_KINDS", "Gate", "GateCensus", "MAX_PAIRS", "MAX_QUBITS",
     "MetricsConfig", "MetricsReport", "NEGATED", "NoiseProfile",
-    "OR_ACCUMULATE", "PARITY", "POSITIVE", "PROBABILITY", "PairLayout",
-    "RuleResult", "StateVector", "TruthTableRow", "apply_gate", "apply_pauli",
-    "basis_state", "bitstring", "build_general", "build_liar_literal",
-    "build_liar_reference", "bundled_table_names", "ccx", "chi_squared_gof",
-    "classical_rule", "cnot", "consistency_fidelity",
-    "contradiction_projector", "cp", "expand_toffolis", "fidelity_estimate",
-    "fixed_point_report", "full_report", "gate_census",
+    "OR_ACCUMULATE", "PARITY", "POSITIVE", "PROBABILITY", "RuleResult",
+    "StateVector", "TruthTableRow", "apply_gate", "apply_pauli", "basis_state",
+    "build_general", "build_liar_literal", "build_liar_reference",
+    "bundled_table_names", "ccx", "chi_squared_gof", "classical_rule", "cnot",
+    "consistency_fidelity", "contradiction_projector", "cp", "expand_toffolis",
+    "fidelity_estimate", "fixed_point_report", "full_report", "gate_census",
     "global_consistency_projector", "h", "init_zero",
     "interference_suppression", "load_bundled_graph", "load_circuit",
     "load_reference_table", "logic_hamiltonian", "make_graph", "noisy_sample",

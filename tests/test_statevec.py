@@ -19,13 +19,18 @@ from liarsim.circuit import (NEGATED, POSITIVE, Circuit, Gate, ccx, cnot, cp,
 from liarsim.cli import main
 from liarsim.dist import COUNTS, PROBABILITY, Distribution, bitstrings
 from liarsim.statevec import (DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS, apply_gate,
-                              apply_pauli, basis_state, bitstring, init_zero,
+                              apply_pauli, basis_state, init_zero,
                               probabilities, run_circuit, sample_counts)
 
 from metrics_oracle import bit_of
 from noise_oracle import gate_matrix, pauli_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def bitstring(index: int, width: int) -> str:
+    """The canonical rendering, one index at a time: highest qubit leftmost."""
+    return format(index, f"0{width}b")
 
 
 def dense_gate(gate: Gate, n: int) -> np.ndarray:
@@ -113,9 +118,8 @@ def test_run_circuit_checks_the_register_cap_before_any_work(sparse_min):
 
 
 def test_bitstring_highest_qubit_leftmost():
-    assert bitstring(9, 4) == "1001"
-    assert bitstring(1, 4) == "0001"  # q0 = 1 is the rightmost character
-    assert bitstring(8, 4) == "1000"
+    # q0 = 1 is the rightmost character
+    assert bitstrings(np.array([9, 1, 8]), 4) == ["1001", "0001", "1000"]
 
 
 def test_bitstrings_match_bitstring():
@@ -384,20 +388,6 @@ def test_h_gates_that_keep_the_support_small_run_no_dense_gate(build):
 # ---------------------------------------------------------------------------
 # running, measuring, sampling
 
-def test_run_circuit_does_not_mutate_the_initial_state():
-    circuit = Circuit(2, [h(0), cnot(0, 1)])
-    initial = init_zero(2)
-    before = initial.amplitudes.copy()
-    out = run_circuit(circuit, initial)
-    np.testing.assert_array_equal(initial.amplitudes, before)
-    assert out is not initial
-
-
-def test_run_circuit_width_mismatch():
-    with pytest.raises(ValueError):
-        run_circuit(Circuit(2, [h(0)]), init_zero(3))
-
-
 def test_probabilities_drop_small_entries():
     state = apply_gate(init_zero(2), h(0))
     dist = probabilities(state)
@@ -447,12 +437,10 @@ def test_sample_counts_reproducible_and_complete():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_probabilities_reject_non_finite_amplitudes(bad):
     # a NaN total passes an "abs(total - 1) > tol" test, and NaN entries fail
-    # every ">= drop_below" test, so this must be checked explicitly
+    # the ">= 1e-12" test that keeps an entry, so this must be checked explicitly
     state = statevec.StateVector(2, np.array([bad, 1.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(ValueError, match="probabilities sum to"):
         probabilities(state)
-    with pytest.raises(ValueError, match="probabilities sum to"):
-        probabilities(state, drop_below=0.0)
 
 
 @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10**20])
@@ -464,10 +452,10 @@ def test_sample_counts_shot_cap(shots):
 # The per-index loops that probabilities() and sample_counts() used before
 # they became array-native, kept as the oracle for their output.
 
-def _probabilities_by_index(state, drop_below=1e-12) -> Distribution:
+def _probabilities_by_index(state) -> Distribution:
     probs = np.abs(state.amplitudes) ** 2
     entries = {bitstring(i, state.num_qubits): float(v)
-               for i, v in enumerate(probs) if v >= drop_below}
+               for i, v in enumerate(probs) if v >= 1e-12}
     return Distribution(width=state.num_qubits, entries=entries, kind=PROBABILITY)
 
 
@@ -492,13 +480,7 @@ def test_outcome_extraction_matches_per_index_loop():
     states += [apply_gate(init_zero(4), h(2)), basis_state(0b1011, 4),
                run_circuit(_thinly_spread_circuit())]
     for state in states:
-        probs = np.abs(state.amplitudes) ** 2
-        edges = [0.0, 1e-12, float(probs.min()), float(probs.max()),
-                 float(np.nextafter(probs.max(), 2.0)), 1.0,
-                 float(np.median(probs))]
-        for drop_below in edges:
-            _same(probabilities(state, drop_below),
-                  _probabilities_by_index(state, drop_below))
+        _same(probabilities(state), _probabilities_by_index(state))
         for shots, seed in ((1, 0), (1000, 17), (50_000, DEFAULT_SEED)):
             _same(sample_counts(state, shots, seed),
                   _sample_counts_by_index(state, shots, seed))
@@ -506,12 +488,6 @@ def test_outcome_extraction_matches_per_index_loop():
 
 # ---------------------------------------------------------------------------
 # support-held states
-
-def _drop_edges(probs: np.ndarray) -> list[float]:
-    nonzero = probs[probs > 0]
-    return [-1.0, 0.0, 1e-12, float(nonzero.min()), float(probs.max()),
-            float(np.nextafter(probs.max(), 2.0)), float(np.median(nonzero)), 1.0]
-
 
 @settings(max_examples=120)
 @given(circuit=_circuits(), seed=st.integers(0, 2**32 - 1))
@@ -527,8 +503,7 @@ def _drop_edges(probs: np.ndarray) -> list[float]:
 def test_report_edge_on_the_support_equals_dense_oracles(circuit, seed):
     n = circuit.num_qubits
     dense = _dense_run(circuit)
-    edges = _drop_edges(np.abs(dense.amplitudes) ** 2)
-    want_probs = [_probabilities_by_index(dense, d) for d in edges]
+    want_probs = _probabilities_by_index(dense)
     shots = (1, 1024, 100_000)
     want_counts = [_sample_counts_by_index(dense, k, seed) for k in shots]
     # headroom 0 ends most runs on the support, n leaves it at the first H,
@@ -537,8 +512,7 @@ def test_report_edge_on_the_support_equals_dense_oracles(circuit, seed):
         with mock.patch.multiple(statevec, _SPARSE_MIN_QUBITS=1,
                                  _SPARSE_HEADROOM=headroom):
             ran = run_circuit(circuit)
-        for drop_below, want in zip(edges, want_probs):
-            _same(probabilities(ran, drop_below), want)
+        _same(probabilities(ran), want_probs)
         for k, want in zip(shots, want_counts):
             _same(sample_counts(ran, k, seed), want)
 
@@ -557,20 +531,14 @@ def test_support_held_state_reads_like_the_dense_one(circuit, seed):
     n = circuit.num_qubits
     dense = _dense_run(circuit)
     held = _held(circuit)
-    copied = held.copy()
-    assert copied._support is not None and copied is not held
-    assert np.array_equal(copied.amplitudes, dense.amplitudes)
     gate = random_gate(np.random.default_rng(seed), n)
-    assert np.array_equal(apply_gate(held.copy(), gate).amplitudes,
-                          apply_gate(dense.copy(), gate).amplitudes)
+    assert np.array_equal(apply_gate(_held(circuit), gate).amplitudes,
+                          apply_gate(_dense_run(circuit), gate).amplitudes)
     # the first read builds the dense array once and the state stays dense
+    assert held._support is not None
     amps = held.amplitudes
     assert held._support is None and held.amplitudes is amps
     assert np.array_equal(amps, dense.amplitudes)
-    assert np.array_equal(held.copy().amplitudes, amps)
-    assert np.array_equal(copied.amplitudes, amps)  # the copy is independent
-    copied.amplitudes[:] = 0.0
-    assert np.array_equal(held.amplitudes, dense.amplitudes)
 
 
 def test_state_vector_takes_amplitudes_or_support():
