@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import stat
 from dataclasses import dataclass, field
 
 GATE_KINDS = ("H", "X", "P", "CNOT", "CP", "CCX")
@@ -393,9 +395,50 @@ def circuit_from_json(text: str) -> Circuit:
     return circuit_from_dict(payload)
 
 
+def _overwrite(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_text(path, pieces, newline: str | None = None) -> None:
+    """Write the text pieces to path as UTF-8, with newline translated as
+    open() translates it, leaving the same bytes as a text-mode write that
+    empties the file first.  The file is written over in place instead, and
+    cut to length only if the old file was longer: emptying it at open frees
+    its blocks, which on a file system mounted with discard costs several
+    times the write.  A pipe or a device such as /dev/stdout is never cut.
+    If a piece or a write raises over a regular file that held bytes, the
+    file is cut to zero bytes before the error propagates, so none of its
+    old bytes is left.  A process killed before the cut runs no handler
+    (SIGKILL, a SIGTERM that Python does not catch, a power loss): the file
+    can then hold the new bytes written so far followed by the rest of the
+    old file, where emptying it at open left only the new bytes."""
+    with open(path, "w", encoding="utf-8", newline=newline, opener=_overwrite) as fh:
+        fd = fh.fileno()
+        info = os.fstat(fd)
+        old_size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+        try:
+            fh.writelines(pieces)
+            fh.flush()
+        except BaseException:
+            if old_size:
+                # flush before the cut, so that close has nothing left to
+                # write past it; if this flush fails too, close retries it
+                # at offset 0 rather than after a hole
+                try:
+                    fh.flush()
+                except OSError:
+                    pass
+                os.ftruncate(fd, 0)
+                os.lseek(fd, 0, os.SEEK_SET)
+            raise
+        if old_size:
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            if end < old_size:
+                os.ftruncate(fd, end)
+
+
 def save_circuit(circuit: Circuit, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(circuit_to_json(circuit))
+    _write_text(path, (circuit_to_json(circuit),))
 
 
 def load_circuit(path) -> Circuit:

@@ -33,13 +33,13 @@ import json
 import math
 import sys
 from collections.abc import Iterable
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import (OR_ACCUMULATE, PARITY, Circuit, build_general,
+from .circuit import (OR_ACCUMULATE, PARITY, Circuit, _write_text, build_general,
                       build_liar_literal, build_liar_reference, circuit_from_json,
                       gate_census, general_width, save_circuit)
 from .dist import (COUNTS, PROBABILITY, Distribution, _Bits, _Coded, _render_rows,
@@ -261,8 +261,7 @@ def _emit(args, config: dict, inputs: dict, fields: dict, pretty) -> None:
                         "seed": args.seed, "inputs": inputs, **fields})
     text = "\n".join(pretty()) + "\n" if args.pretty else None
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+        _write_text(args.out, pieces)
     if args.pretty:
         sys.stdout.write(text)
     elif not args.out:
@@ -607,9 +606,8 @@ def cmd_truthtable(args) -> int:
     if args.csv:  # no field holds a comma, quote or line break: none is quoted
         heads = ["", *repeat(",", len(_TRUTHTABLE_COLUMNS) - 1)]
         parts = table.row_parts(_TRUTHTABLE_COLUMNS, str, "", heads, "\r\n")
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(_TRUTHTABLE_COLUMNS) + "\r\n")
-            fh.writelines(_render_rows(parts, table.size))
+        _write_text(args.csv, chain((",".join(_TRUTHTABLE_COLUMNS) + "\r\n",),
+                                    _render_rows(parts, table.size)), newline="")
 
     def pretty():
         lines = [f"truth table, {m} pair(s), flag_in={flag_in}:",

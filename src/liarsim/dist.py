@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import _is_int
+from .circuit import _is_int, _write_text
 
 PROBABILITY = "probability"
 COUNTS = "counts"
@@ -409,9 +409,8 @@ def read_distribution_csv(path, column: str = "auto") -> Distribution:
 def write_counts_csv(dist: Distribution, path) -> None:
     if dist.kind != COUNTS:
         raise ValueError("counts CSV requires a counts distribution")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("state,counts\n")
-        fh.writelines(render_entries(dist, "", ",", "\n"))
+    _write_text(path, chain(("state,counts\n",), render_entries(dist, "", ",", "\n")),
+                newline="")
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,10 @@ class CouplingGraph:
         object.__setattr__(self, "num_nodes", int(self.num_nodes))
         normalized = set()
         for edge in self.edges:
-            u, v = edge
+            try:
+                u, v = edge
+            except (TypeError, ValueError):  # not iterable, or not two items
+                raise ValueError(f"edge {edge!r} is not a pair of nodes") from None
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             if not all(_is_int(q) and 0 <= q < self.num_nodes for q in edge):

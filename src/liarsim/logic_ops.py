@@ -57,6 +57,11 @@ def violation_count(index, num_pairs: int):
     of an integer array of them."""
     if not (_is_int(num_pairs) and num_pairs >= 1):
         raise ValueError(f"num_pairs must be an integer >= 1, got {num_pairs!r}")
+    if isinstance(index, np.ndarray):
+        if not np.issubdtype(index.dtype, np.integer):
+            raise ValueError(f"index must be an integer array, got dtype {index.dtype}")
+    elif not _is_int(index):
+        raise ValueError(f"index must be an integer, got {index!r}")
     return sum(((index >> i) & 1) & (~(index >> (num_pairs + i)) & 1)
                for i in range(num_pairs))
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE,
-                             Circuit, Gate, build_general,
+                             Circuit, Gate, _write_text, build_general,
                              build_liar_literal, build_liar_reference, ccx,
                              circuit_from_dict, circuit_from_json,
                              circuit_to_dict, circuit_to_json, cnot, cp,
@@ -272,6 +273,50 @@ def test_save_circuit_round_trips_numpy_angles(tmp_path):
     assert [g.angle for g in clone.gates[1:]] == [float(a) for a in angles]
 
 
+def _failing_pieces(first: str):
+    yield first
+    raise OSError("injected write failure")
+
+
+@pytest.mark.parametrize("first", ["a" * 100, "b" * 20000], ids=["buffered", "flushed"])
+def test_failed_write_leaves_no_old_byte(tmp_path, first):
+    # the file is written over in place, so a failure must not leave the
+    # tail of the longer report that was there before
+    path = tmp_path / "report.json"
+    path.write_text("X" * 50000, encoding="utf-8")
+    with pytest.raises(OSError, match="injected"):
+        _write_text(path, _failing_pieces(first))
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("first", ["a" * 100, "b" * 20000], ids=["buffered", "flushed"])
+def test_failed_write_to_a_new_file_keeps_what_was_written(tmp_path, first):
+    # a new file has no old bytes to hide, so it is left as an emptying
+    # open left it: holding what was written before the failure
+    path = tmp_path / "report.json"
+    with pytest.raises(OSError, match="injected"):
+        _write_text(path, _failing_pieces(first))
+    assert path.read_text(encoding="utf-8") == first
+
+
+def test_written_files_keep_open_modes_and_inodes(tmp_path):
+    old_umask = os.umask(0o027)
+    try:
+        _write_text(tmp_path / "new.txt", ["fresh\n"])
+    finally:
+        os.umask(old_umask)
+    assert os.stat(tmp_path / "new.txt").st_mode & 0o777 == 0o640
+
+    path = tmp_path / "old.txt"
+    path.write_text("a much longer old text\n" * 100, encoding="utf-8")
+    os.chmod(path, 0o604)
+    before = os.stat(path)
+    _write_text(path, ["short\n"])
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert path.read_bytes() == b"short\n"
+
+
 def _edited(**changes):
     payload = circuit_to_dict(build_liar_reference())
     for key, value in changes.items():
@@ -356,6 +401,7 @@ _SIZED = {
     "apply_pauli": ("qubit", (0, 1), lambda n: apply_pauli(init_zero(2), "X", n).amplitudes),
     "build_general": ("num_pairs", (1, 2), lambda n: circuit_to_json(build_general(n))),
     "violation_count": ("num_pairs", (1, 2), lambda n: violation_count(np.arange(16), n)),
+    "violation_count.index": ("index", (1, 5), lambda n: [violation_count(n, 2)]),
     "verification_suite": ("num_pairs", (1, 2), verification_suite),
     "fixed_point_report": ("num_pairs", (1, 2), lambda n: fixed_point_report(n).num_pairs),
     "contradiction_projector": ("num_pairs", (1, 2), lambda n: contradiction_projector(n, 0)),

@@ -1333,6 +1333,56 @@ def test_write_failures_exit_three_naming_the_path(tmp_path):
         check_outcome(argv, code, err)
 
 
+# Output files are written over in place and cut to length; the oracle is
+# the same command writing to a path that does not exist yet.
+# kind -> argv that writes a report of a size set by the pair count to path
+_REWRITTEN = {
+    "simulate --out": lambda pairs, path: [
+        "simulate", "general", "--pairs", str(pairs), "--shots", "64", "--out", path],
+    "truthtable --out": lambda pairs, path: [
+        "truthtable", "--pairs", str(pairs), "--out", path],
+    "simulate --csv": lambda pairs, path: [
+        "simulate", "general", "--pairs", str(pairs), "--mode", "or", "--shots", "256",
+        "--noise", "1e-2,1e-2,0.1", "--csv", path],
+    "truthtable --csv": lambda pairs, path: [
+        "truthtable", "--pairs", str(pairs), "--csv", path],
+    "simulate --circuit-out": lambda pairs, path: [
+        "simulate", "general", "--pairs", str(pairs), "--circuit-out", path],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_REWRITTEN)),
+       pairs=st.lists(st.integers(1, 4), min_size=2, max_size=3))
+@example(kind="truthtable --csv", pairs=[4, 1])
+@example(kind="truthtable --csv", pairs=[1, 4])
+@example(kind="simulate --out", pairs=[3, 1, 2])
+def test_rewritten_outputs_match_a_fresh_write(tmp_path_factory, kind, pairs):
+    root = tmp_path_factory.getbasetemp() / "rewritten"
+    root.mkdir(exist_ok=True)
+    path, fresh = root / "report", root / "fresh"
+    path.unlink(missing_ok=True)
+    for m in pairs:  # longer and shorter reports over the same file, in turn
+        assert call(_REWRITTEN[kind](m, str(path)))[0] == 0
+    fresh.unlink(missing_ok=True)
+    assert call(_REWRITTEN[kind](pairs[-1], str(fresh)))[0] == 0
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+def test_out_to_a_pipe_or_device(tmp_path):
+    def run(*out):
+        return subprocess.run([sys.executable, "-m", "liarsim.cli", "verify", "--pairs",
+                               "1", *out], cwd=tmp_path, env=cli_env("0"),
+                              capture_output=True, check=True)
+
+    canonical = run().stdout
+    assert run("--out", "v.json").stdout == b""
+    assert (tmp_path / "v.json").read_bytes() == canonical
+    assert run("--out", "/dev/stdout").stdout == canonical
+    assert run("--out", os.devnull).stdout == b""
+
+
 def test_verification_failure_is_one_line(monkeypatch):
     fake = [CheckResult("forced_failure", False, 1.0, "injected by test")]
     monkeypatch.setattr("liarsim.cli._verify",

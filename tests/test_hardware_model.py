@@ -81,6 +81,9 @@ def test_graph_normalizes_and_validates_edges():
         CouplingGraph(2, ((1, 1),))
     with pytest.raises(ValueError, match="outside"):
         CouplingGraph(2, ((0, 5),))
+    for edges in ((5,), ((5,),), ((0, 1, 2),)):
+        with pytest.raises(ValueError, match=r"edge .* is not a pair of nodes"):
+            CouplingGraph(3, edges)
 
 
 def test_bfs_distance():

@@ -35,6 +35,10 @@ def test_violation_count():
     assert violation_count(0b0011, 2) == 2
     assert violation_count(0b0111, 2) == 1
     assert violation_count(0b1111, 2) == 0
+    assert violation_count(np.array([0b01, 0b11], dtype=np.int32), 1).tolist() == [1, 0]
+    for index in (np.array([1.0]), np.array([True]), [1], None):
+        with pytest.raises(ValueError, match="index"):
+            violation_count(index, 1)
 
 
 def test_pair_projector_is_diagonal_01():
