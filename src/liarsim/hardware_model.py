@@ -77,8 +77,13 @@ class CouplingGraph:
             raise ValueError(f"graph needs 1..{MAX_GRAPH_NODES} nodes, "
                              f"got {self.num_nodes!r}")
         object.__setattr__(self, "num_nodes", int(self.num_nodes))
+        try:
+            edges = iter(self.edges)
+        except TypeError:
+            raise ValueError(f"edges must be an iterable of node pairs, "
+                             f"got {self.edges!r}") from None
         normalized = set()
-        for edge in self.edges:
+        for edge in edges:
             try:
                 u, v = edge
             except (TypeError, ValueError):  # not iterable, or not two items
@@ -383,9 +388,8 @@ def _frame_outcomes(gates: list, fault: np.ndarray, qubit_slot: np.ndarray,
     bit.  Phases (P, CP, Z, and Y's factor of i) are dropped, as a one-state
     support's outcome does not depend on them."""
     # flip[k, s]: the bit of gate k's qubit at slot s (0 beyond its arity)
-    flip = np.zeros((len(gates), 3), dtype=np.int64)
-    for k, gate in enumerate(gates):
-        flip[k, :len(gate.qubits)] = np.int64(1) << np.array(gate.qubits)
+    flip = np.array([[1 << q for q in gate.qubits] + [0] * (3 - len(gate.qubits))
+                     for gate in gates], dtype=np.int64).reshape(len(gates), 3)
     flips = np.where(fault & (pauli < 2), flip[np.arange(len(gates)), qubit_slot], 0)
     frame = np.zeros(len(fault), dtype=np.int64)
     for k, gate in enumerate(gates):

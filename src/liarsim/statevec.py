@@ -13,9 +13,12 @@ phase, so an H is the only gate that can grow the set of nonzero amplitudes,
 and it at most doubles it.  From |0...0> on a wide register run_circuit keeps
 only that support (int64 indices and their amplitudes) until an H could take
 it past 2**n >> _SPARSE_HEADROOM states; it then scatters the support into the
-dense array and runs the remaining gates on the dense kernel.  The support
-run's arithmetic is the dense kernel's, in the same order, so both give equal
-amplitudes.
+dense array and runs the remaining gates on the dense kernel.  On the
+support a monomial gate selects the rows where it fires with one
+(index & mask) == want compare, its controls' bits folded into two ints.  The
+XORs permute the support, so it is held in no particular order during a run
+and sorted once when a run ends on it.  The support run's arithmetic is the
+dense kernel's, in the same order, so both give equal amplitudes.
 
 Every run starts from |0...0>.  A run that ends on the support returns a
 support-held StateVector, which builds the dense array only when .amplitudes
@@ -169,22 +172,28 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 def _monomial_step(gate: Gate, index: np.ndarray, amps: np.ndarray) -> None:
     """Apply an X, CNOT, CCX, P or CP gate in place to the basis states in
-    the int64 array index, whose amplitudes are amps: X-type gates XOR the
-    target bit into the indices where the controls fire (on 1, or on 0 when
-    negated), P-type gates multiply the amplitudes where the controls fire
-    and the target bit is 1."""
-    fires = 1
+    the int64 array index, whose amplitudes are amps.  The controls become
+    one bit mask and the bits it must read (1, or 0 when negated), so the
+    rows where the gate fires are one (index & mask) == want compare: X-type
+    gates XOR the target bit into those indices and never read amps, P-type
+    gates fold the target bit into mask and want and multiply those
+    amplitudes."""
+    mask = want = 0
     for q, pol in zip(gate.controls, gate.polarities):
-        fires = fires & (((index >> q) & 1) ^ int(pol == NEGATED))
-    target = gate.targets[0]
+        mask |= 1 << q
+        if pol != NEGATED:
+            want |= 1 << q
+    bit = 1 << gate.targets[0]
     if gate.kind in ("P", "CP"):
-        hit = (fires & (index >> target) & 1).astype(bool)
+        hit = (index & (mask | bit)) == (want | bit)
         # Out of place on purpose: NumPy's in-place complex multiply rounds a
         # one-element array differently from longer ones, while the dense
         # kernel multiplies views of two or more elements (n > gate width).
         amps[hit] = amps[hit] * np.exp(1j * gate.angle)
+    elif mask:
+        np.bitwise_xor(index, bit, out=index, where=(index & mask) == want)
     else:
-        index ^= fires << target
+        index ^= bit
 
 
 def _sparse_h(target: int, index: np.ndarray, amps: np.ndarray):

@@ -84,6 +84,9 @@ def test_graph_normalizes_and_validates_edges():
     for edges in ((5,), ((5,),), ((0, 1, 2),)):
         with pytest.raises(ValueError, match=r"edge .* is not a pair of nodes"):
             CouplingGraph(3, edges)
+    for edges in (5, None):
+        with pytest.raises(ValueError, match=r"edges must be an iterable"):
+            CouplingGraph(3, edges)
 
 
 def test_bfs_distance():

@@ -385,6 +385,70 @@ def test_h_gates_that_keep_the_support_small_run_no_dense_gate(build):
     assert np.array_equal(ran.amplitudes, dense.amplitudes)
 
 
+MONOMIAL = ("X", "CNOT", "CCX", "P", "CP")
+EDGE_QUBITS = st.sampled_from([0, MAX_QUBITS - 1]) | st.integers(0, MAX_QUBITS - 1)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), kind=st.sampled_from(MONOMIAL),
+       angle=st.floats(-2 * math.pi, 2 * math.pi),
+       indices=st.lists(st.integers(0, (1 << MAX_QUBITS) - 1), min_size=1,
+                        max_size=40))
+def test_monomial_step_matches_a_per_index_loop(data, kind, angle, indices):
+    qubits = data.draw(st.lists(EDGE_QUBITS, min_size=ARITY[kind],
+                                max_size=ARITY[kind], unique=True), label="qubits")
+    polarities = data.draw(st.lists(st.sampled_from([POSITIVE, NEGATED]),
+                                    min_size=ARITY[kind] - 1,
+                                    max_size=ARITY[kind] - 1), label="polarities")
+    gate = _gate(kind, qubits[0], qubits[1:], polarities, angle)
+    rng = np.random.default_rng(len(indices))
+    amps = rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
+    want_index, want_amps = [], []
+    for i, amp in zip(indices, amps):
+        fires = all((i >> c) & 1 == (0 if pol == NEGATED else 1)
+                    for c, pol in zip(gate.controls, gate.polarities))
+        t = gate.targets[0]
+        if kind in ("P", "CP"):
+            amp = amp * np.exp(1j * angle) if fires and (i >> t) & 1 else amp
+        elif fires:
+            i ^= 1 << t
+        want_index.append(i)
+        want_amps.append(amp)
+    index = np.array(indices, dtype=np.int64)
+    statevec._monomial_step(gate, index, amps)
+    assert index.tolist() == want_index
+    np.testing.assert_allclose(amps, want_amps, rtol=1e-15, atol=0)
+    if kind not in ("P", "CP"):  # an X-type step reads no amplitude
+        alone = np.array(indices, dtype=np.int64)
+        statevec._monomial_step(gate, alone, None)
+        assert alone.tolist() == want_index
+
+
+@pytest.mark.parametrize("target_bit", ["clear", "some", "set"])
+@settings(max_examples=60)
+@given(n=st.integers(1, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_sparse_h_equals_dense_kernel(target_bit, n, data, seed):
+    target = data.draw(st.integers(0, n - 1), label="target")
+    bit = 1 << target
+    rng = np.random.default_rng(seed)
+    size = rng.integers(1, 1 << n, endpoint=True)
+    index = np.unique(rng.integers(0, 1 << n, size=size))
+    if target_bit == "clear":
+        index = np.unique(index & ~bit)
+    elif target_bit == "set":
+        index = np.unique(index | bit)
+    else:  # a pair that has both halves, whatever else was drawn
+        index = np.unique(np.append(index, [index[0] & ~bit, index[0] | bit]))
+    index = rng.permutation(index)  # the support is held in no order
+    amps = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
+    got_index, got_amps = statevec._sparse_h(target, index.copy(), amps.copy())
+    assert got_index.size == 2 * np.unique(index & ~bit).size
+    dense = statevec.StateVector(n, statevec._scatter(index, amps, n))
+    apply_gate(dense, h(target))
+    # values, not bytes: the dense kernel may hold -0.0 where sparse has 0.0
+    assert np.array_equal(statevec._scatter(got_index, got_amps, n), dense.amplitudes)
+
+
 # ---------------------------------------------------------------------------
 # running, measuring, sampling
 
