@@ -26,9 +26,13 @@ MAX_WIDTH = 63
 # per-call cost is spread thin, small enough that a block stays in cache and
 # a 2**24-outcome report never holds a full-size temporary array.
 _CHUNK_ROWS = 4096
-# Up to this many rows _render_rows formats each row in Python, which beats
-# the block layout's fixed cost of about a dozen NumPy calls.
-_FORMAT_EACH = 128
+# Up to this many rows _render_rows (and bitstrings) formats each row in
+# Python, which beats the block layout's fixed cost of about a dozen NumPy
+# calls.  Measured in process on 14-bit rows: the two paths of render_entries
+# cross at about 40 rows for counts, below 24 for probabilities with few
+# distinct values and near 90 for all-distinct ones; bitstrings crosses below
+# 16.  Counts are the common kind in reports and CSV files.
+_FORMAT_EACH = 40
 
 _BUNDLED_TABLES = {
     "simulation": "table_s1_simulation.csv",
@@ -41,17 +45,30 @@ def _check_bitstring(state: str, width: int) -> None:
         raise ValueError(f"bad state {state!r} for width {width}")
 
 
+# The eight "0"/"1" characters of each byte value, highest bit first, as one
+# uint64 whose memory holds them in order.
+_BYTE_CHARS = np.frombuffer("".join(format(b, "08b") for b in range(256)).encode("ascii"),
+                            dtype=np.uint64)
+
+
 def _bit_chars(indices: np.ndarray, width: int) -> np.ndarray:
-    """The "0"/"1" character codes of each index, one row per index, highest
-    bit first."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & 1) + ord("0")
+    """The "0"/"1" character codes of each index as a uint8 array, one row of
+    width columns per index, highest bit first.  The low (width + 7) // 8
+    bytes of each index, read from its little-endian int64 bytes most
+    significant first, are looked up in _BYTE_CHARS by one take(), and the
+    leading characters beyond width are sliced off; the result is a view,
+    C-contiguous only when width is a multiple of 8."""
+    size = (width + 7) // 8
+    raw = np.ascontiguousarray(indices, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return _BYTE_CHARS.take(raw[:, size - 1::-1]).view(np.uint8)[:, 8 * size - width:]
 
 
 def bitstrings(indices: np.ndarray, width: int) -> list[str]:
     """The canonical bitstring (highest qubit index leftmost) of every index
-    in the array, rendered in one NumPy pass (one by one up to _FORMAT_EACH
-    indices, where NumPy's fixed cost per call dominates)."""
+    in the array.  Past _FORMAT_EACH indices the characters come from
+    _bit_chars, widened to UCS-4 and read as one str per row; up to that,
+    where NumPy's fixed cost per call dominates, each index is formatted in
+    Python."""
     if len(indices) <= _FORMAT_EACH:
         spec = f"0{width}b"
         return [format(i, spec) for i in np.asarray(indices).tolist()]
@@ -277,9 +294,11 @@ def _render_rows(parts: Sequence, count: int):
     order, in chunks of _CHUNK_ROWS rows.  A part is a str, the same ASCII
     text in every row; a _Bits column; or a _Coded column whose choices are
     ASCII texts.  Up to _FORMAT_EACH rows are joined in Python.  Above that,
-    each chunk is laid out as one uint8 block, one row of bytes per
-    row, with each coded text NUL-padded to the longest; the padding bytes
-    are dropped only when the texts differ in length, so no text may hold a
+    each chunk is laid out as one uint8 block, one row of bytes per row: a
+    _Bits column is filled from _bit_chars, a byte of index at a time, and a
+    _Coded column by one take() of whole items from its choices as a NumPy
+    bytes array, each text NUL-padded to the longest.  The padding bytes are
+    dropped only when the texts differ in length, so no text may hold a
     NUL."""
     if count <= _FORMAT_EACH:  # below NumPy's fixed cost per call
         if count:
@@ -301,10 +320,9 @@ def _render_rows(parts: Sequence, count: int):
             slots.append((at, at + part.width, part, None))
         else:
             table = np.array(part.choices, dtype=bytes)
-            table = table.view(np.uint8).reshape(len(part.choices), -1)
-            ragged |= min(map(len, part.choices)) < table.shape[1]
-            text = " " * table.shape[1]
-            slots.append((at, at + table.shape[1], part, table))
+            ragged |= min(map(len, part.choices)) < table.itemsize
+            text = " " * table.itemsize
+            slots.append((at, at + table.itemsize, part, table))
         texts.append(text)
         at += len(text)
     row = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
@@ -315,7 +333,8 @@ def _render_rows(parts: Sequence, count: int):
             if table is None:
                 block[:, start:end] = _bit_chars(part.indices[chunk], part.width)
             else:
-                block[:, start:end] = table[part.codes[chunk]]
+                rows = table.take(part.codes[chunk])  # whole items, then bytes
+                block[:, start:end] = rows.view(np.uint8).reshape(-1, end - start)
         flat = block.ravel()
         yield (flat[flat != 0] if ragged else flat).tobytes().decode("ascii")
 

@@ -1,6 +1,7 @@
 """Distribution type, CSV parsing, and the bundled reference tables."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liarsim.dist import (_CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY,
-                          REFERENCE_TABLE_SUM_TOL, Distribution,
-                          bundled_table_names, load_reference_table,
-                          read_distribution_csv, write_counts_csv)
+                          REFERENCE_TABLE_SUM_TOL, Distribution, _bit_chars, _Bits,
+                          _Coded, _render_rows, bitstrings, bundled_table_names,
+                          load_reference_table, read_distribution_csv,
+                          write_counts_csv)
 from liarsim.statevec import MAX_SHOTS
 
 from metrics_oracle import as_probabilities
@@ -193,6 +195,65 @@ def test_write_counts_csv_matches_per_row_writer(tmp_path_factory, size, data):
     write_counts_csv(dist, path)
     # compared as lists of lines: pytest's diff of two long strings is slow
     assert path.read_text(encoding="utf-8").split("\n") == _csv_by_row(dist).split("\n")
+
+
+# ---------------------------------------------------------------------------
+# the row renderer's kernels
+
+def _bit_chars_by_shift(indices: np.ndarray, width: int) -> np.ndarray:
+    """The shift-and-mask kernel _bit_chars replaced, kept as its oracle: one
+    int64 column per bit, highest bit first."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & 1) + ord("0")
+
+
+_ROW_COUNTS = (0, 1, 2, _FORMAT_EACH - 1, _FORMAT_EACH, _FORMAT_EACH + 1,
+               _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.sampled_from([1, 7, 8, 9, 16, 17, 56, 63]) | st.integers(1, 63),
+       size=st.sampled_from(_ROW_COUNTS), data=st.data())
+def test_bit_chars_match_the_shift_and_mask_kernel(width, size, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    indices = rng.integers(0, 1 << width, size, dtype=np.int64)
+    indices[:2] = ((1 << width) - 1, 0)[:size]  # both ends
+    chars = _bit_chars(indices, width)
+    assert chars.dtype == np.uint8
+    assert np.array_equal(chars, _bit_chars_by_shift(indices, width))
+    expected = [format(i, f"0{width}b") for i in indices.tolist()]
+    assert bitstrings(indices, width) == expected
+
+
+_ASCII = st.characters(min_codepoint=1, max_codepoint=127)
+
+
+@settings(max_examples=150, deadline=None)
+@given(length=st.sampled_from([1, 7, 8, 9, 17]),
+       shape=st.sampled_from(["single", "equal", "ragged"]),
+       size=st.sampled_from(_ROW_COUNTS), data=st.data())
+def test_render_rows_block_path_matches_per_row_path(length, shape, size, data):
+    text = st.text(_ASCII, min_size=length, max_size=length)
+    if shape == "single":
+        choices = [data.draw(text)]
+    elif shape == "equal":
+        choices = data.draw(st.lists(text, min_size=2, max_size=6))
+    else:  # the longest text is length bytes long, the others shorter
+        choices = [data.draw(text)] + data.draw(st.lists(
+            st.text(_ASCII, max_size=length - 1), min_size=1, max_size=5))
+    width = data.draw(st.integers(1, 63))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    indices = rng.integers(0, 1 << width, size, dtype=np.int64)
+    codes = rng.integers(0, len(choices), size)
+    parts = ["<", _Bits(indices, width), "|", _Coded(tuple(choices), codes), ">\n"]
+    with mock.patch("liarsim.dist._FORMAT_EACH", size):
+        per_row = "".join(_render_rows(parts, size))
+    with mock.patch("liarsim.dist._FORMAT_EACH", -1):
+        block = "".join(_render_rows(parts, size))
+    expected = "".join(f"<{i:0{width}b}|{choices[c]}>\n"
+                       for i, c in zip(indices.tolist(), codes.tolist()))
+    # compared as lists of lines: pytest's diff of two long strings is slow
+    assert block.split("\n") == per_row.split("\n") == expected.split("\n")
 
 
 def test_write_counts_csv_rejects_probabilities(tmp_path):
