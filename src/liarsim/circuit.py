@@ -30,16 +30,17 @@ ROLE_TAGS = (
     "ancilla",
 )
 
-# kind -> (number of controls, number of targets)
-_ARITY = {
-    "H": (0, 1),
-    "X": (0, 1),
-    "P": (0, 1),
-    "CNOT": (1, 1),
-    "CP": (1, 1),
-    "CCX": (2, 1),
+# kind -> (number of controls, number of targets, whether it takes an angle)
+_SPEC = {
+    "H": (0, 1, False),
+    "X": (0, 1, False),
+    "P": (0, 1, True),
+    "CNOT": (1, 1, False),
+    "CP": (1, 1, True),
+    "CCX": (2, 1, False),
 }
 _ANGLED = ("P", "CP")
+_POLARITIES = (POSITIVE, NEGATED)
 
 
 def _is_int(value) -> bool:
@@ -48,11 +49,36 @@ def _is_int(value) -> bool:
                                   and not isinstance(value, bool))
 
 
+def _as_tuple(value, name: str) -> tuple:
+    """A list or tuple gate field as a tuple; anything else is refused by the
+    field's name."""
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    raise ValueError(f"gate {name} must be a list or tuple, got {value!r}")
+
+
+def _real_angle(angle):
+    """The angle a Gate stores for a given one that is not a float: a finite
+    Python int as read, any other finite real as a float."""
+    if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
+        raise ValueError(f"gate angle must be a real number, got {angle!r}")
+    try:
+        finite = math.isfinite(angle)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise ValueError("gate angle must be finite")
+    # a NumPy or other Real angle is stored as a Python float, which JSON
+    # can hold; a Python int is written back as read
+    return angle if type(angle) is int else float(angle)
+
+
 @dataclass(frozen=True)
 class Gate:
     """A single gate. Controls carry a per-control polarity: a ``negated``
     control fires on |0> instead of |1>, which is the same as conjugating a
-    positive control with X on that qubit."""
+    positive control with X on that qubit.  ``qubits`` lists the controls,
+    then the targets."""
 
     kind: str
     targets: tuple[int, ...]
@@ -61,51 +87,57 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _ARITY:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        n_ctrl, n_tgt = _ARITY[self.kind]
-        if len(self.controls) != n_ctrl or len(self.targets) != n_tgt:
+        """Check the fields against the kind's row of _SPEC in one pass, and
+        raise on the first fault in this order: kind, a field that is not a
+        list or tuple, arity, polarities, qubit indices, angle.  List fields
+        are stored as tuples, NumPy indices as Python ints and an angle as
+        _real_angle gives it; ``qubits`` is stored beside the fields.  The
+        stores go straight into the instance dict, which a frozen dataclass
+        only guards against attribute assignment."""
+        kind = self.kind
+        spec = _SPEC.get(kind) if isinstance(kind, str) else None
+        if spec is None:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        n_ctrl, n_tgt, angled = spec
+        fields = self.__dict__
+        targets, controls, polarities = self.targets, self.controls, self.polarities
+        if type(targets) is not tuple:
+            targets = fields["targets"] = _as_tuple(targets, "targets")
+        if type(controls) is not tuple:
+            controls = fields["controls"] = _as_tuple(controls, "controls")
+        if type(polarities) is not tuple:
+            polarities = fields["polarities"] = _as_tuple(polarities, "polarities")
+        if len(controls) != n_ctrl or len(targets) != n_tgt:
             raise ValueError(
-                f"{self.kind} takes {n_ctrl} control(s) and {n_tgt} target(s), "
-                f"got {len(self.controls)}/{len(self.targets)}"
+                f"{kind} takes {n_ctrl} control(s) and {n_tgt} target(s), "
+                f"got {len(controls)}/{len(targets)}"
             )
-        if len(self.polarities) != len(self.controls):
+        if len(polarities) != n_ctrl:
             raise ValueError("exactly one polarity per control is required")
-        for pol in self.polarities:
-            if pol not in (POSITIVE, NEGATED):
+        for pol in polarities:
+            if pol not in _POLARITIES:
                 raise ValueError(f"bad control polarity {pol!r}")
-        qubits = self.controls + self.targets
-        if not all(type(q) is int for q in qubits):
-            if not all(_is_int(q) for q in qubits):
-                raise ValueError(f"qubit indices must be nonnegative integers, got {qubits}")
-            # NumPy indices are stored as Python ints, which JSON can hold
-            object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
-            object.__setattr__(self, "controls", tuple(int(q) for q in self.controls))
-        if min(qubits) < 0:
-            raise ValueError(f"qubit indices must be nonnegative integers, got {qubits}")
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate qubit index in {self.kind} gate: {qubits}")
-        has_angle = self.angle is not None
-        if has_angle != (self.kind in _ANGLED):
+        qubits = controls + targets  # as given, for the messages
+        for q in qubits:
+            if type(q) is not int or q < 0:
+                if not all(map(_is_int, qubits)) or min(qubits) < 0:
+                    raise ValueError(
+                        f"qubit indices must be nonnegative integers, got {qubits}")
+                # NumPy indices are stored as Python ints, which JSON can hold
+                targets = fields["targets"] = tuple(map(int, targets))
+                controls = fields["controls"] = tuple(map(int, controls))
+                break
+        if n_ctrl and len(set(qubits)) != len(qubits):
+            raise ValueError(f"duplicate qubit index in {kind} gate: {qubits}")
+        fields["qubits"] = controls + targets
+        angle = self.angle
+        if (angle is not None) != angled:
             raise ValueError(f"angle is required for {_ANGLED} and forbidden otherwise")
-        if has_angle and (isinstance(self.angle, bool)
-                          or not isinstance(self.angle, numbers.Real)):
-            raise ValueError(f"gate angle must be a real number, got {self.angle!r}")
-        if has_angle:
-            try:
-                finite = math.isfinite(self.angle)
-            except OverflowError:  # an int past the float range
-                finite = False
-            if not finite:
+        if type(angle) is float:
+            if not math.isfinite(angle):
                 raise ValueError("gate angle must be finite")
-            if type(self.angle) not in (int, float):
-                # a NumPy or other Real angle is stored as a Python float,
-                # which JSON can hold; a Python int is written back as read
-                object.__setattr__(self, "angle", float(self.angle))
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return self.controls + self.targets
+        elif angled:
+            fields["angle"] = _real_angle(angle)
 
 
 def h(q: int) -> Gate:
@@ -323,17 +355,18 @@ def gate_census(circuit: Circuit) -> GateCensus:
     levels = [0] * circuit.num_qubits
     depth = 0
     for gate in circuit.gates:
-        width = len(gate.qubits)
+        qubits = gate.qubits
         if gate.kind == "CCX":
             count_ccx += 1
-        elif width == 1:
+        elif len(qubits) == 1:
             count_1q += 1
-        elif width == 2:
+        elif len(qubits) == 2:
             count_2q += 1
-        layer = 1 + max(levels[q] for q in gate.qubits)
-        for q in gate.qubits:
+        layer = 1 + max(map(levels.__getitem__, qubits))
+        for q in qubits:
             levels[q] = layer
-        depth = max(depth, layer)
+        if layer > depth:
+            depth = layer
     return GateCensus(count_1q, count_2q, count_ccx, depth)
 
 
@@ -368,13 +401,8 @@ def circuit_from_dict(payload: dict) -> Circuit:
         if not isinstance(roles, dict):
             raise TypeError(f"roles must be an object, got {roles!r}")
         gates = [
-            Gate(
-                kind=entry["kind"],
-                targets=tuple(entry["targets"]),
-                controls=tuple(entry.get("controls", ())),
-                polarities=tuple(entry.get("polarities", ())),
-                angle=entry.get("angle"),
-            )
+            Gate(entry["kind"], entry["targets"], entry.get("controls", ()),
+                 entry.get("polarities", ()), entry.get("angle"))
             for entry in payload["gates"]
         ]
         return Circuit(num_qubits, gates,

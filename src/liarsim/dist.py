@@ -335,8 +335,8 @@ def _render_rows(parts: Sequence, count: int):
             else:
                 rows = table.take(part.codes[chunk])  # whole items, then bytes
                 block[:, start:end] = rows.view(np.uint8).reshape(-1, end - start)
-        flat = block.ravel()
-        yield (flat[flat != 0] if ragged else flat).tobytes().decode("ascii")
+        text = block.tobytes()
+        yield (text.replace(b"\0", b"") if ragged else text).decode("ascii")
 
 
 def render_entries(dist: Distribution, head: str, mid: str, tail: str):

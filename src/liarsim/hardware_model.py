@@ -82,19 +82,25 @@ class CouplingGraph:
         except TypeError:
             raise ValueError(f"edges must be an iterable of node pairs, "
                              f"got {self.edges!r}") from None
-        normalized = set()
+        n = self.num_nodes
+        pairs = []
         for edge in edges:
             try:
                 u, v = edge
             except (TypeError, ValueError):  # not iterable, or not two items
                 raise ValueError(f"edge {edge!r} is not a pair of nodes") from None
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if not all(_is_int(q) and 0 <= q < self.num_nodes for q in edge):
-                raise ValueError(f"edge {edge} has a node outside the integers "
-                                 f"0..{self.num_nodes - 1}")
-            normalized.add((int(min(u, v)), int(max(u, v))))
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n
+                    and u != v):
+                if u == v:
+                    raise ValueError(f"self-loop on node {u}")
+                if not all(_is_int(q) and 0 <= q < n for q in (u, v)):
+                    raise ValueError(f"edge {edge} has a node outside the integers "
+                                     f"0..{n - 1}")
+                u, v = int(u), int(v)
+            pairs.append((u, v) if u < v else (v, u))
+        # dict.fromkeys drops repeats in order, so edges given sorted, as
+        # make_graph gives them, are sorted in one linear pass
+        object.__setattr__(self, "edges", tuple(sorted(dict.fromkeys(pairs))))
         adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
         for u, v in self.edges:
             adj[u].append(v)

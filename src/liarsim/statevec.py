@@ -29,7 +29,10 @@ bit: _dense_order_total adds the support's |amplitude|**2 values in NumPy's
 pairwise order, where the zeros off the support drop out exactly.  NumPy's
 multinomial draws nothing for a category of p = 0 and gives the last
 category what the others leave, so a draw over the support closed by the last
-basis index, 2**n - 1, makes exactly the dense draw.
+basis index, 2**n - 1, makes exactly the dense draw.  The support's weights
+(its |amplitude|**2 values) and their total are computed once, on the first
+read, and shared by both readers; they are dropped with the support when
+.amplitudes is read.
 """
 
 from __future__ import annotations
@@ -61,7 +64,9 @@ class StateVector:
     """A state on num_qubits qubits, held either as the dense amplitude array
     or as its support: int64 basis indices in ascending order and their
     amplitudes, every other amplitude 0.  Reading .amplitudes scatters a
-    support into the dense array once; the state is dense from then on."""
+    support into the dense array once; the state is dense from then on.  A
+    support's Born weights are computed once, by _born, and dropped with the
+    support."""
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray | None = None,
                  *, support: tuple[np.ndarray, np.ndarray] | None = None):
@@ -70,12 +75,13 @@ class StateVector:
         self.num_qubits = num_qubits
         self._dense = amplitudes
         self._support = support
+        self._weights = None
 
     @property
     def amplitudes(self) -> np.ndarray:
         if self._dense is None:
             self._dense = _scatter(*self._support, self.num_qubits)
-            self._support = None
+            self._support = self._weights = None
         return self._dense
 
 
@@ -198,20 +204,22 @@ def _monomial_step(gate: Gate, index: np.ndarray, amps: np.ndarray) -> None:
 
 def _sparse_h(target: int, index: np.ndarray, amps: np.ndarray):
     """H on a support: each index meets its partner across the target bit (a
-    partner outside the support holds 0) and the pair is combined in the
-    dense kernel's order.  Returns the new indices and amplitudes, at most
-    twice as many."""
+    partner outside the support holds 0) and the pair is combined by the
+    dense kernel's own steps, in one output array whose first half holds the
+    pairs' lower states and second half their upper ones.  Returns the new
+    indices and amplitudes, at most twice as many."""
     bit = 1 << target
     keys, slot = np.unique(index & ~bit, return_inverse=True)
     upper = (index & bit) != 0
-    lo = np.zeros(keys.size, dtype=np.complex128)
-    hi = np.zeros_like(lo)
+    out = np.zeros(2 * keys.size, dtype=np.complex128)
+    lo, hi = out[:keys.size], out[keys.size:]
     lo[slot[~upper]] = amps[~upper]
     hi[slot[upper]] = amps[upper]
     plus = lo + hi
-    hi = (lo - hi) * _INV_SQRT2
-    lo = plus * _INV_SQRT2
-    return np.concatenate((keys, keys | bit)), np.concatenate((lo, hi))
+    np.subtract(lo, hi, out=hi)
+    hi *= _INV_SQRT2
+    np.multiply(plus, _INV_SQRT2, out=lo)
+    return np.concatenate((keys, keys | bit)), out
 
 
 def _run_support(circuit: Circuit, index: np.ndarray, amps: np.ndarray,
@@ -302,13 +310,19 @@ def _born(state: StateVector):
     """Born-rule probabilities of the state: the support's indices (None for a
     dense state, which lists every index), their |amplitude|**2, and the total
     of those over all 2**n outcomes.  A support-held state's total comes from
-    its support alone and equals a dense state's total to the bit."""
+    its support alone and equals a dense state's total to the bit.  A dense
+    state's weights are a new array on each call; a support-held state's are
+    computed on the first call and held, read-only, with their total, so
+    probabilities() and sample_counts() share them."""
     if state._support is None:
         probs = np.abs(state.amplitudes) ** 2
         return None, probs, float(probs.sum())
     index, values = state._support
-    probs = np.abs(values) ** 2
-    return index, probs, _dense_order_total(index, probs, state.num_qubits)
+    if state._weights is None:
+        probs = np.abs(values) ** 2
+        probs.flags.writeable = False
+        state._weights = probs, _dense_order_total(index, probs, state.num_qubits)
+    return index, *state._weights
 
 
 def probabilities(state: StateVector) -> Distribution:
@@ -334,9 +348,12 @@ def _sampling_table(state: StateVector):
     it lacks it, so a draw whose dense outcome falls past the support lands
     on the index the dense draw gives."""
     index, probs, total = _born(state)
-    probs /= total
+    if index is None:
+        probs /= total  # a dense state's weights are this call's own
+        return None, probs
+    probs = probs / total  # a support's weights are shared
     last = (1 << state.num_qubits) - 1
-    if index is not None and index[-1] != last:
+    if index[-1] != last:
         index, probs = np.append(index, last), np.append(probs, 0.0)
     return index, probs
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liarsim.circuit import (NEGATED, OR_ACCUMULATE, PARITY, POSITIVE,
-                             Circuit, Gate, _write_text, build_general,
+from liarsim.circuit import (GATE_KINDS, NEGATED, OR_ACCUMULATE, PARITY,
+                             POSITIVE, Circuit, Gate, _write_text, build_general,
                              build_liar_literal, build_liar_reference, ccx,
                              circuit_from_dict, circuit_from_json,
                              circuit_to_dict, circuit_to_json, cnot, cp,
@@ -28,6 +28,7 @@ from liarsim.statevec import (apply_gate, apply_pauli, basis_state, init_zero,
                               probabilities, run_circuit, sample_counts)
 
 from basis_oracle import circuit_unitary
+from gate_oracle import ARITY, reference_gate
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,89 @@ def test_gate_rejects_mistyped_fields():
 def test_gate_qubits_lists_controls_first():
     gate = ccx(4, 2, 0)
     assert gate.qubits == (4, 2, 0)
+
+
+def test_gate_stores_list_fields_as_tuples_and_refuses_scalars():
+    gate = Gate("CNOT", [1], [0], ["positive"])
+    assert gate == cnot(0, 1) and hash(gate) == hash(cnot(0, 1))
+    assert type(gate.targets) is type(gate.controls) is type(gate.polarities) is tuple
+    assert Gate("X", [0]) == x(0)
+    assert Gate("CCX", [2], [np.int64(0), 1], ["negated", "positive"]).qubits == (0, 1, 2)
+    for fields, name in ((("X", 0), "targets"), (("X", "0"), "targets"),
+                         (("X", (0,), 1), "controls"), (("X", (0,), None), "controls"),
+                         (("CNOT", (1,), (0,), "positive"), "polarities"),
+                         (("CNOT", (1,), (0,), {"positive"}), "polarities")):
+        with pytest.raises(ValueError, match=f"^gate {name} must be a list or tuple, got "):
+            Gate(*fields)
+
+
+def test_gate_qubits_stay_out_of_equality_hash_and_repr():
+    gate = Gate("CCX", [0], [1, 2], ["positive", "negated"])
+    assert gate.qubits == (1, 2, 0)
+    assert repr(gate) == ("Gate(kind='CCX', targets=(0,), controls=(1, 2), "
+                          "polarities=('positive', 'negated'), angle=None)")
+    assert hash(gate) == hash(("CCX", (0,), (1, 2), ("positive", "negated"), None))
+    assert circuit_to_dict(Circuit(3, [gate]))["gates"] == [
+        {"kind": "CCX", "controls": [1, 2], "polarities": ["positive", "negated"],
+         "targets": [0], "angle": None}]
+
+
+# kinds, qubit indices, polarities and angles a Gate may be given, each as
+# (valid values, junk the reference validator refuses by message)
+_KINDS = (st.sampled_from(GATE_KINDS), st.sampled_from(
+    [np.str_("CNOT"), "SWAP", "", "x", "CNOT ", None, 3, b"X", ("X",), ["X"], {"X": 1}]))
+_QUBITS = (st.one_of(st.integers(0, 4), st.sampled_from([np.int64(1), np.int32(0), np.uint8(3)])),
+           st.sampled_from([-1, -2, 10**30, np.int64(-1), True, False, 1.0, 2.5, math.nan,
+                            "1", None, [0], {0: 1}]))
+_POLARITIES = (st.sampled_from([POSITIVE, NEGATED]), st.sampled_from(
+    ["sometimes", "", "Positive", None, 1, True, ["positive"], b"negated", np.str_(NEGATED)]))
+_ANGLES = (st.one_of(st.floats(-10.0, 10.0), st.integers(-4, 4), st.sampled_from(
+    [np.float32(0.5), np.float64(-2.5), np.int64(3), np.int8(-1), 10**300])),
+    st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(
+        [True, False, np.bool_(True), "1.0", "pi", 1j, 1 + 0j, 10**400, -10**400,
+         np.float32("inf"), np.float64("nan"), [1.0], {1.0}])))
+
+
+def _drawn(data, choices):
+    """A valid value five times in six, else junk."""
+    valid, junk = choices
+    return data.draw(junk if data.draw(st.integers(0, 5)) == 0 else valid)
+
+
+def _kept(fields) -> list:
+    """The stored fields with their types and, for tuples, their items' types."""
+    return [(type(value), tuple(map(type, value)) if type(value) is tuple else (), value)
+            for value in fields]
+
+
+@settings(max_examples=800)
+@given(data=st.data())
+def test_gate_validation_matches_the_reference_validator(data):
+    kind = _drawn(data, _KINDS)
+    arity = ARITY.get(kind) if isinstance(kind, str) else None
+    if arity and data.draw(st.integers(0, 5)):  # the right number of each field
+        n_ctrl, n_tgt = arity
+        sizes = (n_tgt, n_ctrl, n_ctrl)
+    else:
+        sizes = data.draw(st.tuples(*[st.integers(0, 3)] * 3))
+    targets = tuple(_drawn(data, _QUBITS) for _ in range(sizes[0]))
+    controls = tuple(_drawn(data, _QUBITS) for _ in range(sizes[1]))
+    polarities = tuple(_drawn(data, _POLARITIES) for _ in range(sizes[2]))
+    if kind in ("P", "CP"):  # valid or junk, half and half: checked last
+        angle = data.draw(st.one_of(*_ANGLES))
+    else:
+        angle = None if data.draw(st.integers(0, 5)) else data.draw(_ANGLES[0])
+    try:
+        want = reference_gate(kind, targets, controls, polarities, angle)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Gate(kind, targets, controls, polarities, angle)
+        assert str(got.value) == str(exc)
+        return
+    gate = Gate(kind, targets, controls, polarities, angle)
+    stored = (gate.kind, gate.targets, gate.controls, gate.polarities, gate.angle)
+    assert _kept(stored) == _kept(want)
+    assert gate.qubits == gate.controls + gate.targets
 
 
 def test_circuit_rejects_gates_outside_register():

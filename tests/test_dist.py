@@ -12,7 +12,7 @@ from liarsim.dist import (_CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY,
                           REFERENCE_TABLE_SUM_TOL, Distribution, _bit_chars, _Bits,
                           _Coded, _render_rows, bitstrings, bundled_table_names,
                           load_reference_table, read_distribution_csv,
-                          write_counts_csv)
+                          render_entries, write_counts_csv)
 from liarsim.statevec import MAX_SHOTS
 
 from metrics_oracle import as_probabilities
@@ -254,6 +254,20 @@ def test_render_rows_block_path_matches_per_row_path(length, shape, size, data):
                        for i, c in zip(indices.tolist(), codes.tolist()))
     # compared as lists of lines: pytest's diff of two long strings is slow
     assert block.split("\n") == per_row.split("\n") == expected.split("\n")
+
+
+def test_ragged_counts_block_keeps_no_padding_byte():
+    # counts of one to five digits over two full chunks and part of a third:
+    # the block path pads every value to five bytes and drops the pads again
+    rng = np.random.default_rng(26)
+    size = 2 * _CHUNK_ROWS + 7
+    indices = np.sort(rng.choice(1 << 18, size, replace=False))
+    values = rng.choice([1, 12, 345, 6789, 10234], size)
+    dist = Distribution(18, None, COUNTS, int(values.sum()), indices=indices, values=values)
+    chunks = list(render_entries(dist, '    "', '": ', ",\n"))
+    assert len(chunks) == 3
+    expected = "".join(f'    "{i:018b}": {v},\n' for i, v in zip(indices.tolist(), values.tolist()))
+    assert "".join(chunks).encode("ascii") == expected.encode("ascii")
 
 
 def test_write_counts_csv_rejects_probabilities(tmp_path):

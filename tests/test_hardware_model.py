@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from liarsim import hardware_model
 from liarsim.circuit import (GATE_KINDS, NEGATED, OR_ACCUMULATE, PARITY,
-                             POSITIVE, Circuit, Gate, build_general,
+                             POSITIVE, Circuit, Gate, _is_int, build_general,
                              build_liar_reference, ccx, cnot, cp,
                              expand_toffolis, gate_census, h, p, x)
 from liarsim.dist import COUNTS
@@ -81,12 +81,58 @@ def test_graph_normalizes_and_validates_edges():
         CouplingGraph(2, ((1, 1),))
     with pytest.raises(ValueError, match="outside"):
         CouplingGraph(2, ((0, 5),))
+    # an edge read once, as an iterator is, is checked on the nodes it gave
+    assert CouplingGraph(3, [iter((2, 0))]).edges == ((0, 2),)
+    with pytest.raises(ValueError, match="outside"):
+        CouplingGraph(3, [iter((0, 5))])
     for edges in ((5,), ((5,),), ((0, 1, 2),)):
         with pytest.raises(ValueError, match=r"edge .* is not a pair of nodes"):
             CouplingGraph(3, edges)
     for edges in (5, None):
         with pytest.raises(ValueError, match=r"edges must be an iterable"):
             CouplingGraph(3, edges)
+
+
+def _reference_edges(num_nodes: int, edges) -> tuple:
+    """The edge check CouplingGraph made one edge at a time before its fast
+    path: the sorted, deduplicated (low, high) pairs, or its ValueError."""
+    normalized = set()
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edge!r} is not a pair of nodes") from None
+        if u == v:
+            raise ValueError(f"self-loop on node {u}")
+        if not all(_is_int(q) and 0 <= q < num_nodes for q in edge):
+            raise ValueError(f"edge {edge} has a node outside the integers "
+                             f"0..{num_nodes - 1}")
+        normalized.add((int(min(u, v)), int(max(u, v))))
+    return tuple(sorted(normalized))
+
+
+_NODES = st.one_of(st.integers(0, 5), st.sampled_from(
+    [-1, 6, 10**20, np.int64(2), np.uint8(4), True, 1.0, "1", None]))
+_EDGES = st.one_of(st.tuples(_NODES, _NODES), st.lists(_NODES, min_size=2, max_size=2),
+                   st.sampled_from([(), (0,), (0, 1, 2), 5, None, "01"]))
+
+
+@settings(max_examples=400)
+@given(edges=st.lists(st.one_of(st.tuples(st.integers(0, 5), st.integers(0, 5)), _EDGES),
+                      max_size=8))
+def test_graph_edges_match_the_reference_check(edges):
+    try:
+        want = _reference_edges(6, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            CouplingGraph(6, edges)
+        assert str(got.value) == str(exc)
+        return
+    graph = CouplingGraph(6, edges)
+    assert graph.edges == want
+    assert all(type(q) is int for edge in graph.edges for q in edge)
+    assert graph._adj == tuple(tuple(sorted({v for e in want if u in e for v in e} - {u}))
+                               for u in range(6))
 
 
 def test_bfs_distance():

@@ -605,6 +605,40 @@ def test_support_held_state_reads_like_the_dense_one(circuit, seed):
     assert np.array_equal(amps, dense.amplitudes)
 
 
+# 14 qubits, past _SPARSE_MIN_QUBITS, with a 16-state support: run_circuit
+# returns it held on the support
+_HELD = Circuit(14, [h(0), h(3), h(7), h(11), cnot(0, 5), ccx(3, 7, 9, NEGATED),
+                     p(0.3, 5), cp(1.1, 9, 0, NEGATED), x(12), cnot(11, 2)])
+_READS = {"probabilities": probabilities,
+          "sample_counts": lambda state: sample_counts(state, 4096, 11)}
+
+
+def _bytes(dist: Distribution) -> tuple:
+    return dist.kind, dist.total_shots, dist.indices.tobytes(), dist.values.tobytes()
+
+
+@pytest.mark.parametrize("first", sorted(_READS))
+def test_support_weights_are_shared_by_both_readers_in_either_order(first):
+    state = run_circuit(_HELD)
+    assert state._support is not None
+    order = [first, *sorted(set(_READS) - {first})] * 2  # each read twice
+    for name in order:
+        assert _bytes(_READS[name](state)) == _bytes(_READS[name](run_circuit(_HELD)))
+    weights, total = state._weights
+    assert not weights.flags.writeable  # no reader may scale them in place
+    assert total == float(np.sum(np.abs(_dense_run(_HELD).amplitudes) ** 2))
+
+
+def test_reading_the_amplitudes_drops_the_support_weights():
+    state = run_circuit(_HELD)
+    probabilities(state)
+    apply_gate(state, h(12))  # reads .amplitudes, so the state is dense
+    assert state._support is None and state._weights is None
+    want = _dense_run(Circuit(14, [*_HELD.gates, h(12)]))
+    _same(probabilities(state), _probabilities_by_index(want))
+    _same(sample_counts(state, 4096, 11), _sample_counts_by_index(want, 4096, 11))
+
+
 def test_state_vector_takes_amplitudes_or_support():
     with pytest.raises(ValueError, match="either amplitudes or support"):
         statevec.StateVector(1)
