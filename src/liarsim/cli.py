@@ -9,14 +9,16 @@ stdout to a human rendering; --out always receives the canonical JSON.
 The canonical text is json.dumps(report, indent=2, sort_keys=True), which
 _indented renders directly and the tests hold every report to.  Reports are
 written by _render, one recursive walk that spells each scalar itself and
-hands two kinds of value to a faster encoder with the same bytes: a list of
-scalars (a metrics report's paradox set) to one call of the C encoder, and a
-Distribution or a _Table (a list of rows held by column, such as the truth
-table, whose --csv file is laid out from the same columns) to
-dist._render_rows.  That fills one row template from literal text, bitstring
-columns and coded columns (a few texts picked per row by an int code array),
-formatting each row in Python up to dist._FORMAT_EACH rows and as uint8
-blocks above that.  Only a dict whose keys are not all str goes to _indented.
+hands some values to a faster encoder with the same bytes: a list of scalars
+to one call of the C encoder, and to dist._render_rows a Distribution, a
+_Table (a list of rows held by column, such as the truth table, whose --csv
+file is laid out from the same columns) and a dist._Bits, a list of
+bitstrings held as an int64 index array (a metrics report's consistent and
+paradox sets).  _render_rows fills one row template from literal text,
+bitstring columns and coded columns (a few texts picked per row by an int
+code array), formatting each row in Python up to dist._FORMAT_EACH rows and
+as uint8 blocks above that.  Only a dict whose keys are not all str goes to
+_indented.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 Every failure prints one "liarsim <subcommand>: <message>" line on stderr, or
@@ -49,7 +51,7 @@ from .hardware_model import (MAX_GRAPH_NODES, CouplingGraph, NoiseProfile,
                              load_bundled_graph, make_graph, noisy_sample,
                              parse_graph_text, routing_estimate)
 from .logic_ops import _LABELS, MAX_PAIRS, _truth_columns, _verify
-from .metrics import MetricsConfig, full_report
+from .metrics import MetricsConfig, _report
 from .statevec import (DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS, probabilities,
                        run_circuit, sample_counts)
 
@@ -143,7 +145,11 @@ def _json_default(value):
 def _strict_numbers(value):
     """Strict JSON has no Infinity/NaN literals; encode them as strings so the
     reports stay parseable outside Python (the chi-squared statistic is inf
-    whenever observed counts land on an outcome the ideal forbids)."""
+    whenever observed counts land on an outcome the ideal forbids).  A
+    dist._Bits, a tuple that json.dumps would encode as its two fields,
+    becomes the list of bitstrings it stands for."""
+    if isinstance(value, _Bits):
+        return bitstrings(value.indices, value.width)
     if isinstance(value, (float, np.floating)) and not math.isfinite(value):
         if math.isnan(value):
             return "nan"
@@ -196,9 +202,10 @@ def _render(value, pad: str, out: list) -> None:
     """Append the pieces of _indented(value, pad) to out.  A dict with str
     keys is walked in sorted-key order and a list or tuple that holds a
     container item by item, each scalar spelled by _spell.  Any other list is
-    encoded by one _scalar_texts call, and a Distribution or a _Table laid
-    out by dist._render_rows.  Only a dict with other keys, which json.dumps
-    coerces to str and sorts as they were, goes to _indented."""
+    encoded by one _scalar_texts call, and a Distribution, a _Table or a
+    dist._Bits laid out by dist._render_rows.  Only a dict with other keys,
+    which json.dumps coerces to str and sorts as they were, goes to
+    _indented."""
     if isinstance(value, dict) and not all(type(key) is str for key in value):
         out.append(_indented(value, pad))
         return
@@ -217,6 +224,8 @@ def _render(value, pad: str, out: list) -> None:
                  for i, key in enumerate(keys)]
         out += _render_rows(value.row_parts(keys, _spell, '"', heads,
                                             "\n" + inner + "}" + sep), value.size)
+    elif isinstance(value, _Bits):  # a tuple, so before the tuple walk
+        out += _render_rows(['"', value, '"' + sep], len(value.indices))
     elif isinstance(value, dict) or any(issubclass(kind, _CONTAINERS)
                                         for kind in set(map(type, value))):
         items = (((_spell(key) + ": ", value[key]) for key in sorted(value))
@@ -463,7 +472,7 @@ def cmd_metrics(args) -> int:
         paradox_set=_parse_state_set(args.paradox_set),
         flag_index=args.flag_index,
     )
-    report = full_report(experimental, ideal, config)
+    report = _report(experimental, ideal, config)
 
     def pretty():
         def fmt(value, digits=6):
@@ -472,19 +481,19 @@ def cmd_metrics(args) -> int:
         lines = [
             f"experimental: {exp_source} ({experimental.kind})",
             f"ideal:        {ideal_source} ({ideal.kind})",
-            f"F_C(experimental) = {fmt(report.f_c_experimental)}",
-            f"F_C(ideal)        = {fmt(report.f_c_ideal)}",
-            f"D_TV              = {fmt(report.d_tv)}",
-            f"R_I               = {fmt(report.r_i)}"
-            + (f"   ({report.r_i_note})" if report.r_i_note else ""),
-            f"chi2 statistic    = {fmt(report.chi2_statistic, 4)}"
-            + (f"  dof {report.chi2_dof}  p {fmt(report.chi2_p_value, 4)}"
-               if report.chi2_statistic is not None else ""),
+            f"F_C(experimental) = {fmt(report['f_c_experimental'])}",
+            f"F_C(ideal)        = {fmt(report['f_c_ideal'])}",
+            f"D_TV              = {fmt(report['d_tv'])}",
+            f"R_I               = {fmt(report['r_i'])}"
+            + (f"   ({report['r_i_note']})" if report["r_i_note"] else ""),
+            f"chi2 statistic    = {fmt(report['chi2_statistic'], 4)}"
+            + (f"  dof {report['chi2_dof']}  p {fmt(report['chi2_p_value'], 4)}"
+               if report["chi2_statistic"] is not None else ""),
         ]
-        if report.chi2_note:
-            lines.append(f"chi2 note: {report.chi2_note}")
-        lines.append(f"<Z_flag>(experimental) = {fmt(report.z_flag_experimental)}")
-        lines.append(f"<Z_flag>(ideal)        = {fmt(report.z_flag_ideal)}")
+        if report["chi2_note"]:
+            lines.append(f"chi2 note: {report['chi2_note']}")
+        lines.append(f"<Z_flag>(experimental) = {fmt(report['z_flag_experimental'])}")
+        lines.append(f"<Z_flag>(ideal)        = {fmt(report['z_flag_ideal'])}")
         return lines
 
     _emit(args, {
@@ -501,7 +510,7 @@ def cmd_metrics(args) -> int:
             "ideal": {"source": ideal_source, "kind": ideal.kind,
                       "total": ideal.total()},
         },
-        "report": report.to_dict(),
+        "report": report,
     }, pretty)
     return 0
 

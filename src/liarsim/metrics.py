@@ -2,10 +2,14 @@
 
 Metrics read a distribution's index and value arrays: counts divided by
 total_shots, probabilities exactly as stored (no silent renormalization).
-Outcome sets become int64 indices once; the default paradox set is an index
-mask, rendered as bitstrings only for the report.  Sums run left to right: D_TV
-and chi-squared bins in ascending state order, F_C and R_I in set order, totals
-and z_flag (over total mass, so z = 1 - 2*P(flag=1) holds) in entry order.
+Outcome sets become int64 indices once, in the order given; the default
+paradox set is the complement of the consistent set, taken by an index mask.
+_report computes every field of a report once and keeps both sets as
+dist._Bits index lists, which the CLI renders as bitstrings at byte width;
+only full_report and MetricsConfig.resolve spell them as tuples of str.
+Sums run left to right: D_TV and chi-squared bins in ascending state order,
+F_C and R_I in set order, totals and z_flag (over total mass, so
+z = 1 - 2*P(flag=1) holds) in entry order.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ from itertools import repeat
 import numpy as np
 
 from .circuit import _is_int
-from .dist import COUNTS, Distribution, bitstrings
+from .dist import COUNTS, Distribution, _Bits, bitstrings
 
 DEFAULT_CONSISTENT = ("1001", "1010")
 _MIN_EXPECTED = 5.0  # chi-squared bins expecting fewer counts are pooled
 
 
-def _check_states(states, width: int, what: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """The states as a tuple and as int64 indices, in the order given."""
+def _check_states(states, width: int, what: str) -> np.ndarray:
+    """The states as int64 indices, in the order given."""
     states = tuple(states)
     if not states:
         raise ValueError(f"{what} must not be empty")
@@ -33,7 +37,7 @@ def _check_states(states, width: int, what: str) -> tuple[tuple[str, ...], np.nd
             raise ValueError(f"bad state {s!r} in {what} for width {width}")
     if len(set(states)) != len(states):
         raise ValueError(f"duplicate states in {what}")
-    return states, np.array([int(s, 2) for s in states], dtype=np.int64)
+    return np.array([int(s, 2) for s in states], dtype=np.int64)
 
 
 def _probabilities(dist: Distribution) -> np.ndarray:
@@ -61,7 +65,7 @@ def _aligned(p: Distribution, a: np.ndarray, q: Distribution, b: np.ndarray):
 
 def consistency_fidelity(dist: Distribution, consistent_set) -> float:
     """Probability mass on the designated consistent outcomes."""
-    return _mass(dist, _check_states(consistent_set, dist.width, "consistent_set")[1])
+    return _mass(dist, _check_states(consistent_set, dist.width, "consistent_set"))
 
 
 def tv_distance(p: Distribution, q: Distribution) -> float:
@@ -83,7 +87,7 @@ def interference_suppression(experimental: Distribution, ideal: Distribution,
     if experimental.width != ideal.width:
         raise ValueError("width mismatch between experimental and ideal")
     return _suppression(experimental, ideal,
-                        _check_states(paradox_set, ideal.width, "paradox_set")[1])
+                        _check_states(paradox_set, ideal.width, "paradox_set"))
 
 
 def _suppression(experimental: Distribution, ideal: Distribution,
@@ -264,32 +268,33 @@ class MetricsConfig:
     flag_index: int | None = None
 
     def resolve(self, width: int) -> tuple[tuple[str, ...], tuple[str, ...], int]:
-        return self._resolve(width)[:3]
+        consistent, paradox, flag = self._resolve(width)
+        return (tuple(bitstrings(consistent, width)), tuple(bitstrings(paradox, width)),
+                flag)
 
-    def _resolve(self, width: int):
-        """resolve(width) plus both sets as int64 indices, in listed order."""
+    def _resolve(self, width: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """resolve(width) with both sets as int64 indices, in listed order."""
         consistent = self.consistent_set
         if consistent is None:
             if width != 4:
                 raise ValueError(f"no default consistent set for width {width}; "
                                  "pass consistent_set explicitly")
             consistent = DEFAULT_CONSISTENT
-        consistent, consistent_idx = _check_states(consistent, width, "consistent_set")
+        consistent = _check_states(consistent, width, "consistent_set")
         if self.paradox_set is None:
             if width > 16:
                 raise ValueError("complement paradox set too large; pass it explicitly")
             keep = np.ones(1 << width, dtype=bool)
-            keep[consistent_idx] = False
-            paradox_idx = np.flatnonzero(keep)
-            paradox = tuple(bitstrings(paradox_idx, width))
-            if not paradox:
+            keep[consistent] = False
+            paradox = np.flatnonzero(keep)
+            if not paradox.size:
                 raise ValueError("paradox_set must not be empty")
         else:
-            paradox, paradox_idx = _check_states(self.paradox_set, width, "paradox_set")
+            paradox = _check_states(self.paradox_set, width, "paradox_set")
         flag = self.flag_index if self.flag_index is not None else width - 1
         if not (_is_int(flag) and 0 <= flag < width):
             raise ValueError(f"flag index {flag!r} out of range for width {width}")
-        return consistent, paradox, int(flag), consistent_idx, paradox_idx
+        return consistent, paradox, int(flag)
 
 
 @dataclass(frozen=True)
@@ -323,14 +328,24 @@ def full_report(experimental: Distribution, ideal: Distribution,
     with a reason when their preconditions fail (no ideal paradox mass or no
     observed counts, respectively); everything else always computes.
     """
+    fields = _report(experimental, ideal, config)
+    for key in ("consistent_set", "paradox_set"):
+        fields[key] = tuple(bitstrings(*fields[key]))
+    return MetricsReport(**fields)
+
+
+def _report(experimental: Distribution, ideal: Distribution,
+            config: MetricsConfig) -> dict:
+    """full_report's fields by name, with consistent_set and paradox_set as
+    dist._Bits: the sets' int64 indices in listed order, and the width."""
     width = experimental.width
     if width != ideal.width:
         raise ValueError("width mismatch between experimental and ideal")
-    consistent, paradox, flag, consistent_idx, paradox_idx = config._resolve(width)
+    consistent, paradox, flag = config._resolve(width)
 
     r_i = r_i_note = None
     try:
-        r_i = _suppression(experimental, ideal, paradox_idx)
+        r_i = _suppression(experimental, ideal, paradox)
     except ValueError as exc:
         r_i_note = str(exc)
 
@@ -341,20 +356,20 @@ def full_report(experimental: Distribution, ideal: Distribution,
     else:
         chi2_note = "chi-squared needs observed counts; experimental data is probabilities"
 
-    return MetricsReport(
-        width=width,
-        consistent_set=consistent,
-        paradox_set=paradox,
-        flag_index=flag,
-        f_c_experimental=_mass(experimental, consistent_idx),
-        f_c_ideal=_mass(ideal, consistent_idx),
-        d_tv=tv_distance(experimental, ideal),
-        r_i=r_i,
-        r_i_note=r_i_note,
-        chi2_statistic=chi2_stat,
-        chi2_dof=chi2_dof,
-        chi2_p_value=chi2_p,
-        chi2_note=chi2_note,
-        z_flag_experimental=z_flag(experimental, flag),
-        z_flag_ideal=z_flag(ideal, flag),
-    )
+    return {
+        "width": width,
+        "consistent_set": _Bits(consistent, width),
+        "paradox_set": _Bits(paradox, width),
+        "flag_index": flag,
+        "f_c_experimental": _mass(experimental, consistent),
+        "f_c_ideal": _mass(ideal, consistent),
+        "d_tv": tv_distance(experimental, ideal),
+        "r_i": r_i,
+        "r_i_note": r_i_note,
+        "chi2_statistic": chi2_stat,
+        "chi2_dof": chi2_dof,
+        "chi2_p_value": chi2_p,
+        "chi2_note": chi2_note,
+        "z_flag_experimental": z_flag(experimental, flag),
+        "z_flag_ideal": z_flag(ideal, flag),
+    }

@@ -141,17 +141,20 @@ def _branches(amps: np.ndarray, num_qubits: int, qubits: tuple[int, ...]):
     return pick
 
 
-def _check_fits(gate: Gate, num_qubits: int) -> None:
-    if max(gate.qubits) >= num_qubits:
-        raise ValueError(
-            f"{gate.kind} touches qubit {max(gate.qubits)} but the state has "
-            f"{num_qubits} qubits"
-        )
+def _check_fits(gates, num_qubits: int) -> None:
+    """ValueError naming the first of gates that touches a qubit a state of
+    num_qubits does not have."""
+    for gate in gates:
+        if max(gate.qubits) >= num_qubits:
+            raise ValueError(
+                f"{gate.kind} touches qubit {max(gate.qubits)} but the state has "
+                f"{num_qubits} qubits"
+            )
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place and return the same StateVector."""
-    _check_fits(gate, state.num_qubits)
+    _check_fits((gate,), state.num_qubits)
     pick = _branches(state.amplitudes, state.num_qubits, gate.qubits)
     # controls come first in gate.qubits, so select their active branch
     sel = tuple(0 if pol == NEGATED else 1 for pol in gate.polarities)
@@ -228,9 +231,10 @@ def _run_support(circuit: Circuit, index: np.ndarray, amps: np.ndarray,
     amps, through the circuit: H by _sparse_h, every other gate by
     _monomial_step.  Stops before an H that could take the support past limit
     states.  Works in place where the gates allow; returns the indices,
-    amplitudes and the number of gates run."""
+    amplitudes and the number of gates run.  Every gate is checked against
+    the register before the first runs."""
+    _check_fits(circuit.gates, circuit.num_qubits)
     for done, gate in enumerate(circuit.gates):
-        _check_fits(gate, circuit.num_qubits)
         if gate.kind == "H":
             if 2 * index.size > limit:
                 return index, amps, done

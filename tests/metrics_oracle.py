@@ -2,17 +2,21 @@
 
 Each metric is computed over `as_probabilities(dist)` and `entries`
 dicts keyed by bitstring, one state at a time, with the flag bit read off the
-string by `bit_of`: a route that shares no arithmetic with the array metrics
-of `liarsim.metrics`.  Every sum runs in the order the array metrics
-document, so the two must agree exactly, not to a tolerance.  Only the
-chi-squared p-value takes the library's own `_gammaincc`; the SciPy grid test
-in test_metrics.py checks that function independently.
+string by `bit_of`, and the outcome sets are listed as strings by `resolve`,
+the default paradox set by formatting every index in turn: a route that
+shares no arithmetic with the array metrics of `liarsim.metrics`.  Every sum
+runs in the order the array metrics document, so the two must agree exactly,
+not to a tolerance.  Only the chi-squared p-value takes the library's own
+`_gammaincc`; the SciPy grid test in test_metrics.py checks that function
+independently.
 """
 
 import math
+from numbers import Integral
 
 from liarsim.dist import COUNTS
-from liarsim.metrics import _MIN_EXPECTED, Chi2Result, MetricsReport, _gammaincc
+from liarsim.metrics import (_MIN_EXPECTED, DEFAULT_CONSISTENT, Chi2Result,
+                             MetricsReport, _gammaincc)
 
 
 def as_probabilities(dist) -> dict[str, float]:
@@ -108,9 +112,50 @@ def chi_squared_gof(observed, expected):
     return Chi2Result(float(statistic), dof, p_value, bins, len(small))
 
 
+def _checked(states, width, what):
+    states = tuple(states)
+    if not states:
+        raise ValueError(f"{what} must not be empty")
+    for s in states:
+        if len(s) != width or set(s) - {"0", "1"}:
+            raise ValueError(f"bad state {s!r} in {what} for width {width}")
+    if len(set(states)) != len(states):
+        raise ValueError(f"duplicate states in {what}")
+    return states
+
+
+def resolve(config, width):
+    """MetricsConfig.resolve: the consistent and paradox sets as tuples of
+    bitstrings in listed order, the default paradox set in index order, and
+    the flag index."""
+    consistent = config.consistent_set
+    if consistent is None:
+        if width != 4:
+            raise ValueError(f"no default consistent set for width {width}; "
+                             "pass consistent_set explicitly")
+        consistent = DEFAULT_CONSISTENT
+    consistent = _checked(consistent, width, "consistent_set")
+    if config.paradox_set is None:
+        if width > 16:
+            raise ValueError("complement paradox set too large; pass it explicitly")
+        skip = set(consistent)
+        paradox = tuple(s for s in (format(i, f"0{width}b") for i in range(1 << width))
+                        if s not in skip)
+        if not paradox:
+            raise ValueError("paradox_set must not be empty")
+    else:
+        paradox = _checked(config.paradox_set, width, "paradox_set")
+    flag = width - 1 if config.flag_index is None else config.flag_index
+    if not (isinstance(flag, Integral) and not isinstance(flag, bool) and 0 <= flag < width):
+        raise ValueError(f"flag index {flag!r} out of range for width {width}")
+    return consistent, paradox, int(flag)
+
+
 def full_report(experimental, ideal, config):
-    """full_report over the string sets config.resolve() lists."""
-    consistent, paradox, flag = config.resolve(experimental.width)
+    """full_report over the string sets resolve() lists."""
+    if experimental.width != ideal.width:
+        raise ValueError("width mismatch between experimental and ideal")
+    consistent, paradox, flag = resolve(config, experimental.width)
 
     r_i = None
     r_i_note = None

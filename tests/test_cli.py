@@ -487,6 +487,34 @@ def test_metrics_12_qubit_reports_are_pinned(tmp_path, monkeypatch):
                          "f93d4c8a911db12d4f6176c65f0f5f8a")
 
 
+@pytest.mark.parametrize("width", [3, 9, 12, 16])
+def test_metrics_reports_are_their_own_json_round_trip(tmp_path, monkeypatch, width):
+    # the outcome sets rendered from their indices: the default paradox set
+    # in index order, explicit sets in the order given
+    monkeypatch.chdir(tmp_path)
+    picked = np.random.default_rng(width).choice(1 << width, 5, replace=False).tolist()
+    states = [format(i, f"0{width}b") for i in picked]
+    with open("exp.csv", "w", encoding="utf-8") as fh:
+        fh.write("state,counts\n")
+        fh.writelines(f"{s},{k + 1}\n" for k, s in enumerate(states))
+    counts = read_distribution_csv("exp.csv")
+    for extra, paradox in (
+            ([], [format(i, f"0{width}b") for i in range(1 << width) if i != picked[0]]),
+            (["--paradox-set", ",".join(states[1:])], states[1:])):
+        assert main(["metrics", "--exp", "exp.csv", "--ideal", "exp.csv",
+                     "--consistent-set", states[0], *extra, "--out", "m.json"]) == 0
+        with open("m.json", encoding="utf-8") as fh:
+            text = fh.read()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert report["report"]["consistent_set"] == states[:1]
+        assert report["report"]["paradox_set"] == paradox
+        # the library's report, whose sets are tuples of str, says the same
+        config = metrics.MetricsConfig(consistent_set=(states[0],),
+                                       paradox_set=tuple(states[1:]) if extra else None)
+        assert report["report"] == metrics.full_report(counts, counts, config).to_dict()
+
+
 SCIPY_FREE = """
 import json, sys
 import liarsim, liarsim.cli
@@ -970,6 +998,44 @@ def test_report_fields_with_scalar_lists_render_as_the_indented_reference(lists,
                            allow_nan=False, default=_json_default) + "\n"
     # compared as lists of lines: pytest's diff of two long strings is slow
     assert canonical_json(payload).split("\n") == reference.split("\n")
+
+
+_INDEX_LIST_SIZES = {"one": (1, 1), "rows": (2, _FORMAT_EACH),
+                     "block": (_FORMAT_EACH + 1, _CHUNK_ROWS),
+                     "chunks": (_CHUNK_ROWS + 1, 3 * _CHUNK_ROWS)}
+
+
+@st.composite
+def _index_lists(draw):
+    """A dist._Bits of 1-16 bits: an explicit set of states in random order,
+    one state, few enough to be formatted row by row, enough for the block
+    path, or enough for several of its chunks."""
+    low, high = _INDEX_LIST_SIZES[draw(st.sampled_from(list(_INDEX_LIST_SIZES)))]
+    width = draw(st.integers(max(1, (low - 1).bit_length()), 16))
+    size = draw(st.integers(low, min(high, 1 << width)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _Bits(rng.choice(1 << width, size, replace=False), width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_index_lists(), st.sampled_from(["  ", "    "]))
+@example(_Bits(np.arange(1, 4096), 12), "    ")  # a default 12-qubit paradox set
+def test_index_lists_render_as_json_dumps_of_their_bitstrings(bits, pad):
+    states = [format(i, f"0{bits.width}b") for i in bits.indices.tolist()]
+    reference = json.dumps(states, indent=2, sort_keys=True)
+    out = []
+    cli._render(bits, pad, out)
+    # compared as lists of lines: pytest's diff of two long strings is slow
+    assert "".join(out).split("\n" + pad) == reference.split("\n")
+    # in a report, in a list, and under int keys, which the reference
+    # encoder renders
+    first = _Bits(bits.indices[:1], bits.width)
+    payload = {"report": {"paradox_set": bits, "sets": [bits, first]},
+               "by_size": {len(states): bits}}
+    spelled = {"report": {"paradox_set": states, "sets": [states, states[:1]]},
+               "by_size": {len(states): states}}
+    assert canonical_json(payload).split("\n") == json.dumps(
+        spelled, indent=2, sort_keys=True, default=_json_default).split("\n") + [""]
 
 
 _SPECIAL_VALUES = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-12,

@@ -372,7 +372,8 @@ def test_full_report_width_mismatch():
 def metric_inputs(draw):
     """Two distributions of one width (counts or probabilities, built from a
     mapping in random arrival order, or from arrays) and a MetricsConfig
-    whose explicit sets list their states out of index order."""
+    whose explicit sets list their states out of index order, its consistent
+    set now and then left to the default."""
     width = draw(st.integers(1, 12))
     dim = 1 << width
 
@@ -402,7 +403,7 @@ def metric_inputs(draw):
         return tuple(format(s, f"0{width}b") for s in picked)
 
     config = MetricsConfig(
-        consistent_set=state_set(1),
+        consistent_set=state_set(1) if draw(st.integers(0, 7)) else None,
         paradox_set=state_set(3) if draw(st.booleans()) else None,
         flag_index=draw(st.one_of(st.none(), st.integers(0, width - 1))),
     )
@@ -431,11 +432,13 @@ def _assert_same(metric, reference, *args):
           MetricsConfig(consistent_set=("0",))))
 def test_array_metrics_equal_the_dict_oracle(inputs):
     experimental, ideal, config = inputs
+    _assert_same(MetricsConfig.resolve, oracle.resolve, config, experimental.width)
     _assert_same(full_report, oracle.full_report, experimental, ideal, config)
     _assert_same(tv_distance, oracle.tv_distance, experimental, ideal)
     for dist in (experimental, ideal):
-        _assert_same(consistency_fidelity, oracle.consistency_fidelity,
-                     dist, config.consistent_set)
+        if config.consistent_set is not None:
+            _assert_same(consistency_fidelity, oracle.consistency_fidelity,
+                         dist, config.consistent_set)
         _assert_same(z_flag, oracle.z_flag, dist, experimental.width - 1)
         if config.flag_index is not None:
             _assert_same(z_flag, oracle.z_flag, dist, config.flag_index)
@@ -445,3 +448,23 @@ def test_array_metrics_equal_the_dict_oracle(inputs):
     for observed, expected in ((experimental, ideal), (ideal, experimental)):
         if observed.kind == COUNTS:
             _assert_same(chi_squared_gof, oracle.chi_squared_gof, observed, expected)
+
+
+@pytest.mark.parametrize("width", [3, 9, 12, 16])
+def test_public_results_spell_sets_as_the_oracle_does(width):
+    # full_report and resolve build their tuples of str from index arrays;
+    # the oracle lists the same sets as strings, the complement by formatting
+    # every index in turn
+    rng = np.random.default_rng(width)
+    picked = rng.choice(1 << width, 6, replace=False).tolist()
+    states = [format(i, f"0{width}b") for i in picked]
+    experimental = counts_dist(width, {s: float(k + 1) for k, s in enumerate(states)})
+    ideal = prob_dist(width, {s: 1.0 / len(states) for s in states})
+    for config in (MetricsConfig(consistent_set=tuple(states[:2])),
+                   MetricsConfig(consistent_set=tuple(states[3:]),
+                                 paradox_set=tuple(states[:3]), flag_index=0)):
+        _assert_same(MetricsConfig.resolve, oracle.resolve, config, width)
+        _assert_same(full_report, oracle.full_report, experimental, ideal, config)
+        report = full_report(experimental, ideal, config)
+        for field in (report.consistent_set, report.paradox_set):
+            assert type(field) is tuple and {type(s) for s in field} == {str}

@@ -197,6 +197,24 @@ def test_apply_gate_rejects_out_of_range_qubits():
         apply_gate(init_zero(2), x(2))
 
 
+@pytest.mark.parametrize("n, head", [
+    (4, []),
+    (statevec._SPARSE_MIN_QUBITS, []),
+    (statevec._SPARSE_MIN_QUBITS + 2, []),
+    # an H layer outgrows the support's headroom: the rest runs dense
+    (statevec._SPARSE_MIN_QUBITS, [h(q) for q in range(statevec._SPARSE_MIN_QUBITS)]),
+], ids=["dense", "support", "support-14", "support-then-dense"])
+def test_run_circuit_names_the_first_gate_that_does_not_fit(n, head):
+    # Circuit checks a gate when it is built or added; one appended to
+    # circuit.gates directly is caught when the circuit runs, by the first
+    # such gate and with apply_gate's message
+    circuit = Circuit(n, [*head, h(0), cnot(0, 1)])
+    circuit.gates += [x(1), cnot(0, n + 2), x(n), p(0.5, 0)]
+    with pytest.raises(ValueError) as caught:
+        run_circuit(circuit)
+    assert str(caught.value) == f"CNOT touches qubit {n + 2} but the state has {n} qubits"
+
+
 # ---------------------------------------------------------------------------
 # randomized equivalence with the dense oracle
 
