@@ -180,6 +180,12 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         self.num_qubits = int(self.num_qubits)
+        if isinstance(self.gates, tuple):
+            self.gates = list(self.gates)
+        if not isinstance(self.gates, list):
+            raise ValueError(f"gates must be a list of Gate objects, got {self.gates!r}")
+        if not isinstance(self.roles, dict):
+            raise ValueError(f"roles must be a dict, got {self.roles!r}")
         for gate in self.gates:
             self._check_gate(gate)
         for idx, role in self.roles.items():
@@ -189,6 +195,8 @@ class Circuit:
                 raise ValueError(f"unknown role tag {role!r}")
 
     def _check_gate(self, gate: Gate) -> None:
+        if not isinstance(gate, Gate):
+            raise ValueError(f"gates must hold Gate objects, got {gate!r}")
         top = max(gate.qubits)
         if top >= self.num_qubits:
             raise ValueError(

@@ -6,19 +6,19 @@ fields).  JSON is rendered canonically (sorted keys, two-space indent), so a
 rerun with the same arguments writes byte-identical output.  --pretty swaps
 stdout to a human rendering; --out always receives the canonical JSON.
 
-The canonical text is json.dumps(report, indent=2, sort_keys=True), which
-_indented renders directly and the tests hold every report to.  Reports are
-written by _render, one recursive walk that spells each scalar itself and
-hands some values to a faster encoder with the same bytes: a list of scalars
-to one call of the C encoder, and to dist._render_rows a Distribution, a
-_Table (a list of rows held by column, such as the truth table, whose --csv
-file is laid out from the same columns) and a dist._Bits, a list of
-bitstrings held as an int64 index array (a metrics report's consistent and
-paradox sets).  _render_rows fills one row template from literal text,
-bitstring columns and coded columns (a few texts picked per row by an int
-code array), formatting each row in Python up to dist._FORMAT_EACH rows and
-as uint8 blocks above that.  Only a dict whose keys are not all str goes to
-_indented.
+The canonical text is what the standard json encoder writes with indent=2
+and sort_keys=True, with inf and nan spelled as the strings "inf", "-inf" and
+"nan"; the tests hold every report to that reference, which lives in
+tests/json_oracle.py.  Reports are written by _render, one recursive walk
+that walks dicts in sorted-key order and lists item by item, spells each
+scalar itself, and hands to dist._render_rows a Distribution, a _Table (a
+list of rows held by column, such as the truth table, whose --csv file is
+laid out from the same columns) and a dist._Bits, a list of bitstrings held
+as an int64 index array (a metrics report's consistent and paradox sets).
+_render_rows fills one row template from literal text, bitstring columns and
+coded columns (a few texts picked per row by an int code array), formatting
+each row in Python up to dist._FORMAT_EACH rows and as uint8 blocks above
+that.  A dict whose keys are not all str is refused with TypeError.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 Every failure prints one "liarsim <subcommand>: <message>" line on stderr, or
@@ -31,7 +31,6 @@ import argparse
 import functools
 import hashlib
 import io
-import json
 import math
 import sys
 from collections.abc import Iterable
@@ -44,7 +43,7 @@ import numpy as np
 from .circuit import (OR_ACCUMULATE, PARITY, Circuit, _write_text, build_general,
                       build_liar_literal, build_liar_reference, circuit_from_json,
                       gate_census, general_width, save_circuit)
-from .dist import (COUNTS, PROBABILITY, Distribution, _Bits, _Coded, _render_rows,
+from .dist import (PROBABILITY, Distribution, _Bits, _Coded, _render_rows,
                    bitstrings, bundled_table_names, load_reference_table,
                    parse_distribution_csv, render_entries, write_counts_csv)
 from .hardware_model import (MAX_GRAPH_NODES, CouplingGraph, NoiseProfile,
@@ -126,89 +125,35 @@ class _Table:
         return parts + [end]
 
 
-def _json_default(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, Distribution):  # as rendered: counts are integers
-        if value.kind == COUNTS:
-            return {k: int(v) for k, v in value.entries.items()}
-        return dict(value.entries.items())
-    if isinstance(value, _Table):
-        return _strict_numbers(value.rows())
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
-
-
-def _strict_numbers(value):
-    """Strict JSON has no Infinity/NaN literals; encode them as strings so the
-    reports stay parseable outside Python (the chi-squared statistic is inf
-    whenever observed counts land on an outcome the ideal forbids).  A
-    dist._Bits, a tuple that json.dumps would encode as its two fields,
-    becomes the list of bitstrings it stands for."""
-    if isinstance(value, _Bits):
-        return bitstrings(value.indices, value.width)
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-        if math.isnan(value):
-            return "nan"
-        return "inf" if float(value) > 0 else "-inf"
-    if isinstance(value, dict):
-        return {k: _strict_numbers(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict_numbers(v) for v in value]
-    return value
-
-
-def _indented(value, pad: str) -> str:
-    """The reference rendering of value, for a line that starts with pad."""
-    text = json.dumps(_strict_numbers(value), indent=2, sort_keys=True,
-                      allow_nan=False, default=_json_default)
-    return text.replace("\n", "\n" + pad)  # JSON strings hold no raw newline
-
-
-def _scalar_texts(values) -> list[str]:
-    """The JSON text of each scalar in values, from one call of the C
-    encoder; an encoded scalar holds no raw newline to split on."""
-    try:
-        text = json.dumps(values, allow_nan=False, default=_json_default,
-                          separators=("\n", ": "))
-    except ValueError:  # inf or nan: _strict_numbers spells them out
-        text = json.dumps(_strict_numbers(values), allow_nan=False,
-                          default=_json_default, separators=("\n", ": "))
-    return text[1:-1].split("\n")
-
-
 def _spell(value) -> str:
-    """The JSON text of a scalar, as _indented spells it."""
+    """The JSON text of a scalar, with inf and nan spelled as strings: strict
+    JSON has no literal for them, and the chi-squared statistic is inf
+    whenever observed counts land on an outcome the ideal forbids."""
     if isinstance(value, (float, np.floating)):
-        value = _strict_numbers(float(value))  # inf and nan become strings
-        if isinstance(value, float):
+        value = float(value)
+        if math.isfinite(value):
             return repr(value)
+        return '"nan"' if math.isnan(value) else '"inf"' if value > 0 else '"-inf"'
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or isinstance(value, (bool, np.bool_)):
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return repr(int(value))
-    return _json_default(value)  # not JSON: raises TypeError
+    raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
 _CONTAINERS = (dict, list, tuple, Distribution, _Table)
 
 
 def _render(value, pad: str, out: list) -> None:
-    """Append the pieces of _indented(value, pad) to out.  A dict with str
-    keys is walked in sorted-key order and a list or tuple that holds a
-    container item by item, each scalar spelled by _spell.  Any other list is
-    encoded by one _scalar_texts call, and a Distribution, a _Table or a
-    dist._Bits laid out by dist._render_rows.  Only a dict with other keys,
-    which json.dumps coerces to str and sorts as they were, goes to
-    _indented."""
+    """Append the pieces of value's canonical JSON text, for a line that
+    starts with pad, to out.  A dict is walked in sorted-key order and a list
+    or tuple item by item, each scalar spelled by _spell; a Distribution, a
+    _Table or a dist._Bits is laid out by dist._render_rows.  A dict whose
+    keys are not all str raises TypeError."""
     if isinstance(value, dict) and not all(type(key) is str for key in value):
-        out.append(_indented(value, pad))
-        return
+        raise TypeError("not JSON serializable: a dict key that is not a str")
     if not isinstance(value, _CONTAINERS):
         out.append(_spell(value))
         return
@@ -226,8 +171,7 @@ def _render(value, pad: str, out: list) -> None:
                                             "\n" + inner + "}" + sep), value.size)
     elif isinstance(value, _Bits):  # a tuple, so before the tuple walk
         out += _render_rows(['"', value, '"' + sep], len(value.indices))
-    elif isinstance(value, dict) or any(issubclass(kind, _CONTAINERS)
-                                        for kind in set(map(type, value))):
+    else:
         items = (((_spell(key) + ": ", value[key]) for key in sorted(value))
                  if isinstance(value, dict) else zip(repeat(""), value))
         for label, item in items:
@@ -237,8 +181,6 @@ def _render(value, pad: str, out: list) -> None:
                 out.append(sep)
             else:
                 out.append(label + _spell(item) + sep)
-    elif value:
-        out.append(sep.join(_scalar_texts(value)) + sep)
     if len(out) == start:  # empty
         out[-1] = brackets
     else:
@@ -255,8 +197,7 @@ def _document(payload) -> list[str]:
 
 
 def canonical_json(payload: dict) -> str:
-    """json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
-    allow_nan=False, default=_json_default) plus a newline, byte for byte."""
+    """The canonical JSON text of payload, newline included."""
     return "".join(_document(payload))
 
 

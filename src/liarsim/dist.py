@@ -41,7 +41,7 @@ _BUNDLED_TABLES = {
 
 
 def _check_bitstring(state: str, width: int) -> None:
-    if len(state) != width or state.strip("01"):
+    if not isinstance(state, str) or len(state) != width or state.strip("01"):
         raise ValueError(f"bad state {state!r} for width {width}")
 
 

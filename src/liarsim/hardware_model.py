@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from itertools import groupby, product
@@ -55,6 +56,8 @@ class NoiseProfile:
     def __post_init__(self):
         for name in ("p_1q", "p_2q", "p_readout"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if not _is_int(self.seed):
@@ -194,8 +197,9 @@ def load_bundled_graph() -> CouplingGraph:
 def fidelity_estimate(g_2q: int, g_1q: int, profile: NoiseProfile) -> float:
     """exp(-(p_2q * g_2q + p_1q * g_1q)), the standard exponential decay
     proxy for circuit success probability."""
-    if g_2q < 0 or g_1q < 0:
-        raise ValueError("gate counts must be nonnegative")
+    if not (_is_int(g_2q) and _is_int(g_1q) and g_2q >= 0 and g_1q >= 0):
+        raise ValueError(f"gate counts must be nonnegative integers, "
+                         f"got {g_2q!r} and {g_1q!r}")
     return float(math.exp(-(profile.p_2q * g_2q + profile.p_1q * g_1q)))
 
 

@@ -29,11 +29,14 @@ _MIN_EXPECTED = 5.0  # chi-squared bins expecting fewer counts are pooled
 
 def _check_states(states, width: int, what: str) -> np.ndarray:
     """The states as int64 indices, in the order given."""
-    states = tuple(states)
+    try:
+        states = tuple(states)
+    except TypeError:  # not iterable
+        raise ValueError(f"{what} must be a collection of states, got {states!r}") from None
     if not states:
         raise ValueError(f"{what} must not be empty")
     for s in states:
-        if len(s) != width or s.strip("01"):
+        if not isinstance(s, str) or len(s) != width or s.strip("01"):
             raise ValueError(f"bad state {s!r} in {what} for width {width}")
     if len(set(states)) != len(states):
         raise ValueError(f"duplicate states in {what}")

@@ -176,6 +176,27 @@ def test_circuit_rejects_gates_outside_register():
         circ.add(cnot(0, 5))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Circuit(2, gates=5), "gates must be a list of Gate objects, got 5"),
+    (lambda: Circuit(2, gates=None), "gates must be a list of Gate objects, got None"),
+    (lambda: Circuit(2, gates=[5]), "gates must hold Gate objects, got 5"),
+    (lambda: Circuit(2, gates=[h(0), "H"]), "gates must hold Gate objects, got 'H'"),
+    (lambda: Circuit(2, roles=[1]), r"roles must be a dict, got \[1\]"),
+    (lambda: Circuit(2, roles=None), "roles must be a dict, got None"),
+    (lambda: Circuit(2).add(5), "gates must hold Gate objects, got 5"),
+    (lambda: Circuit(2).add(None), "gates must hold Gate objects, got None"),
+])
+def test_circuit_arguments_of_the_wrong_type_are_named(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_circuit_takes_a_tuple_of_gates_as_a_list():
+    circ = Circuit(2, (h(0), cnot(0, 1)))
+    circ.add(x(1))
+    assert circ.gates == [h(0), cnot(0, 1), x(1)]
+
+
 def test_circuit_role_validation():
     with pytest.raises(ValueError, match="role index"):
         Circuit(2, [], roles={3: "flag"})

@@ -23,14 +23,15 @@ from hypothesis import strategies as st
 from liarsim import cli, hardware_model, metrics, statevec
 from liarsim.circuit import (GATE_KINDS, NEGATED, POSITIVE, circuit_from_dict,
                              load_circuit)
-from liarsim.cli import (_emit, _indented, _json_default, _strict_numbers,
-                         canonical_json, main)
+from liarsim.cli import _emit, canonical_json, main
 from liarsim.dist import (_CHUNK_ROWS, _FORMAT_EACH, COUNTS, PROBABILITY, Distribution,
                           _Bits, _Coded, read_distribution_csv)
 from liarsim.hardware_model import MAX_GRAPH_NODES, parse_graph_text
 from liarsim.logic_ops import _LABELS, CheckResult, fixed_point_report, truth_table
 from liarsim.metrics import chi_squared_gof
 from liarsim.statevec import DEFAULT_SEED, MAX_QUBITS, MAX_SHOTS
+
+from json_oracle import _indented, _json_default, _strict_numbers, reference_json
 
 ENVELOPE_KEYS = {"command", "config", "seed", "inputs"}
 
@@ -259,12 +260,12 @@ def test_report_bytes_are_the_canonical_encoding_of_their_content(tmp_path, argv
 
 
 def test_reports_never_reach_the_reference_encoder(tmp_path, monkeypatch):
-    # _indented is the oracle the walker is held to; no report needs it
-    def refuse(value, pad):
-        raise AssertionError(f"_indented called on {type(value).__name__}")
+    # json.dumps, through tests/json_oracle.py, is the oracle the walker is
+    # held to; no report is written by it
+    def refuse(value, *args, **kwargs):
+        raise AssertionError(f"json.dumps called on {type(value).__name__}")
 
     write_noisy_counts(tmp_path)
-    monkeypatch.setattr(cli, "_indented", refuse)
     monkeypatch.chdir(tmp_path)
     graph = tmp_path / "graph.txt"
     graph.write_text("0 1\n1 2\n2 3\n", encoding="utf-8")
@@ -287,7 +288,8 @@ def test_reports_never_reach_the_reference_encoder(tmp_path, monkeypatch):
                  ["estimate", "--n", "8", "--graph", "bundled:heavy-hex", "--noise", "0,0,0"],
                  ["truthtable"],
                  ["truthtable", "--pairs", "5", "--flag-in", "0"]):
-        assert main([*argv, "--out", "r.json"]) == 0, argv
+        with mock.patch.object(json, "dumps", refuse):
+            assert main([*argv, "--out", "r.json"]) == 0, argv
         text = (tmp_path / "r.json").read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
@@ -882,7 +884,6 @@ _payloads = st.recursive(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=3).map(tuple),
         st.dictionaries(_keys, inner, max_size=4),
-        st.dictionaries(st.integers(), inner, max_size=3),
     ),
     max_leaves=40,
 )
@@ -893,16 +894,13 @@ _payloads = st.recursive(
           "nested": {"x": [{}, [], {"k": np.int64(3), "z": np.bool_(True)}]},
           "empty": {}})
 @example({"probabilities": {"00": 0.5, "11": np.float32(0.25)}, "n": None})
-@example({"report": {2: ["a", 1.5], 10: []}, "config": {"b": (), "a": [None]}})
+@example({"report": {"2": ["a", 1.5], "10": []}, "config": {"b": (), "a": [None]}})
 def test_canonical_json_matches_indented_reference(payload):
-    reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
-                           allow_nan=False, default=_json_default) + "\n"
-    assert canonical_json(payload) == reference
+    assert canonical_json(payload) == reference_json(payload)
     # the report writer streams the same text, in its envelope, to --out, or
     # else to stdout
-    report = {"command": "verify", "config": payload, "inputs": {}, "seed": 7}
-    reference = json.dumps(_strict_numbers(report), indent=2, sort_keys=True,
-                           allow_nan=False, default=_json_default) + "\n"
+    reference = reference_json({"command": "verify", "config": payload, "inputs": {},
+                                "seed": 7})
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         _emit(argparse.Namespace(subcommand="verify", seed=7, out=str(out),
@@ -959,11 +957,13 @@ def _row_lists(draw):
 @example(("none", [{"diverges": True, "flag_in": np.int64(1), "p": np.float32(0.5)}]))
 @example(("empty dict", [{}, {}]))
 def test_row_lists_render_as_the_indented_reference(case):
-    _, rows = case
+    miss, rows = case
     payload = {"n": None, "rows": rows}
-    reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
-                           allow_nan=False, default=_json_default) + "\n"
-    assert canonical_json(payload) == reference
+    if miss == "int keys":  # which the walker refuses
+        with pytest.raises(TypeError, match="a dict key that is not a str"):
+            canonical_json(payload)
+        return
+    assert canonical_json(payload) == reference_json(payload)
 
 
 _LIST_MISSES = ("none", "empty", "nested")
@@ -973,7 +973,7 @@ _LIST_MISSES = ("none", "empty", "nested")
 def _scalar_lists(draw):
     """(miss, items): a list (or tuple) of scalars, inf and nan among them;
     unless miss is "none", the list is emptied or one item is replaced by a
-    container, so that the report walker must walk it item by item."""
+    container."""
     miss = draw(st.sampled_from(_LIST_MISSES))
     items = draw(st.lists(_row_scalars, min_size=1, max_size=8))
     if miss == "empty":
@@ -994,10 +994,8 @@ def _scalar_lists(draw):
 def test_report_fields_with_scalar_lists_render_as_the_indented_reference(lists, others):
     report = {**others, **{f"list{i}": items for i, (_, items) in enumerate(lists)}}
     payload = {"n": None, "report": report}
-    reference = json.dumps(_strict_numbers(payload), indent=2, sort_keys=True,
-                           allow_nan=False, default=_json_default) + "\n"
     # compared as lists of lines: pytest's diff of two long strings is slow
-    assert canonical_json(payload).split("\n") == reference.split("\n")
+    assert canonical_json(payload).split("\n") == reference_json(payload).split("\n")
 
 
 _INDEX_LIST_SIZES = {"one": (1, 1), "rows": (2, _FORMAT_EACH),
@@ -1027,15 +1025,12 @@ def test_index_lists_render_as_json_dumps_of_their_bitstrings(bits, pad):
     cli._render(bits, pad, out)
     # compared as lists of lines: pytest's diff of two long strings is slow
     assert "".join(out).split("\n" + pad) == reference.split("\n")
-    # in a report, in a list, and under int keys, which the reference
-    # encoder renders
+    # in a report and in a list
     first = _Bits(bits.indices[:1], bits.width)
-    payload = {"report": {"paradox_set": bits, "sets": [bits, first]},
-               "by_size": {len(states): bits}}
-    spelled = {"report": {"paradox_set": states, "sets": [states, states[:1]]},
-               "by_size": {len(states): states}}
+    payload = {"report": {"paradox_set": bits, "sets": [bits, first]}}
+    spelled = {"report": {"paradox_set": states, "sets": [states, states[:1]]}}
     assert canonical_json(payload).split("\n") == json.dumps(
-        spelled, indent=2, sort_keys=True, default=_json_default).split("\n") + [""]
+        spelled, indent=2, sort_keys=True).split("\n") + [""]
 
 
 _SPECIAL_VALUES = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-12,
@@ -1079,8 +1074,7 @@ def test_distribution_renders_as_json_dumps_of_its_entries(dist, pad):
     reference = json.dumps(entries, indent=2, sort_keys=True).split("\n")
     # compared as lists of lines: pytest's diff of two long strings is slow
     assert _indented(dist, pad).split("\n" + pad) == reference
-    # the report writer renders a top-level distribution with render_entries
-    # and a nested one through _indented
+    # and so does the report writer, a distribution in a dict or in a list
     payload = {"counts": None, "probabilities": dist, "z": [dist]}
     assert canonical_json(payload).split("\n") == json.dumps(
         {"counts": None, "probabilities": entries, "z": [entries]},
@@ -1136,12 +1130,10 @@ def _tables(draw):
 @given(_tables())
 def test_table_fields_render_as_json_dumps_of_their_rows(case):
     table, rows = case
-    reference = json.dumps(_strict_numbers({"n": None, "rows": rows}), indent=2,
-                           sort_keys=True, allow_nan=False, default=_json_default)
     # compared as lists of lines: pytest's diff of two long strings is slow
     assert canonical_json({"n": None, "rows": table}).split("\n") == (
-        reference.split("\n") + [""])
-    # a table nested deeper goes to the reference encoder as its list of dicts
+        reference_json({"n": None, "rows": rows}).split("\n"))
+    # the reference encoder spells a table as its list of dicts
     assert _json_default(table) == _strict_numbers(rows)
 
 
@@ -1170,6 +1162,18 @@ def test_emit_builds_pretty_text_only_under_pretty(tmp_path, capsys):
     _emit(argparse.Namespace(subcommand="verify", seed=3, out=None, pretty=True),
           {}, {}, {}, lambda: ["one", "two"])
     assert capsys.readouterr().out == "one\ntwo\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {1: "a"},
+    {"report": {2: ["a", 1.5], 10: []}},
+    {"a": 1, "b": [{"c": {np.int64(3): None}}]},
+    {"a": {np.str_("b"): 1}},
+    {"a": {None: 1}},
+], ids=repr)
+def test_dicts_whose_keys_are_not_all_str_are_refused(payload):
+    with pytest.raises(TypeError, match="a dict key that is not a str"):
+        canonical_json(payload)
 
 
 def test_failed_render_leaves_no_out_file(tmp_path):
@@ -1298,24 +1302,29 @@ def _with(payload, **changes):
     return out
 
 
-@pytest.mark.parametrize("text", [
-    json.dumps(_with(GOOD_CIRCUIT, targets=[1.5])),
-    json.dumps(_with(GOOD_CIRCUIT, roles=[1])),
-    json.dumps(GOOD_CIRCUIT).replace('"num_qubits": 2', '"num_qubits": 1e400'),
-    json.dumps(GOOD_CIRCUIT).replace('"kind": "X"', '"kind": "P"').replace(
-        '"angle": null', '"angle": true'),
-    json.dumps(GOOD_CIRCUIT).replace('"kind": "X"', '"kind": "P"').replace(
-        '"angle": null', '"angle": 1' + "0" * 400),
+@pytest.mark.parametrize("text, fault", [
+    (json.dumps(_with(GOOD_CIRCUIT, targets=[1.5])),
+     "qubit indices must be nonnegative integers, got (1.5,)"),
+    (json.dumps(_with(GOOD_CIRCUIT, roles=[1])), "roles must be an object, got [1]"),
+    (json.dumps(GOOD_CIRCUIT).replace('"num_qubits": 2', '"num_qubits": 1e400'),
+     "num_qubits must be an integer, got inf"),
+    (json.dumps(GOOD_CIRCUIT).replace('"kind": "X"', '"kind": "P"').replace(
+        '"angle": null', '"angle": true'), "gate angle must be a real number, got True"),
+    (json.dumps(GOOD_CIRCUIT).replace('"kind": "X"', '"kind": "P"').replace(
+        '"angle": null', '"angle": 1' + "0" * 400), "gate angle must be finite"),
+    (json.dumps(_with(GOOD_CIRCUIT, gates=[{"kind": "CNOT", "targets": [1], "controls": [0],
+                                            "polarities": ["sometimes"]}])),
+     "bad control polarity 'sometimes'"),
 ], ids=["float-target", "roles-list", "num-qubits-1e400", "boolean-angle",
-        "integer-angle-1e400"])
-def test_mistyped_circuit_file_is_parse_error(tmp_path, text):
+        "integer-angle-1e400", "bad-polarity"])
+def test_mistyped_circuit_file_is_parse_error(tmp_path, text, fault):
     path = tmp_path / "circuit.json"
     path.write_text(text, encoding="utf-8")
     code, out, err = call(["simulate", str(path)])
     assert code == 3
     assert out == ""
-    assert err.startswith(f"liarsim simulate: cannot parse circuit file {path}: "
-                          "malformed circuit payload: ")
+    assert err == (f"liarsim simulate: cannot parse circuit file {path}: "
+                   f"malformed circuit payload: {fault}\n")
     check_outcome(["simulate"], code, err)
 
 

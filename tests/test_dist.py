@@ -1,6 +1,7 @@
 """Distribution type, CSV parsing, and the bundled reference tables."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -72,11 +73,15 @@ def test_bad_values_rejected_from_mappings_and_arrays(kind, value, message):
 
 @pytest.mark.parametrize("state", ["01 ", "0x", "0", "011", "１0", "", 5])
 def test_bad_keys_rejected(state):
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises(ValueError, match=f"bad state {state!r} for width 2"):
         Distribution(2, {"00": 0.5, state: 0.5}, PROBABILITY)
-    if isinstance(state, str):
-        with pytest.raises(ValueError, match=f"bad state {state!r} for width 2"):
-            Distribution(2, {"00": 0.5, state: 0.5}, PROBABILITY)
+
+
+@pytest.mark.parametrize("state", [1, None, 1.5, (0, 1), b"01"], ids=repr)
+def test_keys_that_are_not_strings_are_bad_states(state):
+    # the string check must not call len() on them again
+    with pytest.raises(ValueError, match=f"^{re.escape(f'bad state {state!r}')} for width 2$"):
+        Distribution(2, {state: 0.5}, PROBABILITY)
 
 
 def test_bad_indices_rejected():

@@ -56,6 +56,18 @@ def test_noise_profile_defaults_and_validation():
         NoiseProfile(seed=-1)
 
 
+@pytest.mark.parametrize("rate", ["0.1", None, [0.1], True, 1j, float("nan")], ids=repr)
+@pytest.mark.parametrize("name", ["p_1q", "p_2q", "p_readout"])
+def test_noise_rates_must_be_real_numbers_in_range(name, rate):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        NoiseProfile(**{name: rate})
+
+
+@pytest.mark.parametrize("rate", [0, 1, 0.5, np.float32(0.25), np.int64(1)], ids=repr)
+def test_noise_rates_of_any_real_type_are_kept(rate):
+    assert NoiseProfile(p_1q=rate).p_1q == rate
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -199,6 +211,15 @@ def test_fidelity_estimate_closed_form():
     assert fidelity_estimate(3000, 0, profile) == pytest.approx(0.0498, abs=1e-4)
     with pytest.raises(ValueError):
         fidelity_estimate(-1, 0, profile)
+    assert fidelity_estimate(np.int64(30), 0, profile) == fidelity_estimate(30, 0, profile)
+
+
+@pytest.mark.parametrize("count", [float("nan"), 1.0, "1", None, True, [1], -1], ids=repr)
+def test_fidelity_estimate_takes_only_nonnegative_integer_counts(count):
+    profile = NoiseProfile()
+    for counts in ((count, 0), (0, count)):
+        with pytest.raises(ValueError, match="^gate counts must be nonnegative integers"):
+            fidelity_estimate(*counts, profile)
 
 
 def test_fidelity_estimate_strictly_decreasing():

@@ -325,6 +325,43 @@ def test_default_paradox_set_is_the_complement_in_index_order(width):
         MetricsConfig(consistent_set=tuple(everything)).resolve(width)
 
 
+@pytest.mark.parametrize("states, message", [
+    ([1001], "bad state 1001 in {what} for width 4"),
+    ([3], "bad state 3 in {what} for width 4"),
+    (["1001", None], "bad state None in {what} for width 4"),
+    ([("1", "0", "0", "1")], r"bad state \('1', '0', '0', '1'\) in {what} for width 4"),
+    (None, "{what} must be a collection of states, got None"),
+    (1001, "{what} must be a collection of states, got 1001"),
+    (1.5, "{what} must be a collection of states, got 1.5"),
+])
+def test_states_that_are_not_bitstrings_are_value_errors(states, message):
+    d = prob_dist(4, {"1001": 0.5, "1010": 0.5})
+    consistent = message.format(what="consistent_set")
+    paradox = message.format(what="paradox_set")
+    with pytest.raises(ValueError, match=f"^{consistent}$"):
+        consistency_fidelity(d, states)
+    with pytest.raises(ValueError, match=f"^{paradox}$"):
+        interference_suppression(d, d, states)
+    if states is None:  # which MetricsConfig takes as the default set
+        return
+    with pytest.raises(ValueError, match=f"^{consistent}$"):
+        full_report(d, d, MetricsConfig(consistent_set=states))
+    with pytest.raises(ValueError, match=f"^{paradox}$"):
+        full_report(d, d, MetricsConfig(consistent_set=("1001",), paradox_set=states))
+
+
+def test_string_state_messages_are_unchanged():
+    d = prob_dist(4, {"1001": 0.5, "1010": 0.5})
+    with pytest.raises(ValueError, match=r"^bad state '101' in consistent_set for width 4$"):
+        consistency_fidelity(d, ["101"])
+    with pytest.raises(ValueError, match=r"^bad state '10x1' in paradox_set for width 4$"):
+        interference_suppression(d, d, ["0000", "10x1"])
+    with pytest.raises(ValueError, match="^consistent_set must not be empty$"):
+        consistency_fidelity(d, [])
+    with pytest.raises(ValueError, match="^duplicate states in paradox_set$"):
+        interference_suppression(d, d, ["0000", "0000"])
+
+
 def test_default_paradox_set_stays_capped_at_16_qubits():
     with pytest.raises(ValueError, match="complement paradox set too large"):
         MetricsConfig(consistent_set=("0" * 17,)).resolve(17)

@@ -1,9 +1,17 @@
 """The package's public names, pinned: a name added to or dropped from
-`liarsim/__init__.py` changes this list in the same diff."""
+`liarsim/__init__.py` changes this list in the same diff.  Entry points given
+arguments of the wrong type refuse them with ValueError."""
 
 import types
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 import liarsim
+from liarsim import (Circuit, Distribution, MetricsConfig, NoiseProfile,
+                     consistency_fidelity, fidelity_estimate, full_report,
+                     interference_suppression)
 
 PUBLIC_NAMES = [
     "COUNTS", "CheckResult", "Chi2Result", "Circuit", "CostEstimate",
@@ -30,3 +38,40 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(liarsim).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+_D = Distribution(4, {"1001": 0.5, "1010": 0.5}, "probability")
+_ENTRY_POINTS = {
+    "Distribution state": lambda v: Distribution(
+        2, {tuple(v) if isinstance(v, list) else v: 0.5}, "probability"),
+    "consistency_fidelity set": lambda v: consistency_fidelity(_D, v),
+    "consistency_fidelity state": lambda v: consistency_fidelity(_D, [v]),
+    "interference_suppression set": lambda v: interference_suppression(_D, _D, v),
+    "interference_suppression state": lambda v: interference_suppression(_D, _D, [v]),
+    "full_report consistent state": lambda v: full_report(
+        _D, _D, MetricsConfig(consistent_set=[v])),
+    "full_report paradox set": lambda v: full_report(
+        _D, _D, MetricsConfig(consistent_set=["1001"], paradox_set=v)),
+    "Circuit gates": lambda v: Circuit(2, gates=v),
+    "Circuit gate": lambda v: Circuit(2, gates=[v]),
+    "Circuit roles": lambda v: Circuit(2, roles=v),
+    "Circuit.add": lambda v: Circuit(2).add(v),
+    "NoiseProfile p_1q": lambda v: NoiseProfile(p_1q=v),
+    "NoiseProfile p_2q": lambda v: NoiseProfile(p_2q=v),
+    "NoiseProfile p_readout": lambda v: NoiseProfile(p_readout=v),
+    "fidelity_estimate g_2q": lambda v: fidelity_estimate(v, 0, NoiseProfile()),
+    "fidelity_estimate g_1q": lambda v: fidelity_estimate(0, v, NoiseProfile()),
+}
+_WRONG_TYPES = st.one_of(
+    st.none(), st.text(max_size=6), st.floats(),
+    st.lists(st.none() | st.integers() | st.text(max_size=4), max_size=3),
+    st.builds(object))
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+@given(value=_WRONG_TYPES)
+def test_wrong_typed_arguments_raise_only_value_error(entry, value):
+    try:
+        _ENTRY_POINTS[entry](value)
+    except ValueError:
+        pass
