@@ -49,6 +49,12 @@ def _is_int(value) -> bool:
                                   and not isinstance(value, bool))
 
 
+def _check_type(value, cls: type, name: str) -> None:
+    """ValueError naming the argument when value is not a cls."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def _as_tuple(value, name: str) -> tuple:
     """A list or tuple gate field as a tuple; anything else is refused by the
     field's name."""

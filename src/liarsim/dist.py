@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import numbers
 from collections.abc import Mapping, Sequence
 from importlib import resources
 from itertools import chain, repeat
@@ -38,6 +39,11 @@ _BUNDLED_TABLES = {
     "simulation": "table_s1_simulation.csv",
     "hardware": "table_s1_hardware.csv",
 }
+
+
+# The value types a mapping's values come in on every common path; any other
+# type is checked one value at a time.
+_PLAIN_VALUES = {float, int}
 
 
 def _check_bitstring(state: str, width: int) -> None:
@@ -170,9 +176,18 @@ class Distribution:
         if entries is not None:
             if indices is not None or values is not None:
                 raise ValueError("pass entries or indices and values, not both")
+            if type(entries) is not dict and not isinstance(entries, Mapping):
+                raise ValueError(f"entries must be a mapping of states to values, "
+                                 f"got {type(entries).__name__}")
             states = list(entries)
             indices = _parse_states(states, width)
-            values = np.fromiter(entries.values(), dtype=np.float64, count=len(states))
+            given = entries.values()
+            if not _PLAIN_VALUES.issuperset(map(type, given)):
+                for state, value in zip(states, given):
+                    # np.bool_ is no numbers.Real; bool is, as a subclass of int
+                    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                        raise ValueError(f"bad value {value!r} for state {state}")
+            values = np.fromiter(given, dtype=np.float64, count=len(states))
             # the caller's keys are the bitstrings: no need to render them again
             known = dict(zip(states, values.tolist()))
         elif indices is None or values is None:
@@ -214,7 +229,8 @@ class Distribution:
         if not indices.size:
             return
         if indices.size > 1 and not (indices[1:] > indices[:-1]).all():
-            if np.unique(indices).size != indices.size:
+            ordered = np.sort(indices)  # a flagless np.unique imports numpy.ma
+            if (ordered[1:] == ordered[:-1]).any():
                 raise ValueError("duplicate state indices")
             low, high = indices.min(), indices.max()
         else:  # ascending: the ends bound the rest
@@ -386,14 +402,16 @@ def _parse_rows(rows: list[list[str]], column: str, where: str) -> Distribution:
     if column not in available:
         raise ValueError(f"{where}: no {column!r} column in header {header}")
     value_at = header.index(column)
+    columns = len(header)
+    parse = int if column == COUNTS else float
 
     entries: dict[str, float] = {}
     width = None
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) != len(header):
-            raise ValueError(f"{where}:{lineno}: expected {len(header)} columns")
+        if len(row) != columns:
+            raise ValueError(f"{where}:{lineno}: expected {columns} columns")
         state = row[0].strip()
         if width is None:
             width = len(state)  # the Distribution checks every state against it
@@ -401,10 +419,9 @@ def _parse_rows(rows: list[list[str]], column: str, where: str) -> Distribution:
             raise ValueError(f"{where}:{lineno}: duplicate state {state}")
         raw = row[value_at].strip()
         try:
-            value = int(raw) if column == COUNTS else float(raw)
-        except ValueError as exc:
+            entries[state] = float(parse(raw))
+        except (ValueError, OverflowError) as exc:  # overflow: a count past float range
             raise ValueError(f"{where}:{lineno}: bad {column} value {raw!r}") from exc
-        entries[state] = float(value)
     if width is None:
         raise ValueError(f"{where}: no data rows")
     return Distribution(width=width, entries=entries, kind=column)

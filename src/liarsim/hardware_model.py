@@ -12,9 +12,10 @@ take one of two paths, picked by the circuit alone.  Without an H gate every
 gate and Pauli maps a basis state to a basis state, so a faulty shot is one
 int64 basis index, its Pauli frame (Gidney, "Stim: a fast stabilizer circuit
 simulator", Quantum 5, 497 (2021), restricted to monomial circuits): all
-faulty shots of a chunk go through the gates together.  With an H, each
-distinct fault signature is simulated once on the dense kernel.  Both paths
-give the counts of the same draws.
+faulty shots of a chunk go through the gates together.  With an H, the
+distinct fault signatures of a chunk run as the rows of stacked dense states,
+each gate applied once per stack.  Both paths give the counts of the same
+draws.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from operator import itemgetter
 
 import numpy as np
 
-from .circuit import (NEGATED, POSITIVE, Circuit, _is_int, ccx,
+from .circuit import (NEGATED, POSITIVE, Circuit, _check_type, _is_int, ccx,
                       toffoli_decompose)
 from .dist import COUNTS, Distribution
-from .statevec import (DEFAULT_SEED, MAX_SHOTS, StateVector, _monomial_step,
-                       _sampling_table, apply_gate, apply_pauli, init_zero,
-                       run_circuit)
+from .statevec import (DEFAULT_SEED, MAX_SHOTS, StateVector, _act,
+                       _monomial_step, _sampling_table, _selects, run_circuit)
 
 BUNDLED_GRAPH_NAME = "heavy_hex_example.txt"
 # Graphs hold per-node lists, so node counts and indices are checked against
@@ -200,6 +200,7 @@ def fidelity_estimate(g_2q: int, g_1q: int, profile: NoiseProfile) -> float:
     if not (_is_int(g_2q) and _is_int(g_1q) and g_2q >= 0 and g_1q >= 0):
         raise ValueError(f"gate counts must be nonnegative integers, "
                          f"got {g_2q!r} and {g_1q!r}")
+    _check_type(profile, NoiseProfile, "profile")
     return float(math.exp(-(profile.p_2q * g_2q + profile.p_1q * g_1q)))
 
 
@@ -282,6 +283,11 @@ def routing_estimate(circuit: Circuit, graph: CouplingGraph,
     the result equals gate_census(expand_toffolis(circuit)) plus the
     shortest-path distance of every expanded two-qubit interaction: closed
     form on a path or ring, one BFS per distinct source on any other graph."""
+    _check_type(circuit, Circuit, "circuit")
+    _check_type(graph, CouplingGraph, "graph")
+    if profile is None:
+        profile = NoiseProfile()
+    _check_type(profile, NoiseProfile, "profile")
     if layout is None:
         if circuit.num_qubits > graph.num_nodes:
             raise ValueError(f"circuit has {circuit.num_qubits} qubits but the "
@@ -349,8 +355,6 @@ def routing_estimate(circuit: Circuit, graph: CouplingGraph,
     # far below 2**53, and int / int rounds the true quotient once
     mean_distance = sum(distances) / len(distances) if distances else 0.0
     swap_overhead = 2 * sum((d - 1) * 3 for d in distances)
-    if profile is None:
-        profile = NoiseProfile()
     fidelity = fidelity_estimate(count_2q, count_1q, profile)
     return CostEstimate(
         g_1q=count_1q,
@@ -368,6 +372,10 @@ def routing_estimate(circuit: Circuit, graph: CouplingGraph,
 # Uniform draws held in memory at once; shots are processed in chunks of
 # max(1, _CHUNK_DRAWS // block).  Results do not depend on it.
 _CHUNK_DRAWS = 1 << 16
+# Amplitudes held at once by the faulty shots of a circuit with an H: their
+# fault signatures run max(1, _STACK_AMPS >> n) to a stack.  Results do not
+# depend on it.
+_STACK_AMPS = 1 << 16
 
 
 def _outcome_table(state: StateVector):
@@ -409,6 +417,76 @@ def _frame_outcomes(gates: list, fault: np.ndarray, qubit_slot: np.ndarray,
     return frame
 
 
+def _signature_states(gates: list, num_qubits: int, signatures: np.ndarray):
+    """The final dense state of each fault signature, a row of signatures
+    (one code per gate: 0 for no fault, else 1 + 3 * (index into
+    gate.qubits) + Pauli), in stacks: yields (first, amps), amps holding the
+    states of signatures first, first + 1, ... as the rows of one
+    (rows, 2**n) array.  Each gate is applied once to every row of a stack,
+    and each Pauli to the rows that have it at that gate.  A row gets the
+    arithmetic of its own dense run (statevec._act), except under a P or CP
+    that spans the whole register, so such a circuit stacks one row at a
+    time; any other stacks max(1, _STACK_AMPS >> n) rows."""
+    spans = any(gate.kind in ("P", "CP") and len(gate.qubits) == num_qubits
+                for gate in gates)
+    stack = 1 if spans else max(1, _STACK_AMPS >> num_qubits)
+    for first in range(0, len(signatures), stack):
+        block = signatures[first:first + stack]
+        rows = len(block)
+        amps = np.zeros((rows, 1 << num_qubits), dtype=np.complex128)
+        amps[:, 0] = 1.0
+        flat = amps.reshape(-1)
+        faulted = block.any(axis=0)
+        for k, gate in enumerate(gates):
+            _act(flat, num_qubits, gate.kind, gate.qubits, _selects(gate), gate.angle, rows)
+            if not faulted[k]:
+                continue
+            column = block[:, k]
+            for code in set(column[column != 0].tolist()):  # disjoint rows, any order
+                slot, which = divmod(code - 1, 3)
+                hit = np.flatnonzero(column == code)
+                picked = amps[hit]
+                _act(picked.reshape(-1), num_qubits, "XYZ"[which],
+                     (gate.qubits[slot],), rows=len(hit))
+                amps[hit] = picked
+        yield first, amps
+
+
+def _signature_outcomes(gates: list, num_qubits: int, codes: np.ndarray,
+                        u: np.ndarray) -> np.ndarray:
+    """Final basis index of each faulty shot of a circuit with an H; codes
+    holds one row per shot and one column per gate, as _signature_states
+    reads them, and u each shot's outcome draw.  The distinct rows of codes
+    run once each, stacked; each shot is then drawn from its row's
+    cumulative Born distribution with the arithmetic of _outcome_table and
+    _draw_outcomes on a dense state: the row's sum and cumsum give the 1-D
+    calls' values, and counting the entries <= u is searchsorted(side="right")."""
+    signatures, group = np.unique(codes, axis=0, return_inverse=True)
+    group = group.reshape(-1)  # NumPy 2.0.0 returns it as a column
+    order = np.argsort(group, kind="stable")  # the shots, signature by signature
+    ranked = group[order]
+    last = (1 << num_qubits) - 1
+    draws = max(1, _STACK_AMPS >> num_qubits)  # shots compared at once
+    outcomes = np.empty(len(group), dtype=np.int64)
+    taken = 0
+    for first, amps in _signature_states(gates, num_qubits, signatures):
+        probs = np.abs(amps) ** 2
+        probs /= probs.sum(axis=1, keepdims=True)
+        cumulative = np.cumsum(probs, axis=1)
+        end = int(np.searchsorted(ranked, first + len(amps)))
+        if len(amps) == 1:  # one row: all its shots by one searchsorted
+            shots = order[taken:end]
+            outcomes[shots] = np.minimum(
+                np.searchsorted(cumulative[0], u[shots], side="right"), last)
+        else:
+            for start in range(taken, end, draws):
+                shots = order[start:min(start + draws, end)]
+                below = cumulative[group[shots] - first] <= u[shots, None]
+                outcomes[shots] = np.minimum(np.count_nonzero(below, axis=1), last)
+        taken = end
+    return outcomes
+
+
 def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
                  first_shot: int = 0, ideal: StateVector | None = None) -> Distribution:
     """Sample the circuit under the noise profile.
@@ -423,12 +501,17 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
     through the gates together as basis-index frames (_frame_outcomes); their
     outcome draw goes unused, since a one-state distribution gives the same
     index for every draw.  Faulty shots of a circuit with an H are grouped by
-    fault signature (gate index, qubit, Pauli), and each signature is
-    simulated once on the dense kernel.
+    fault signature (gate index, qubit, Pauli); the signatures run as the
+    rows of stacked dense states, each gate applied once to a whole stack and
+    each Pauli to its rows, and each shot is drawn from its row in one
+    vectorized compare (_signature_outcomes).  Every row gets the arithmetic
+    of its own dense run, so the counts are those of one run per signature.
     `ideal` is the circuit's output state from |0...0>, when the caller has
     already run it; otherwise it is simulated here.  A support-held ideal is
     read on its support.
     """
+    _check_type(circuit, Circuit, "circuit")
+    _check_type(profile, NoiseProfile, "profile")
     if not (_is_int(shots) and 1 <= shots <= MAX_SHOTS):
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots!r}")
     if not (_is_int(first_shot) and first_shot >= 0):
@@ -437,9 +520,11 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
     n = circuit.num_qubits
     if ideal is None:
         ideal = run_circuit(circuit)
-    elif ideal.num_qubits != n:
-        raise ValueError(f"ideal state has {ideal.num_qubits} qubits, "
-                         f"circuit has {n}")
+    else:
+        _check_type(ideal, StateVector, "ideal")
+        if ideal.num_qubits != n:
+            raise ValueError(f"ideal state has {ideal.num_qubits} qubits, "
+                             f"circuit has {n}")
     gates = list(circuit.gates)
     g = len(gates)
     block = -(-(3 * g + 1 + n) // 4) * 4
@@ -473,18 +558,8 @@ def noisy_sample(circuit: Circuit, profile: NoiseProfile, shots: int,
             else:
                 # code 0: no fault; else 1 + 3 * (index into gate.qubits) + Pauli
                 codes = np.where(fault[faulty], 1 + 3 * qubit_slot + pauli, 0)
-                signatures, group = np.unique(codes, axis=0, return_inverse=True)
-                group = group.reshape(-1)  # NumPy 2.0.0 returns it as a column
-                for sid, signature in enumerate(signatures):
-                    state = init_zero(n)
-                    for gate, code in zip(gates, signature.tolist()):
-                        apply_gate(state, gate)
-                        if code:
-                            slot, which = divmod(code - 1, 3)
-                            apply_pauli(state, "XYZ"[which], gate.qubits[slot])
-                    rows = faulty[group == sid]
-                    outcomes[rows] = _draw_outcomes(_outcome_table(state),
-                                                    u[rows, outcome_col])
+                outcomes[faulty] = _signature_outcomes(gates, n, codes,
+                                                       u[faulty, outcome_col])
         if profile.p_readout > 0.0:
             flips = u[:, outcome_col + 1:outcome_col + 1 + n] < profile.p_readout
             outcomes ^= flips @ bit_weights

@@ -20,7 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .circuit import _is_int
+from .circuit import _check_type, _is_int
 from .dist import COUNTS, Distribution, _Bits, bitstrings
 
 DEFAULT_CONSISTENT = ("1001", "1010")
@@ -59,7 +59,12 @@ def _mass(dist: Distribution, states: np.ndarray) -> float:
 
 def _aligned(p: Distribution, a: np.ndarray, q: Distribution, b: np.ndarray):
     """a and b, the values of p's and q's entries, on their ascending union."""
-    states = np.union1d(p.indices, q.indices)
+    # the ascending union by a sort and a neighbour mask: np.union1d would
+    # import numpy.ma, a few milliseconds of every metrics process
+    states = np.sort(np.concatenate((p.indices, q.indices)))
+    first = np.ones(states.size, dtype=bool)
+    first[1:] = states[1:] != states[:-1]
+    states = states[first]
     out = np.zeros((2, states.size))
     out[0, np.searchsorted(states, p.indices)] = a
     out[1, np.searchsorted(states, q.indices)] = b
@@ -68,12 +73,15 @@ def _aligned(p: Distribution, a: np.ndarray, q: Distribution, b: np.ndarray):
 
 def consistency_fidelity(dist: Distribution, consistent_set) -> float:
     """Probability mass on the designated consistent outcomes."""
+    _check_type(dist, Distribution, "dist")
     return _mass(dist, _check_states(consistent_set, dist.width, "consistent_set"))
 
 
 def tv_distance(p: Distribution, q: Distribution) -> float:
     """Total variation distance (1/2) * sum |p - q| over the union support,
     summed in ascending state order so the float result is reproducible."""
+    _check_type(p, Distribution, "p")
+    _check_type(q, Distribution, "q")
     if p.width != q.width:
         raise ValueError(f"width mismatch: {p.width} vs {q.width}")
     a, b = _aligned(p, _probabilities(p), q, _probabilities(q))
@@ -87,6 +95,8 @@ def interference_suppression(experimental: Distribution, ideal: Distribution,
     Undefined when the ideal assigns (numerically) no mass to the paradox
     set; that case raises instead of returning a misleading number.
     """
+    _check_type(experimental, Distribution, "experimental")
+    _check_type(ideal, Distribution, "ideal")
     if experimental.width != ideal.width:
         raise ValueError("width mismatch between experimental and ideal")
     return _suppression(experimental, ideal,
@@ -106,6 +116,7 @@ def _suppression(experimental: Distribution, ideal: Distribution,
 
 def z_flag(dist: Distribution, flag_index: int) -> float:
     """Flag polarization P(flag=0) - P(flag=1), normalized by total mass."""
+    _check_type(dist, Distribution, "dist")
     if not (_is_int(flag_index) and 0 <= flag_index < dist.width):
         raise ValueError(f"flag index {flag_index!r} out of range for width {dist.width}")
     probs = _probabilities(dist)
@@ -216,6 +227,8 @@ def chi_squared_gof(observed: Distribution, expected: Distribution) -> Chi2Resul
     The expected distribution is normalized to a unit-sum shape, so a
     degenerate single-bin pooling always yields statistic 0 and p-value 1.
     """
+    _check_type(observed, Distribution, "observed")
+    _check_type(expected, Distribution, "expected")
     if observed.kind != COUNTS:
         raise ValueError("chi-squared needs observed counts, not probabilities")
     if observed.width != expected.width:
@@ -341,6 +354,9 @@ def _report(experimental: Distribution, ideal: Distribution,
             config: MetricsConfig) -> dict:
     """full_report's fields by name, with consistent_set and paradox_set as
     dist._Bits: the sets' int64 indices in listed order, and the width."""
+    _check_type(experimental, Distribution, "experimental")
+    _check_type(ideal, Distribution, "ideal")
+    _check_type(config, MetricsConfig, "config")
     width = experimental.width
     if width != ideal.width:
         raise ValueError("width mismatch between experimental and ideal")

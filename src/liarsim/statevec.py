@@ -8,6 +8,15 @@ between them, then acts in place on basic-slice views of that shape; no
 2**n x 2**n matrix is ever materialized here.  Outcome distributions are
 built straight from the index and value arrays; no bitstring is rendered.
 
+The kernel, _act, takes a row count: rows states of n qubits held back to
+back, as a (rows, 2**n) array, are one array whose outermost axis the row
+count is folded into, so one call applies a gate to every row.  apply_gate
+and apply_pauli are its one-row case.  Each row gets the elementwise
+arithmetic it would get alone, to the bit, with one exception: a P or CP
+that spans the whole register multiplies a one-element view per row, which
+NumPy rounds differently from the longer view of stacked rows.  The noise
+sampler stacks its fault signatures this way (hardware_model).
+
 X, CNOT, CCX, P and CP each map a basis state to one basis state times a
 phase, so an H is the only gate that can grow the set of nonzero amplitudes,
 and it at most doubles it.  From |0...0> on a wide register run_circuit keeps
@@ -115,12 +124,15 @@ def basis_state(index: int, num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def _branches(amps: np.ndarray, num_qubits: int, qubits: tuple[int, ...]):
+def _branches(amps: np.ndarray, num_qubits: int, qubits: tuple[int, ...],
+              rows: int = 1):
     """Return pick(*bits): the view of amps where qubits[i] == bits[i].
 
-    The flat array is reshaped to at most 2k+1 axes for k qubits: a length-2
-    axis per listed qubit and, between them, one axis per run of other
-    qubits.  Picks are basic slices, so writes go through to amps.
+    amps holds rows states of num_qubits back to back.  The flat array is
+    reshaped to at most 2k+1 axes for k qubits: a length-2 axis per listed
+    qubit and, between them, one axis per run of other qubits, the row count
+    folded into the outermost.  Picks are basic slices, so writes go through
+    to amps.
     """
     shape = []
     axis = {}
@@ -130,6 +142,7 @@ def _branches(amps: np.ndarray, num_qubits: int, qubits: tuple[int, ...]):
         axis[q] = len(shape) - 1
         above = q
     shape.append(1 << above)
+    shape[0] *= rows
     tensor = amps.reshape(shape)
 
     def pick(*bits):
@@ -152,14 +165,14 @@ def _check_fits(gates, num_qubits: int) -> None:
             )
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place and return the same StateVector."""
-    _check_fits((gate,), state.num_qubits)
-    pick = _branches(state.amplitudes, state.num_qubits, gate.qubits)
-    # controls come first in gate.qubits, so select their active branch
-    sel = tuple(0 if pol == NEGATED else 1 for pol in gate.polarities)
-    kind = gate.kind
-
+def _act(amps: np.ndarray, num_qubits: int, kind: str, qubits: tuple[int, ...],
+         sel: tuple[int, ...] = (), angle: float | None = None, rows: int = 1) -> None:
+    """The dense kernel: apply one gate, or the Pauli Y or Z, in place to each
+    of the rows states of num_qubits held back to back in amps.  qubits lists
+    the controls first, sel the branch each control must read.  A P or CP
+    that spans the whole register must run one row at a time (see the module
+    docstring)."""
+    pick = _branches(amps, num_qubits, qubits, rows)
     if kind == "H":
         lo, hi = pick(0), pick(1)
         plus = lo + hi
@@ -173,9 +186,29 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         hi[...] = tmp
     elif kind in ("P", "CP"):
         phased = pick(*sel, 1)
-        phased *= np.exp(1j * gate.angle)
-    else:  # unreachable: Gate validates its kind
+        phased *= np.exp(1j * angle)
+    elif kind == "Y":
+        lo, hi = pick(0), pick(1)
+        tmp = lo.copy()
+        np.multiply(-1j, hi, out=lo)
+        np.multiply(1j, tmp, out=hi)
+    elif kind == "Z":
+        hi = pick(1)
+        np.negative(hi, out=hi)
+    else:  # unreachable: Gate and apply_pauli validate the kind
         raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def _selects(gate: Gate) -> tuple[int, ...]:
+    """The branch each of the gate's controls must read: 1, or 0 when negated."""
+    return tuple(0 if pol == NEGATED else 1 for pol in gate.polarities)
+
+
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """Apply one gate in place and return the same StateVector."""
+    _check_fits((gate,), state.num_qubits)
+    _act(state.amplitudes, state.num_qubits, gate.kind, gate.qubits,
+         _selects(gate), gate.angle)
     return state
 
 
@@ -249,20 +282,9 @@ def apply_pauli(state: StateVector, pauli: str, qubit: int) -> StateVector:
     and Z are not part of the circuit gate set."""
     if not (_is_int(qubit) and 0 <= qubit < state.num_qubits):
         raise ValueError(f"qubit {qubit!r} out of range")
-    pick = _branches(state.amplitudes, state.num_qubits, (qubit,))
-    lo, hi = pick(0), pick(1)
-    if pauli == "X":
-        tmp = lo.copy()
-        lo[...] = hi
-        hi[...] = tmp
-    elif pauli == "Y":
-        tmp = lo.copy()
-        np.multiply(-1j, hi, out=lo)
-        np.multiply(1j, tmp, out=hi)
-    elif pauli == "Z":
-        np.negative(hi, out=hi)
-    else:
+    if pauli not in ("X", "Y", "Z"):
         raise ValueError(f"unknown Pauli {pauli!r}")
+    _act(state.amplitudes, state.num_qubits, pauli, (qubit,))
     return state
 
 

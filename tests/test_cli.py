@@ -538,6 +538,26 @@ def test_scipy_stays_out_of_the_runtime(tmp_path):
     assert result.stdout == "[]\n"
 
 
+MASKED_FREE = """
+import sys
+import numpy as np
+import liarsim.cli
+from liarsim.dist import COUNTS, Distribution
+assert liarsim.cli.main(["metrics", "--exp", "bundled:hardware", "--ideal",
+                         "bundled:simulation", "--column", "counts", "--out", sys.argv[1]]) == 0
+Distribution(2, None, COUNTS, indices=np.array([3, 0, 2]), values=np.ones(3))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_metrics_leaves_numpy_ma_unimported(tmp_path):
+    # np.union1d and a flagless np.unique import numpy.ma, a few milliseconds
+    # of every metrics process; the union and the duplicate check sort instead
+    result = subprocess.run([sys.executable, "-c", MASKED_FREE, str(tmp_path / "m.json")],
+                            env=cli_env("0"), capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
+
+
 ZERO_COUNTS = "state,counts\n1001,0\n1010,0\n"
 
 

@@ -71,6 +71,27 @@ def test_bad_values_rejected_from_mappings_and_arrays(kind, value, message):
                      values=np.array([1.0, value]))
 
 
+@pytest.mark.parametrize("value", ["0.5", True, False, None, np.True_, [0.5], 1j],
+                         ids=repr)
+def test_values_that_are_not_real_numbers_are_bad_values(value):
+    # np.fromiter would parse "0.5", read True as 1.0 and None as nan
+    with pytest.raises(ValueError, match=f"^{re.escape(f'bad value {value!r}')} for state 10$"):
+        Distribution(2, {"00": 0.5, "10": value}, PROBABILITY)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(1),
+                                   np.uint8(1)], ids=repr)
+def test_numpy_numbers_are_values(value):
+    dist = Distribution(2, {"00": 0.0, "10": value}, PROBABILITY)
+    assert dist.values.tolist() == [0.0, float(value)]
+
+
+@pytest.mark.parametrize("entries", [5, "00", [("00", 1.0)], {"00"}], ids=repr)
+def test_entries_must_be_a_mapping(entries):
+    with pytest.raises(ValueError, match="^entries must be a mapping of states to values"):
+        Distribution(2, entries, PROBABILITY)
+
+
 @pytest.mark.parametrize("state", ["01 ", "0x", "0", "011", "１0", "", 5])
 def test_bad_keys_rejected(state):
     with pytest.raises(ValueError, match=f"bad state {state!r} for width 2"):
@@ -312,9 +333,10 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ValueError, match=r"bad\.csv:3: duplicate state"):
         read_distribution_csv(path)
 
-    path.write_text("state,counts\n00,many\n")
-    with pytest.raises(ValueError, match=r"bad\.csv:2: bad counts"):
-        read_distribution_csv(path)
+    for count in ("many", "9" * 400):  # 10**400 has no float
+        path.write_text(f"state,counts\n00,{count}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:2: bad counts"):
+            read_distribution_csv(path)
 
     path.write_text("outcome,n\n00,5\n")
     with pytest.raises(ValueError, match="unrecognized header"):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liarsim import hardware_model
@@ -20,7 +20,8 @@ from liarsim.hardware_model import (MAX_GRAPH_NODES, CostEstimate,
                                     make_graph, noisy_sample, parse_graph_text,
                                     routing_estimate)
 from liarsim.metrics import chi_squared_gof, consistency_fidelity, tv_distance
-from liarsim.statevec import MAX_SHOTS, StateVector, probabilities, run_circuit
+from liarsim.statevec import (MAX_SHOTS, StateVector, apply_gate, apply_pauli,
+                              init_zero, probabilities, run_circuit)
 
 from noise_oracle import noisy_distribution, noisy_probabilities, readout_matrix
 from sampler_oracle import signature_sample
@@ -574,13 +575,100 @@ def test_frame_path_matches_the_signature_sampler(circuit, p_1q, p_2q, p_readout
     # shard by shard, whatever the chunking
     profile = NoiseProfile(p_1q, p_2q, p_readout, seed=seed)
     with mock.patch.object(hardware_model, "_CHUNK_DRAWS", chunk_draws), \
-            mock.patch.object(hardware_model, "init_zero") as dense_start:
+            mock.patch.object(hardware_model, "_signature_outcomes") as stacked:
         first = noisy_sample(circuit, profile, head)
         second = noisy_sample(circuit, profile, tail, first_shot=head)
-    assert dense_start.call_count == 0  # no shot took the per-signature path
+    assert stacked.call_count == 0  # no shot took the stacked dense path
     assert _same_counts(first, signature_sample(circuit, profile, head))
     assert _same_counts(second, signature_sample(circuit, profile, tail, first_shot=head))
     assert _merge(first, second) == noisy_sample(circuit, profile, head + tail).entries
+
+
+@st.composite
+def _h_circuits(draw):
+    """A circuit on 1-11 qubits with at least one H among X, CNOT, CCX, P
+    and CP gates, each control positive or negated."""
+    n = draw(st.integers(1, 11))
+    kinds = ["H"] + [kind for kind, controls in _CONTROLS.items() if controls < n]
+    gates = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "H":
+            gates.append(h(draw(st.integers(0, n - 1))))
+            continue
+        *controls, target = draw(st.permutations(range(n)))[:_CONTROLS[kind] + 1]
+        polarities = tuple(draw(st.sampled_from([POSITIVE, NEGATED])) for _ in controls)
+        angle = draw(st.floats(-4.0, 4.0)) if kind in ("P", "CP") else None
+        gates.append(Gate(kind, (target,), tuple(controls), polarities, angle))
+    gates.insert(draw(st.integers(0, len(gates))), h(draw(st.integers(0, n - 1))))
+    return Circuit(n, gates)
+
+
+@given(circuit=_h_circuits(), p_1q=_RATES, p_2q=_RATES,
+       p_readout=st.sampled_from([0.0, 0.015, 0.5, 1.0]),
+       seed=st.integers(0, 2**40),
+       chunk_draws=st.sampled_from([1, 100, 250, hardware_model._CHUNK_DRAWS]),
+       stack_amps=st.sampled_from([1, 8, 100, hardware_model._STACK_AMPS]),
+       head=st.integers(1, 150), tail=st.integers(1, 150))
+# P or CP across the whole register: stacked rows would round it differently
+@example(circuit=Circuit(1, [h(0), p(0.7, 0), h(0)]), p_1q=0.5, p_2q=0.5,
+         p_readout=0.0, seed=3, chunk_draws=250,
+         stack_amps=hardware_model._STACK_AMPS, head=150, tail=150)
+@example(circuit=Circuit(2, [h(0), h(1), cp(1.3, 0, 1, NEGATED), h(0)]), p_1q=0.3,
+         p_2q=0.6, p_readout=0.015, seed=5, chunk_draws=hardware_model._CHUNK_DRAWS,
+         stack_amps=hardware_model._STACK_AMPS, head=150, tail=150)
+@settings(max_examples=80, deadline=None)
+def test_stacked_signatures_match_the_signature_sampler(circuit, p_1q, p_2q, p_readout,
+                                                       seed, chunk_draws, stack_amps,
+                                                       head, tail):
+    # faulty shots of a circuit with an H run as the rows of stacked dense
+    # states; one dense run per signature must give the same counts, shard
+    # by shard, whatever the chunking and the stack size
+    profile = NoiseProfile(p_1q, p_2q, p_readout, seed=seed)
+    with mock.patch.object(hardware_model, "_CHUNK_DRAWS", chunk_draws), \
+            mock.patch.object(hardware_model, "_STACK_AMPS", stack_amps):
+        first = noisy_sample(circuit, profile, head)
+        second = noisy_sample(circuit, profile, tail, first_shot=head)
+    assert _same_counts(first, signature_sample(circuit, profile, head))
+    assert _same_counts(second, signature_sample(circuit, profile, tail, first_shot=head))
+
+
+def _dense_run(circuit, signature) -> np.ndarray:
+    """The signature's final state by one dense run: each gate, then its
+    fault's Pauli."""
+    state = init_zero(circuit.num_qubits)
+    for gate, code in zip(circuit.gates, signature):
+        apply_gate(state, gate)
+        if code:
+            slot, which = divmod(code - 1, 3)
+            apply_pauli(state, "XYZ"[which], gate.qubits[slot])
+    return state.amplitudes
+
+
+_SPANNING = {  # a P or CP on the whole register, between H gates
+    "p-on-1": Circuit(1, [h(0), p(0.7, 0), h(0), p(-2.1, 0)]),
+    "cp-on-2": Circuit(2, [h(0), h(1), cp(1.3, 0, 1, NEGATED), h(0), cp(0.4, 1, 0)]),
+}
+
+
+@given(circuit=_h_circuits() | st.sampled_from(list(_SPANNING.values())),
+       seed=st.integers(0, 2**32 - 1), signatures=st.integers(1, 40),
+       stack_amps=st.sampled_from([1, 8, 100, hardware_model._STACK_AMPS]))
+@settings(max_examples=80, deadline=None)
+def test_stacked_signature_states_are_their_dense_runs(circuit, seed, signatures,
+                                                       stack_amps):
+    # each row of a stack holds the bytes of its signature's own dense run
+    rng = np.random.default_rng(seed)
+    arity = np.array([len(gate.qubits) for gate in circuit.gates])
+    codes = np.where(rng.random((signatures, len(arity))) < 0.5, 0,
+                     1 + rng.integers(0, 3 * arity, (signatures, len(arity))))
+    with mock.patch.object(hardware_model, "_STACK_AMPS", stack_amps):
+        stacks = list(hardware_model._signature_states(
+            list(circuit.gates), circuit.num_qubits, codes))
+    assert [first for first, _ in stacks] == list(range(0, signatures, len(stacks[0][1])))
+    rows = np.concatenate([amps for _, amps in stacks])
+    for signature, row in zip(codes.tolist(), rows, strict=True):
+        assert row.tobytes() == _dense_run(circuit, signature).tobytes()
 
 
 @pytest.mark.parametrize("circuit", [

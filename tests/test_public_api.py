@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import liarsim
 from liarsim import (Circuit, Distribution, MetricsConfig, NoiseProfile,
+                     build_liar_reference, chi_squared_gof,
                      consistency_fidelity, fidelity_estimate, full_report,
-                     interference_suppression)
+                     interference_suppression, make_graph, noisy_sample,
+                     routing_estimate, tv_distance)
 
 PUBLIC_NAMES = [
     "COUNTS", "CheckResult", "Chi2Result", "Circuit", "CostEstimate",
@@ -41,9 +43,13 @@ def test_public_names_are_pinned():
 
 
 _D = Distribution(4, {"1001": 0.5, "1010": 0.5}, "probability")
+_COUNTS = Distribution(4, {"1001": 3, "0110": 1}, "counts")
+_LIAR = build_liar_reference()
 _ENTRY_POINTS = {
     "Distribution state": lambda v: Distribution(
         2, {tuple(v) if isinstance(v, list) else v: 0.5}, "probability"),
+    "Distribution entries": lambda v: Distribution(2, v, "probability"),
+    "Distribution value": lambda v: Distribution(2, {"01": v}, "probability"),
     "consistency_fidelity set": lambda v: consistency_fidelity(_D, v),
     "consistency_fidelity state": lambda v: consistency_fidelity(_D, [v]),
     "interference_suppression set": lambda v: interference_suppression(_D, _D, v),
@@ -61,6 +67,22 @@ _ENTRY_POINTS = {
     "NoiseProfile p_readout": lambda v: NoiseProfile(p_readout=v),
     "fidelity_estimate g_2q": lambda v: fidelity_estimate(v, 0, NoiseProfile()),
     "fidelity_estimate g_1q": lambda v: fidelity_estimate(0, v, NoiseProfile()),
+    "fidelity_estimate profile": lambda v: fidelity_estimate(1, 1, v),
+    "noisy_sample circuit": lambda v: noisy_sample(v, NoiseProfile(), 10),
+    "noisy_sample profile": lambda v: noisy_sample(_LIAR, v, 10),
+    "routing_estimate profile": lambda v: routing_estimate(
+        _LIAR, make_graph("linear", 4), None, v),
+    "consistency_fidelity dist": lambda v: consistency_fidelity(v, ["1001"]),
+    "tv_distance p": lambda v: tv_distance(v, _D),
+    "tv_distance q": lambda v: tv_distance(_D, v),
+    "interference_suppression experimental": lambda v: interference_suppression(
+        v, _D, ["0110"]),
+    "interference_suppression ideal": lambda v: interference_suppression(
+        _D, v, ["0110"]),
+    "chi_squared_gof observed": lambda v: chi_squared_gof(v, _D),
+    "chi_squared_gof expected": lambda v: chi_squared_gof(_COUNTS, v),
+    "full_report experimental": lambda v: full_report(v, _D),
+    "full_report ideal": lambda v: full_report(_COUNTS, v),
 }
 _WRONG_TYPES = st.one_of(
     st.none(), st.text(max_size=6), st.floats(),

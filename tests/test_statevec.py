@@ -333,6 +333,38 @@ def test_apply_pauli_matches_index_oracle(where, n, pauli, seed):
     np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), op=st.sampled_from(sorted(ARITY) + ["Pauli X", "Pauli Y", "Pauli Z"]),
+       rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       angle=st.floats(-2 * math.pi, 2 * math.pi))
+def test_stacked_rows_get_the_bytes_of_one_row(data, op, rows, seed, angle):
+    # the kernel run once on k states back to back gives each the bytes of
+    # apply_gate or apply_pauli on that state alone.  A P or CP on the whole
+    # register is the exception (one row multiplies a one-element view, which
+    # NumPy rounds differently), so their registers are one qubit wider here.
+    arity = ARITY.get(op, 1)
+    n = data.draw(st.integers(arity + (op in ("P", "CP")), 12), label="n")
+    *controls, target = data.draw(st.permutations(range(n)), label="order")[:arity]
+    polarities = data.draw(st.lists(st.sampled_from([POSITIVE, NEGATED]),
+                                    min_size=len(controls),
+                                    max_size=len(controls)), label="polarities")
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    stacked = amps.copy()
+    if op.startswith("Pauli"):
+        pauli = op[-1]
+        statevec._act(stacked.reshape(-1), n, pauli, (target,), rows=rows)
+        alone = [apply_pauli(statevec.StateVector(n, row.copy()), pauli, target)
+                 for row in amps]
+    else:
+        gate = _gate(op, target, controls, polarities, angle)
+        statevec._act(stacked.reshape(-1), n, gate.kind, gate.qubits,
+                      statevec._selects(gate), gate.angle, rows)
+        alone = [apply_gate(statevec.StateVector(n, row.copy()), gate) for row in amps]
+    for row, state in zip(stacked, alone):
+        assert row.tobytes() == state.amplitudes.tobytes()
+
+
 @st.composite
 def _circuits(draw):
     n = draw(st.integers(3, 10), label="n")
